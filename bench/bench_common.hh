@@ -22,7 +22,6 @@
 #include "bench_util/queue_workload.hh"
 #include "common/task_pool.hh"
 #include "persistency/compiled_replay.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 
 namespace persim::bench {
@@ -185,45 +184,39 @@ effectiveJobs(std::uint32_t jobs)
 }
 
 /**
- * Replay @p trace under @p config the way the bench's --jobs flag
- * asks: serial through one engine at jobs <= 1, segment-parallel
- * (persistency/segment_replay.hh, bit-identical to serial) on the
- * shared @p pool otherwise. Benches that fan out per-config on the
- * same pool stay deadlock-free because parallelFor help-executes
- * nested batches.
+ * Replay @p trace under @p config: serially through one engine, or
+ * through compileTrace + compiledReplay under --compiled (bit-identical
+ * either way). --jobs only sizes the compile prep and the deferred log
+ * materialization on the shared @p pool; benches that fan configs out
+ * on the same pool stay deadlock-free because parallelFor
+ * help-executes nested batches.
  */
 inline TimingResult
 replayForOptions(const InMemoryTrace &trace, const TimingConfig &config,
                  const BenchOptions &options, TaskPool &pool)
 {
-    const std::uint32_t jobs = effectiveJobs(options.jobs);
-    if (options.compiled) {
-        // Compiled path: segment-prep once (cached across runs and
-        // across same-spec models when --compile-cache is set), then
-        // execute the micro-op columns directly.
-        CompiledReplayOptions copts;
-        copts.jobs = jobs;
-        copts.pool = &pool;
-        if (!options.compile_cache.empty()) {
-            const CompiledTraceHandle handle = loadOrCompileTrace(
-                trace.events().data(), trace.events().size(), config,
-                options.compile_cache, {}, jobs, &pool);
-            return compiledReplay(handle.view(), config, copts);
-        }
-        const CompiledTrace compiled =
-            compileTrace(trace.events().data(), trace.events().size(),
-                         config, jobs, &pool);
-        return compiledReplay(compiled.view(), config, copts);
-    }
-    if (jobs <= 1) {
+    if (!options.compiled) {
         PersistTimingEngine engine(config);
         trace.replay(engine);
         return engine.result();
     }
-    SegmentReplayOptions segment;
-    segment.jobs = jobs;
-    segment.pool = &pool;
-    return segmentReplay(trace, config, segment);
+    // Compiled path: segment-prep once (cached across runs and across
+    // same-spec models when --compile-cache is set), then execute the
+    // micro-op columns directly.
+    const std::uint32_t jobs = effectiveJobs(options.jobs);
+    CompiledReplayOptions copts;
+    copts.jobs = jobs;
+    copts.pool = &pool;
+    if (!options.compile_cache.empty()) {
+        const CompiledTraceHandle handle = loadOrCompileTrace(
+            trace.events().data(), trace.events().size(), config,
+            options.compile_cache, {}, jobs, &pool);
+        return compiledReplay(handle.view(), config, copts);
+    }
+    const CompiledTrace compiled =
+        compileTrace(trace.events().data(), trace.events().size(),
+                     config, jobs, &pool);
+    return compiledReplay(compiled.view(), config, copts);
 }
 
 /** Wall-clock stopwatch for per-analysis timing. */

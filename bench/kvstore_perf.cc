@@ -324,6 +324,15 @@ main(int argc, char **argv)
     const DriverOptions options = parseDriver(argc, argv);
     const std::uint32_t jobs = effectiveJobs(options.jobs);
     TaskPool pool(jobs);
+    // Replay options for both replay phases. The per-shard phase
+    // already fans shards out over the pool, so its compile prep runs
+    // inline; the single txn trace compiles on the whole pool.
+    BenchOptions txn_replay_options;
+    txn_replay_options.jobs = jobs;
+    txn_replay_options.compiled = options.compiled;
+    txn_replay_options.compile_cache = options.compile_cache;
+    BenchOptions shard_replay_options = txn_replay_options;
+    shard_replay_options.jobs = 1;
     banner("KV-store service under heavy traffic",
            "a persistency model is only as useful as the service on "
            "top of it: this driver measures what each model costs the "
@@ -405,31 +414,8 @@ main(int argc, char **argv)
             std::vector<TimingResult> results(options.clients);
             Stopwatch replay_watch;
             pool.parallelFor(options.clients, [&](std::size_t shard) {
-                if (options.compiled) {
-                    // Compiled path: each shard trace compiles (or
-                    // cache-loads) its own artifact; execution is the
-                    // column walk, bit-identical to the engine replay.
-                    const InMemoryTrace &trace = traces[shard];
-                    if (!options.compile_cache.empty()) {
-                        const CompiledTraceHandle handle =
-                            loadOrCompileTrace(trace.events().data(),
-                                               trace.events().size(),
-                                               timing,
-                                               options.compile_cache);
-                        results[shard] =
-                            compiledReplay(handle.view(), timing);
-                    } else {
-                        const CompiledTrace compiled =
-                            compileTrace(trace.events().data(),
-                                         trace.events().size(), timing);
-                        results[shard] =
-                            compiledReplay(compiled.view(), timing);
-                    }
-                    return;
-                }
-                PersistTimingEngine engine(timing);
-                traces[shard].replay(engine);
-                results[shard] = engine.result();
+                results[shard] = replayForOptions(
+                    traces[shard], timing, shard_replay_options, pool);
             });
             const double replay_wall = replay_watch.seconds();
             double critical_path = 0.0;
@@ -544,41 +530,13 @@ main(int argc, char **argv)
 
         // Phase 5: replay the transaction trace per model. The
         // commit protocol's barriers (journal append, status flip,
-        // applies) are exactly what the models price differently;
-        // segment replay fans the analysis over the shared pool,
-        // bit-identical to serial.
+        // applies) are exactly what the models price differently.
         for (const Model &model : modelList()) {
             const TimingConfig timing = levels(model.model);
             Stopwatch txn_replay_watch;
-            TimingResult result;
-            if (options.compiled) {
-                CompiledReplayOptions copts;
-                copts.jobs = jobs;
-                copts.pool = &pool;
-                if (!options.compile_cache.empty()) {
-                    const CompiledTraceHandle handle = loadOrCompileTrace(
-                        txn_run.trace.events().data(),
-                        txn_run.trace.events().size(), timing,
-                        options.compile_cache, {}, jobs, &pool);
-                    result = compiledReplay(handle.view(), timing, copts);
-                } else {
-                    const CompiledTrace compiled = compileTrace(
-                        txn_run.trace.events().data(),
-                        txn_run.trace.events().size(), timing, jobs,
-                        &pool);
-                    result = compiledReplay(compiled.view(), timing,
-                                            copts);
-                }
-            } else if (jobs <= 1) {
-                PersistTimingEngine engine(timing);
-                txn_run.trace.replay(engine);
-                result = engine.result();
-            } else {
-                SegmentReplayOptions segment;
-                segment.jobs = jobs;
-                segment.pool = &pool;
-                result = segmentReplay(txn_run.trace, timing, segment);
-            }
+            const TimingResult result =
+                replayForOptions(txn_run.trace, timing, txn_replay_options,
+                                 pool);
             const double txn_replay_wall = txn_replay_watch.seconds();
             txn_replay.row({strategy.name, model.name,
                             std::to_string(txn_run.trace.size()),

@@ -6,7 +6,7 @@
  *
  * Usage:
  *
- *   persist_race --trace=FILE [--model=NAME]... [--jobs=N]
+ *   persist_race --trace=FILE [--model=NAME]...
  *
  * The trace is replayed once per requested persistency model (default
  * set: epoch and px86 — the SC-shadow rule and the dirty-read rule
@@ -31,7 +31,6 @@
 #include "common/error.hh"
 #include "memtrace/trace_io.hh"
 #include "persistency/persist_race.hh"
-#include "persistency/segment_replay.hh"
 
 using namespace persim;
 using namespace persim::bench;
@@ -42,7 +41,6 @@ struct Options
 {
     std::string trace_path;
     std::vector<std::string> models;
-    std::uint32_t jobs = 1;
 };
 
 [[noreturn]] void
@@ -50,13 +48,11 @@ usage(const char *argv0)
 {
     std::cerr
         << "usage: " << argv0
-        << " --trace=FILE [--model=NAME]... [--jobs=N]\n"
+        << " --trace=FILE [--model=NAME]...\n"
         << "  --trace=FILE  .trc trace to scan (memtrace/trace_io.hh)\n"
         << "  --model=NAME  persistency model "
            "(strict|epoch|strand|bpfs|px86); repeatable,\n"
-        << "                default: epoch and px86\n"
-        << "  --jobs=N      replay segment-parallel on N workers "
-           "(default serial)\n";
+        << "                default: epoch and px86\n";
     std::exit(2);
 }
 
@@ -75,9 +71,6 @@ parse(int argc, char **argv)
             options.trace_path = value("--trace");
         else if (!value("--model").empty())
             options.models.push_back(value("--model"));
-        else if (!value("--jobs").empty())
-            options.jobs = static_cast<std::uint32_t>(
-                std::stoul(value("--jobs")));
         else
             usage(argv[0]);
     }
@@ -112,16 +105,9 @@ main(int argc, char **argv)
             config.detect_races = true;
             config.plugins.push_back(&detector);
 
-            TimingResult result;
-            if (options.jobs > 1) {
-                SegmentReplayOptions sopts;
-                sopts.jobs = options.jobs;
-                result = segmentReplay(trace, config, sopts, nullptr);
-            } else {
-                PersistTimingEngine engine(config);
-                trace.replay(engine);
-                result = engine.result();
-            }
+            PersistTimingEngine engine(config);
+            trace.replay(engine);
+            const TimingResult result = engine.result();
 
             table.row({name, std::to_string(result.persists),
                        std::to_string(detector.total()),

@@ -15,11 +15,9 @@
  * Besides the serial rows ("replay/<trace>/<model>") each model is
  * also executed through the compiled-trace path
  * ("replay/<trace>/<model>/compiled": the artifact is built outside
- * the timer, the row measures pure column execution) and through the
- * segment-parallel path at --jobs levels 1/2/4/8
- * ("replay/<trace>/<model>/jN"), so the committed baseline records
- * the compiled speedup and the scaling curve of segmentReplay() on
- * the baseline machine alongside the serial numbers. With --mmap the file-backed
+ * the timer, the row measures pure column execution), so the
+ * committed baseline records the compiled speedup on the baseline
+ * machine alongside the serial numbers. With --mmap the file-backed
  * variant is measured instead: the trace is spilled to a .trc file
  * once and replayed from MmapTraceReader's zero-copy span.
  *
@@ -39,7 +37,6 @@
 #include "bench_util/synthetic_trace.hh"
 #include "bench_util/table.hh"
 #include "memtrace/trace_io.hh"
-#include "persistency/segment_replay.hh"
 
 using namespace persim;
 using namespace persim::bench;
@@ -47,9 +44,6 @@ using namespace persim::bench;
 namespace {
 
 constexpr int replay_reps = 5;
-
-/** The --jobs levels the committed scaling curve records. */
-constexpr std::uint32_t job_levels[] = {1, 2, 4, 8};
 
 /** Best-of-N serial replay of @p events; returns seconds. */
 double
@@ -62,26 +56,6 @@ timedReplay(const TraceEvent *events, std::size_t count,
         Stopwatch watch;
         engine.onBatch(events, count);
         engine.onFinish();
-        const double wall = watch.seconds();
-        if (rep == 0 || wall < best)
-            best = wall;
-    }
-    return best;
-}
-
-/** Best-of-N segment-parallel replay at @p jobs workers. */
-double
-timedSegmentReplay(const TraceEvent *events, std::size_t count,
-                   const TimingConfig &timing, std::uint32_t jobs,
-                   TaskPool &pool)
-{
-    double best = 0.0;
-    for (int rep = 0; rep < replay_reps; ++rep) {
-        SegmentReplayOptions options;
-        options.jobs = jobs;
-        options.pool = &pool;
-        Stopwatch watch;
-        (void)segmentReplay(events, count, timing, options);
         const double wall = watch.seconds();
         if (rep == 0 || wall < best)
             best = wall;
@@ -114,7 +88,7 @@ main(int argc, char **argv)
     if (options.json_path.empty())
         options.json_path = "BENCH_replay.json";
     banner("Replay baseline: pure timing-engine throughput "
-           "(best of 5 replays per model and jobs level)",
+           "(best of 5 replays per model and replay path)",
            "establishes the BENCH_replay.json perf trajectory the "
            "ctest perf smoke test regresses against");
 
@@ -160,7 +134,7 @@ main(int argc, char **argv)
 
     BenchReport report;
     TextTable table;
-    table.header({"trace", "model", "jobs", "events", "wall(s)",
+    table.header({"trace", "model", "path", "events", "wall(s)",
                   "events/s"});
     for (const TraceEntry &entry : traces) {
         const TraceEvent *events = entry.trace.events().data();
@@ -185,36 +159,19 @@ main(int argc, char **argv)
                        formatEventsPerSec(count, wall)});
             report.add("replay/" + entry.name + "/" + model.name,
                        count, wall);
-            {
-                // Compiled path: the artifact is built once outside
-                // the timer (it is cached across runs in real use);
-                // the row measures pure execution of the columns.
-                const CompiledTrace compiled =
-                    compileTrace(events, count, timing);
-                const double cwall =
-                    timedCompiledReplay(compiled.view(), timing);
-                table.row({entry.name, model.name, "compiled",
-                           std::to_string(count),
-                           formatDouble(cwall, 4),
-                           formatEventsPerSec(count, cwall)});
-                report.add("replay/" + entry.name + "/" + model.name +
-                               "/compiled",
-                           count, cwall);
-            }
-            for (const std::uint32_t jobs : job_levels) {
-                TaskPool pool(jobs);
-                const double pwall = timedSegmentReplay(
-                    events, count, timing, jobs, pool);
-                const std::string label =
-                    "j" + std::to_string(jobs);
-                table.row({entry.name, model.name, label,
-                           std::to_string(count),
-                           formatDouble(pwall, 4),
-                           formatEventsPerSec(count, pwall)});
-                report.add("replay/" + entry.name + "/" + model.name +
-                               "/" + label,
-                           count, pwall);
-            }
+            // Compiled path: the artifact is built once outside the
+            // timer (it is cached across runs in real use); the row
+            // measures pure execution of the columns.
+            const CompiledTrace compiled =
+                compileTrace(events, count, timing);
+            const double cwall =
+                timedCompiledReplay(compiled.view(), timing);
+            table.row({entry.name, model.name, "compiled",
+                       std::to_string(count), formatDouble(cwall, 4),
+                       formatEventsPerSec(count, cwall)});
+            report.add("replay/" + entry.name + "/" + model.name +
+                           "/compiled",
+                       count, cwall);
         }
     }
     std::cout << "\n" << table.render() << "\n";

@@ -74,22 +74,23 @@ done
 rm -f "$KV_JSON"
 
 # ThreadSanitizer pass: the task pool, the pool-driven parallel sweep,
-# the segment-parallel replay path (prep fan-out + deferred log
+# the compiled-trace path (parallel compile prep + deferred log
 # materialization), and the sharded explorer must be race-free.
 # Separate build tree so the instrumented objects never mix with the
-# tier-1 build. The segment-replay test trace is shrunk to 150k events
-# because TSan's ~10x slowdown would otherwise dominate the stage.
+# tier-1 build. The compiled-trace test's synthetic trace is shrunk to
+# 150k events because TSan's ~10x slowdown would otherwise dominate
+# the stage.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j \
-    --target task_pool_test sweep_test segment_replay_test \
+    --target task_pool_test sweep_test compiled_trace_test \
     explore_test explore_litmus tso_test conformance_test \
     kv_txn_test kvstore_perf
 ./build-tsan/tests/task_pool_test
 ./build-tsan/tests/sweep_test
 PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
-    ./build-tsan/tests/segment_replay_test
+    ./build-tsan/tests/compiled_trace_test
 ./build-tsan/tests/explore_test
 ./build-tsan/bench/explore_litmus --model=epoch --threads=2
 ./build-tsan/bench/explore_litmus --program=queue --shards=4 \

@@ -24,7 +24,7 @@
  * the pool it serves can deadlock it. parallelFor() is nest-safe: a
  * caller running *inside* a pool task helps execute queued tasks
  * while its batch is outstanding instead of parking the worker, so
- * intra-trace segment replay can fan out from within a bench's
+ * a trace's compile prep can fan out from within a bench's
  * per-series parallelFor on the same pool.
  */
 

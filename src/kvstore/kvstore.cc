@@ -600,12 +600,24 @@ KvStore::applyCommittedErase(ThreadCtx &ctx, std::uint64_t key,
 }
 
 void
-KvStore::scrub(ThreadCtx &ctx, std::uint64_t key)
+KvStore::scrub(ThreadCtx &ctx, std::size_t slot, std::uint64_t key,
+               std::uint64_t seq, std::uint64_t txn,
+               const std::vector<Addr> &order_after)
 {
     std::uint64_t found_at = 0, insert_at = 0;
     probe(ctx, key, found_at, insert_at);
     if (found_at == layout_.buckets)
         return;
+    KvJournalRecord record;
+    record.kind = KvJournalRecord::kind_erase;
+    record.key = key;
+    record.seq = seq;
+    record.txn = txn;
+    const std::vector<std::uint8_t> payload = record.encode();
+    // The append's leading barrier orders the record after
+    // @p order_after; the tombstone follows on the append's strand.
+    journal_.append(ctx, slot, payload.data(), payload.size(),
+                    order_after);
     const Addr bucket = layout_.bucketAddr(found_at);
     ctx.store(bucket + KvLayout::state_off, KvLayout::state_tombstone);
     ctx.rmwFetchAdd(live_cell_, static_cast<std::uint64_t>(-1));

@@ -306,12 +306,19 @@ class KvStore
                                  std::uint64_t seq);
 
     /**
-     * Physically tombstone @p key without a seq draw, journal record,
-     * or golden entry: post-migration scrub of a copy that now lives
-     * in another shard. The logical entry is unaffected — ownership
-     * already routes readers to the new shard.
+     * Physically tombstone @p key without a seq draw or golden entry:
+     * post-migration scrub of a copy that now lives in another shard.
+     * The logical entry is unaffected — ownership already routes
+     * readers to the new shard. The scrub is journaled first, as an
+     * erase of the entry's @p seq under the migration's @p txn, so
+     * recovery never replays the key's older records over the
+     * tombstone once the partition migrates back. Both the record and
+     * the tombstone persist after @p order_after (the owner flip);
+     * the caller pre-validated the journal capacity.
      */
-    void scrub(ThreadCtx &ctx, std::uint64_t key);
+    void scrub(ThreadCtx &ctx, std::size_t slot, std::uint64_t key,
+               std::uint64_t seq, std::uint64_t txn,
+               const std::vector<Addr> &order_after);
 
     /**
      * Bucket base address of @p key's live entry (invalid_addr when

@@ -493,6 +493,11 @@ KvRouter::migrate(ThreadCtx &ctx, std::size_t slot,
         if (dst.journalTail(ctx) + journal_need >
             layout_.shard_journals[to_shard].capacity)
             return KvMigrateStatus::LogFull;
+        // One erase record per scrubbed source key (see KvStore::scrub).
+        if (src.journalTail(ctx) +
+                copies.size() * LogLayout::recordBytes(32) >
+            layout_.shard_journals[from].capacity)
+            return KvMigrateStatus::LogFull;
         if (group_journal_.tailOffset(ctx) +
                 2 * LogLayout::recordBytes(48) >
             layout_.group_journal.capacity)
@@ -556,8 +561,9 @@ KvRouter::migrate(ThreadCtx &ctx, std::size_t slot,
                   KvRouterLayout::ownerChecksum(partition, to_shard));
         ctx.persistBarrier();
 
+        const std::vector<Addr> after_flip{owner_addr, owner_addr + 8};
         for (const Copy &copy : copies)
-            src.scrub(ctx, copy.key);
+            src.scrub(ctx, slot, copy.key, copy.seq, id, after_flip);
 
         endMutation(ctx);
         published_seq_->fetch_add(1, std::memory_order_release);
@@ -730,9 +736,13 @@ recoverKvRouter(const MemoryImage &image, const KvRouterLayout &layout,
             if (record.value.size() > layout.max_value_bytes)
                 break;
             if (record.txn != 0) {
-                staged.push_back({s, raw.offset, record.key,
-                                  record.seq, record.txn});
                 rec.txns[record.txn]; // Seen.
+                // Only a staged put leaves (key, seq) evidence in a
+                // table; an erase (a txn's or a migration scrub's)
+                // leaves nothing for step 7 to roll back.
+                if (record.kind == KvJournalRecord::kind_put)
+                    staged.push_back({s, raw.offset, record.key,
+                                      record.seq, record.txn});
             }
             by_lsn[s].emplace(raw.offset, std::move(record));
         }

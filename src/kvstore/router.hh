@@ -38,9 +38,12 @@
  *    a begin record, stages+applies every copied key into B (preserving
  *    (seq, value)), journals an end record ordered after the copies,
  *    barriers, flips the owner entry, barriers, then scrubs A's
- *    copies. A crash anywhere recovers to exactly one owner: the valid
- *    checksummed owner entry wins; an invalid entry falls back to the
- *    journal (end record durable -> B, else A).
+ *    copies, journaling each scrub in A as an erase under the
+ *    migration's id (so a later migration back cannot resurrect a
+ *    scrubbed key from A's older records). A crash anywhere recovers
+ *    to exactly one owner: the valid checksummed owner entry wins; an
+ *    invalid entry falls back to the journal (end record durable ->
+ *    B, else A).
  *
  * recoverKvRouter extends the per-shard recovery ladder with the
  * fourth tier (TxnResolve): committed transactions roll forward from

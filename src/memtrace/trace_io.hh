@@ -73,8 +73,8 @@ class TraceFileWriter : public TraceSink
  * Reads a trace file, streaming events into a sink. Works on pipes
  * and regular files alike; on regular files the open hints the kernel
  * for sequential readahead (posix_fadvise) and records are decoded
- * from large bulk reads. For segment-parallel replay of on-disk
- * traces prefer MmapTraceReader, which hands out zero-copy views.
+ * from large bulk reads. To compile on-disk traces in parallel
+ * prefer MmapTraceReader, which hands out zero-copy views.
  */
 class TraceFileReader
 {

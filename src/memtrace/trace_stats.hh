@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "memtrace/sink.hh"
 
 namespace persim {

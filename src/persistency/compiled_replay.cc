@@ -24,8 +24,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /** The compile-relevant slice of a TimingConfig (mirrors the engine
-    constructor's unpacking, segment_replay.cc does the same via an
-    engine instance). */
+    constructor's unpacking). */
 CompileSpec
 specFor(const TimingConfig &config)
 {
@@ -176,7 +175,8 @@ compileTrace(const TraceEvent *events, std::size_t count,
     if (jobs == 0)
         jobs = TaskPool::defaultWorkers();
 
-    // Same segmentation policy as segment_replay.cc.
+    // A few segments per worker (load balance for skewed event
+    // mixes), with a floor so tiny traces are not over-split.
     constexpr std::uint64_t min_segment = 16384;
     const std::uint64_t seg = std::max<std::uint64_t>(
         min_segment, count / (4ULL * jobs + 1));
@@ -579,8 +579,12 @@ class CompiledReplayer
         engine.onFinish();
 
         if (parallel_log) {
-            // Same deferred materialization as segment_replay.cc:
-            // record construction fans out after the serial pass.
+            // Deferred materialization: record construction (field
+            // copies plus dep-set vector builds) fans out after the
+            // serial pass. onFinish flushed the staged tail, so
+            // deferred_ holds every record in final log order, and
+            // materializeRecord only reads the post-replay dep-set
+            // pool, so the chunks are race-free.
             const auto &deferred = engine.deferred_;
             PersistLog &log = engine.log_;
             log.resize(deferred.size());

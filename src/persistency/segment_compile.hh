@@ -3,19 +3,12 @@
  * The segment compiler: decode + cache-line split + scope filter +
  * slot interning as a pure function of (events, CompileSpec).
  *
- * Shared by two consumers with very different lifetimes:
- *
- *  - segment_replay.cc compiles segments transiently on the TaskPool
- *    and stitches them through one engine immediately (DESIGN.md
- *    Section 12);
- *  - compiled_replay.cc compiles a whole trace once, renumbers the
- *    segment-local slots to global ones, and persists the result as
- *    an on-disk compiled-trace artifact (memtrace/compiled_trace.hh,
- *    DESIGN.md Section 17) that later replays skip this pass for.
- *
- * Keeping one decoder keeps the two paths bit-identical by
- * construction: there is no second implementation of the split/
- * filter/intern rules to drift.
+ * compiled_replay.cc compiles a whole trace's segments in parallel on
+ * the TaskPool, renumbers the segment-local slots to global ones, and
+ * persists the result as an on-disk compiled-trace artifact
+ * (memtrace/compiled_trace.hh, DESIGN.md Section 17) that later
+ * replays skip this pass for. None of this depends on engine state,
+ * so segments compile in any order on any worker.
  */
 
 #ifndef PERSIM_PERSISTENCY_SEGMENT_COMPILE_HH

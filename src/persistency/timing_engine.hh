@@ -58,7 +58,6 @@
 #include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "memtrace/sink.hh"
 #include "persistency/model.hh"
 #include "persistency/persist_log.hh"
@@ -251,14 +250,6 @@ class PersistTimingEngine : public TraceSink
     }
 
   private:
-    /**
-     * Intra-trace parallel replay (segment_replay.cc) compiles trace
-     * segments into micro-ops in parallel, then executes them through
-     * this engine's own piece handlers in serial trace order so the
-     * results stay bit-identical to plain replay.
-     */
-    friend class SegmentReplayer;
-
     /**
      * Compiled-trace replay (compiled_replay.cc) executes persisted
      * micro-op columns straight out of an mmap through the inline
@@ -465,11 +456,11 @@ class PersistTimingEngine : public TraceSink
     /**
      * @name Centralized non-access event handlers
      *
-     * Both process() and the segment-replay stitch dispatch barriers,
-     * fences, flushes, and strand switches through these, so the
-     * counters, the model folds, and the analysis-plugin hooks are
-     * guaranteed to behave identically on the serial and parallel
-     * replay paths (previously the stitch re-implemented the arms).
+     * Both process() and the compiled generic executor dispatch
+     * barriers, fences, flushes, and strand switches through these,
+     * so the counters, the model folds, and the analysis-plugin hooks
+     * are guaranteed to behave identically on the interpreted and
+     * compiled replay paths.
      */
     ///@{
     void handleBarrierEvent(SeqNum seq, ThreadId tid,
@@ -505,8 +496,8 @@ class PersistTimingEngine : public TraceSink
 
     /**
      * Piece body after the tracking probe: everything handlePiece
-     * does once the slot is known. Split out so the segment-replay
-     * stitch can feed pre-resolved slots; @p aslot_hint is the
+     * does once the slot is known. Split out so the compiled
+     * executor can feed pre-resolved slots; @p aslot_hint is the
      * pre-resolved atomic slot (no_slot_hint to probe on demand,
      * ignored in unified mode).
      */
@@ -570,10 +561,10 @@ class PersistTimingEngine : public TraceSink
      * @name Out-of-line plugin fan-out
      *
      * The handlers below are defined inline (after the class) so the
-     * interpreted, segment-stitch, and compiled execution paths all
-     * inline them; the plugin loops stay out of line behind these
-     * helpers so the inline bodies need no AnalysisPlugin definition
-     * and the no-plugin hot path pays one predicted-untaken branch.
+     * interpreted and compiled execution paths both inline them; the
+     * plugin loops stay out of line behind these helpers so the
+     * inline bodies need no AnalysisPlugin definition and the
+     * no-plugin hot path pays one predicted-untaken branch.
      */
     ///@{
     void notifyAccessPlugins(SeqNum seq, Addr addr, std::uint64_t value,
@@ -701,11 +692,11 @@ class PersistTimingEngine : public TraceSink
     mutable std::size_t stage_count_ = 0;
 
     /**
-     * Deferred-materialization mode (segment_replay.cc): flushStage
+     * Deferred-materialization mode (compiled_replay.cc): flushStage
      * parks staged PODs here instead of building PersistRecords, so
      * the record construction (field copies plus dep-set vector
      * allocations — the bulk of record_log's cost) can fan out across
-     * workers after the serial stitch, in exact log order. log() and
+     * workers after the serial pass, in exact log order. log() and
      * takeLog() fall back to serial materialization if the parallel
      * pass has not consumed the backlog.
      */
@@ -719,13 +710,11 @@ class PersistTimingEngine : public TraceSink
 /*
  * Hot-path handler bodies. These live in the header (not
  * timing_engine.cc) so that every execution front end inlines them:
- * process() always could (same TU), but the segment-replay stitch and
- * the compiled-trace executor live in other translation units, and a
- * cross-TU call per micro-op was the single largest cost of both
- * (measured at roughly the difference between the stitch's ~25M
- * events/s and the compiled path's ~60M+). Bodies are identical to
- * the pre-move .cc definitions; only the plugin loops moved behind
- * the out-of-line notify*Plugins helpers.
+ * process() always could (same TU), but the compiled-trace executor
+ * lives in another translation unit, and a cross-TU call per micro-op
+ * was its single largest cost. Bodies are identical to the pre-move
+ * .cc definitions; only the plugin loops moved behind the out-of-line
+ * notify*Plugins helpers.
  */
 
 inline std::uint32_t
@@ -807,7 +796,7 @@ PersistTimingEngine::persistPieceAt(SeqNum seq, ThreadId tid,
         // created) this block's atomic slot.
         aslot = track_slot;
     } else if (aslot_hint != no_slot_hint) {
-        // Segment replay pre-resolved the slot during the stitch.
+        // The compiler pre-resolved the slot.
         aslot = aslot_hint;
     } else {
         aslot = atomicSlot(block);

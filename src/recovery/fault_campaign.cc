@@ -261,15 +261,10 @@ replayFaultRepro(const InMemoryTrace &trace,
 {
     config.faults.validate();
     const FaultModel model(config.faults, trace);
-    // A repro is one realization, so there is no outer fan-out to
-    // soak up InjectionConfig::jobs; spend it on segment-parallel
-    // replay instead (bit-identical to the campaign's serial one).
-    const std::uint32_t jobs = config.injection.jobs == 0
-        ? TaskPool::defaultWorkers() : config.injection.jobs;
     const PersistLog log =
         stochasticLog(trace, config.injection.model,
                       repro.realization_seed,
-                      config.injection.mean_latency, jobs);
+                      config.injection.mean_latency);
     const MemoryImage image = model.crashImage(
         log, repro.crash_time, repro.fault_seed, outcome);
     return invariant(image);

@@ -6,7 +6,6 @@
 
 #include "common/error.hh"
 #include "common/rng.hh"
-#include "persistency/segment_replay.hh"
 #include "recovery/fault_campaign.hh"
 
 namespace persim {
@@ -95,8 +94,7 @@ verifyLogConsistency(const PersistLog &log)
 
 PersistLog
 stochasticLog(const InMemoryTrace &trace, const ModelConfig &model,
-              std::uint64_t seed, double mean_latency,
-              std::uint32_t jobs)
+              std::uint64_t seed, double mean_latency)
 {
     TimingConfig config;
     config.model = model;
@@ -104,13 +102,6 @@ stochasticLog(const InMemoryTrace &trace, const ModelConfig &model,
     config.seed = seed;
     config.mean_latency = mean_latency;
     config.record_log = true;
-    if (jobs > 1) {
-        SegmentReplayOptions options;
-        options.jobs = jobs;
-        PersistLog log;
-        (void)segmentReplay(trace, config, options, &log);
-        return log;
-    }
     PersistTimingEngine engine(config);
     trace.replay(engine);
     return engine.takeLog();

@@ -138,15 +138,11 @@ InjectionResult injectFailures(const InMemoryTrace &trace,
 
 /**
  * Convenience: analyze @p trace with a stochastic clock under
- * @p model and return the persist log. @p jobs > 1 replays through
- * the segment-parallel path (persistency/segment_replay.hh), which
- * is bit-identical to serial replay — stochastic clock draws happen
- * in the serial stitch, so the log does not depend on @p jobs.
+ * @p model and return the persist log.
  */
 PersistLog stochasticLog(const InMemoryTrace &trace,
                          const ModelConfig &model, std::uint64_t seed,
-                         double mean_latency = 1.0,
-                         std::uint32_t jobs = 1);
+                         double mean_latency = 1.0);
 
 } // namespace persim
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for src/common: bit utilities, RNG, statistics, errors.
+ * Unit tests for src/common: bit utilities, RNG, errors, flat maps.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "common/error.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 
 namespace persim {
 namespace {
@@ -152,101 +151,6 @@ TEST(Rng, RejectsZeroBound)
 {
     Rng rng(1);
     EXPECT_THROW(rng.nextBounded(0), FatalError);
-}
-
-TEST(RunningStat, BasicMoments)
-{
-    RunningStat stat;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        stat.add(x);
-    EXPECT_EQ(stat.count(), 8u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(stat.min(), 2.0);
-    EXPECT_DOUBLE_EQ(stat.max(), 9.0);
-    EXPECT_NEAR(stat.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(stat.sum(), 40.0);
-}
-
-TEST(RunningStat, MergeMatchesCombined)
-{
-    RunningStat a;
-    RunningStat b;
-    RunningStat all;
-    Rng rng(3);
-    for (int i = 0; i < 100; ++i) {
-        const double x = rng.nextDouble() * 10;
-        (i % 2 ? a : b).add(x);
-        all.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, EmptyThrowsOnAccess)
-{
-    RunningStat stat;
-    EXPECT_THROW(stat.mean(), FatalError);
-    EXPECT_THROW(stat.min(), FatalError);
-    EXPECT_EQ(stat.variance(), 0.0);
-}
-
-TEST(RunningStat, MergeIntoEmpty)
-{
-    RunningStat a;
-    RunningStat b;
-    b.add(1.0);
-    b.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-}
-
-TEST(Histogram, BucketsAndBounds)
-{
-    Histogram hist(0.0, 10.0, 5);
-    hist.add(-1.0);
-    hist.add(0.0);
-    hist.add(3.9);
-    hist.add(9.999);
-    hist.add(10.0);
-    hist.add(100.0);
-    EXPECT_EQ(hist.underflow(), 1u);
-    EXPECT_EQ(hist.overflow(), 2u);
-    EXPECT_EQ(hist.bucketCount(0), 1u);
-    EXPECT_EQ(hist.bucketCount(1), 1u);
-    EXPECT_EQ(hist.bucketCount(4), 1u);
-    EXPECT_EQ(hist.total(), 6u);
-    EXPECT_DOUBLE_EQ(hist.bucketLo(1), 2.0);
-    EXPECT_DOUBLE_EQ(hist.bucketHi(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadRange)
-{
-    EXPECT_THROW(Histogram(5.0, 5.0, 4), FatalError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), FatalError);
-}
-
-TEST(CounterSet, IncrementAndMerge)
-{
-    CounterSet a;
-    a.inc("x");
-    a.inc("x", 4);
-    a.inc("y");
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("y"), 1u);
-    EXPECT_EQ(a.get("missing"), 0u);
-
-    CounterSet b;
-    b.inc("x", 10);
-    b.inc("z", 2);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 15u);
-    EXPECT_EQ(a.get("z"), 2u);
-    EXPECT_EQ(a.all().size(), 3u);
 }
 
 TEST(Error, FatalCarriesContext)

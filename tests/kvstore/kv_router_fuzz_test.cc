@@ -21,8 +21,9 @@
  *    counted, never silently dropped), and the TxnResolve tier's
  *    served state is a subset of Repair's (scrubbing only removes);
  *  - the fully-drained, uncorrupted image recovers clean under
- *    TxnResolve: zero fault counters and every committed golden
- *    transaction resolved committed.
+ *    TxnResolve: zero fault counters, every committed golden
+ *    transaction resolved committed, and the group invariant
+ *    (makeKvRouterInvariant) holds.
  *
  * Iteration count comes from PERSIM_FUZZ_ITERS (default 25). Any
  * failure prints a one-line repro: re-run this binary with
@@ -224,6 +225,12 @@ checkSeed(std::uint64_t seed, FuzzStats &stats)
             EXPECT_EQ(rec.committed.count(txn.txn), 1u)
                 << "committed txn " << txn.txn << " lost on a clean "
                 << "fully-drained image";
+        // No silent corruption either: in particular, no key a
+        // migration scrubbed comes back from an older journal record.
+        EXPECT_EQ(makeKvRouterInvariant(run.layout, run.golden,
+                                        run.txn_golden, options)(image),
+                  "")
+            << "fully-drained image";
         ++stats.images;
         ++stats.recoveries;
     }

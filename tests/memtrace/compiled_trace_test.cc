@@ -17,13 +17,15 @@
  *    (and, where recorded, the same persist-log hash) as interpreted
  *    replay for every golden fixture under the full frozen golden
  *    configuration matrix, and for the 1M synthetic bench trace
- *    under strict/epoch/strand/px86 at jobs in {1, 4}.
+ *    under strict/epoch/strand/px86 plus a recorded-log stochastic
+ *    epoch config at jobs in {1, 4}.
  *
  * The streaming/mmap trace readers' truncation diagnostics
  * (byte-offset reporting) are covered here too — they share the
  * "reject short files loudly" contract with the compiled format.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -559,28 +561,53 @@ TEST(CompiledReplayBitIdentity, SyntheticAllModelsSerialAndJobs)
     const std::vector<TraceEvent> events(trace.events().begin(),
                                          trace.events().end());
 
-    const std::vector<ModelConfig> models{
-        ModelConfig::strict(), ModelConfig::epoch(),
-        ModelConfig::strand(), ModelConfig::px86()};
-    TaskPool pool(4);
-    for (const ModelConfig &model : models) {
+    struct Input
+    {
+        std::string name;
+        TimingConfig config;
+        std::size_t count; //!< Events replayed, from the front.
+    };
+    std::vector<Input> inputs;
+    for (const ModelConfig &model :
+         {ModelConfig::strict(), ModelConfig::epoch(),
+          ModelConfig::strand(), ModelConfig::px86()}) {
         TimingConfig config;
         config.model = model;
+        inputs.push_back({model.name(), config, events.size()});
+    }
+    // A recorded log under the stochastic clock: at jobs=4 this is
+    // what exercises compiledReplay's parallel deferred-log
+    // materialization, pinned by the order-sensitive log hash. Full
+    // dependence sets grow quadratically with the trace, so this
+    // input replays a prefix.
+    TimingConfig logged;
+    logged.model = ModelConfig::epoch();
+    logged.clock = ClockMode::Stochastic;
+    logged.seed = 42;
+    logged.record_log = true;
+    logged.record_deps = true;
+    inputs.push_back({"epoch_stoch_deps", logged,
+                      std::min<std::size_t>(events.size(), 2048)});
+
+    TaskPool pool(4);
+    for (const auto &[name, config, count] : inputs) {
         PersistTimingEngine engine(config);
-        engine.onBatch(events.data(), events.size());
+        engine.onBatch(events.data(), count);
         engine.onFinish();
         const TimingResult want = engine.result();
+        const std::uint64_t want_log = hashPersistLog(engine.takeLog());
         for (const std::uint32_t jobs : {1u, 4u}) {
             const CompiledTrace compiled = compileTrace(
-                events.data(), events.size(), config, jobs,
+                events.data(), count, config, jobs,
                 jobs > 1 ? &pool : nullptr);
             CompiledReplayOptions options;
             options.jobs = jobs;
             options.pool = jobs > 1 ? &pool : nullptr;
-            const TimingResult got =
-                compiledReplay(compiled.view(), config, options);
-            const std::string label = std::string(model.name()) +
-                "/jobs" + std::to_string(jobs);
+            PersistLog log;
+            const TimingResult got = compiledReplay(
+                compiled.view(), config, options,
+                config.record_log ? &log : nullptr);
+            const std::string label = name + "/jobs" + std::to_string(jobs);
             EXPECT_EQ(want.critical_path, got.critical_path) << label;
             EXPECT_EQ(want.persists, got.persists) << label;
             EXPECT_EQ(want.coalesced, got.coalesced) << label;
@@ -591,6 +618,7 @@ TEST(CompiledReplayBitIdentity, SyntheticAllModelsSerialAndJobs)
             EXPECT_EQ(want.flushes, got.flushes) << label;
             EXPECT_EQ(want.fences, got.fences) << label;
             EXPECT_EQ(want.unflushed, got.unflushed) << label;
+            EXPECT_EQ(want_log, hashPersistLog(log)) << label;
         }
     }
 }

@@ -468,7 +468,7 @@ TEST(MmapTraceIo, BadEventKindByteIsRejectedAtOpen)
     // Unlike the streaming reader, the mmap reader validates every
     // record's kind byte up front: the views it hands out must be
     // safe to consume without per-event checks, so the poisoned
-    // record fails the OPEN, not some later segment replay.
+    // record fails the OPEN, not some later replay.
     const std::string path = writeSmallTrace("mmap_badkind");
     auto bytes = readBytes(path);
     const std::size_t kind_offset = 24 + 32 + 28;

@@ -20,11 +20,14 @@
  *  - every consistent cut of every model's persist DAG satisfies the
  *    program's publish invariant (flag[t] <= data[t]).
  *
- * Odd seeds run all three replays through the segment-parallel path
- * (persistency/segment_replay.hh) with seed-varied worker counts and
- * segment sizes, asserted bit-identical to serial replay before the
- * invariants run — so the fuzzer exercises segment compile/stitch
- * boundaries against the same refinement and recovery-image checks.
+ * Odd seeds also compile every trace (persistency/compiled_replay.hh)
+ * at a seed-varied jobs count and replay it through both compiled
+ * executors, asserted bit-identical to serial replay before the
+ * invariants run: the generic executor under the record_log +
+ * record_deps config the invariants consume, and the fast executor
+ * under the plain Levels config. The invariants then run on the
+ * compiled logs, so the fuzzer holds the compiled path to the same
+ * refinement and recovery-image checks as the interpreted engine.
  *
  * Iteration count comes from PERSIM_FUZZ_ITERS (default 25; the
  * check.sh fuzz stage runs 500). Any failure prints a one-line repro:
@@ -48,8 +51,8 @@
 
 #include "explore/programs.hh"
 #include "memtrace/sink.hh"
+#include "persistency/compiled_replay.hh"
 #include "persistency/persist_race.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 #include "recovery/cuts.hh"
 #include "recovery/recovery.hh"
@@ -93,17 +96,44 @@ struct Replay
 /** Field-for-field persist-log equality; mismatch description or "". */
 std::string compareLogs(const PersistLog &a, const PersistLog &b);
 
+/** Every TimingResult field equal, the critical path bit-exactly. */
+void
+expectSameResult(const TimingResult &want, const TimingResult &got,
+                 const char *leg)
+{
+    EXPECT_EQ(want.critical_path, got.critical_path) << leg;
+    EXPECT_EQ(want.persists, got.persists) << leg;
+    EXPECT_EQ(want.coalesced, got.coalesced) << leg;
+    EXPECT_EQ(want.window_blocked, got.window_blocked) << leg;
+    EXPECT_EQ(want.races, got.races) << leg;
+    EXPECT_EQ(want.ops, got.ops) << leg;
+    EXPECT_EQ(want.events, got.events) << leg;
+    EXPECT_EQ(want.barriers, got.barriers) << leg;
+    EXPECT_EQ(want.strands, got.strands) << leg;
+    EXPECT_EQ(want.flushes, got.flushes) << leg;
+    EXPECT_EQ(want.fences, got.fences) << leg;
+    EXPECT_EQ(want.unflushed, got.unflushed) << leg;
+}
+
+/** Seed-varied compile/materialization workers, 2..4. */
+std::uint32_t
+jobsFor(std::uint64_t seed)
+{
+    return 2 + static_cast<std::uint32_t>(seed % 3);
+}
+
 /**
- * Replay @p trace serially; when @p parallel_seed is nonzero, ALSO
- * replay it through the segment-parallel path (seed-varied worker
- * count and segment size) and assert bit-identical results and logs,
- * so every downstream invariant in checkSeed exercises the
- * segment-merge machinery too.
+ * Replay @p trace serially; when @p compiled_seed is nonzero, ALSO
+ * compile it at seed-varied jobs and assert compiled replay
+ * bit-identical to serial under two configs: the record_log +
+ * record_deps one (generic executor, returned so every downstream
+ * invariant in checkSeed runs on the compiled log) and the plain
+ * Levels one (fast executor for strict/epoch/strand).
  */
 Replay
 replayTrace(const InMemoryTrace &trace, const ModelConfig &model,
             EngineMutant mutant = EngineMutant::None,
-            std::uint64_t parallel_seed = 0)
+            std::uint64_t compiled_seed = 0)
 {
     TimingConfig config;
     config.model = model;
@@ -113,29 +143,33 @@ replayTrace(const InMemoryTrace &trace, const ModelConfig &model,
     PersistTimingEngine engine(config);
     trace.replay(engine);
     Replay serial{engine.result(), engine.takeLog()};
-    if (parallel_seed == 0)
+    if (compiled_seed == 0)
         return serial;
 
-    SegmentReplayOptions options;
-    options.jobs = 2 + static_cast<std::uint32_t>(parallel_seed % 3);
-    options.segment_events = 16 + parallel_seed % 113;
-    Replay parallel;
-    parallel.result =
-        segmentReplay(trace, config, options, &parallel.log);
-    EXPECT_EQ(compareLogs(serial.log, parallel.log), "")
-        << "segment-parallel replay diverged from serial";
-    EXPECT_EQ(serial.result.critical_path,
-              parallel.result.critical_path);
-    EXPECT_EQ(serial.result.persists, parallel.result.persists);
-    EXPECT_EQ(serial.result.coalesced, parallel.result.coalesced);
-    EXPECT_EQ(serial.result.events, parallel.result.events);
-    EXPECT_EQ(serial.result.barriers, parallel.result.barriers);
-    EXPECT_EQ(serial.result.strands, parallel.result.strands);
-    EXPECT_EQ(serial.result.ops, parallel.result.ops);
-    EXPECT_EQ(serial.result.flushes, parallel.result.flushes);
-    EXPECT_EQ(serial.result.fences, parallel.result.fences);
-    EXPECT_EQ(serial.result.unflushed, parallel.result.unflushed);
-    return parallel;
+    // Logging is outside the compile spec: one artifact serves both.
+    CompiledReplayOptions options;
+    options.jobs = jobsFor(compiled_seed);
+    const CompiledTrace compiled = compileTrace(
+        trace.events().data(), trace.size(), config, options.jobs);
+    Replay generic;
+    generic.result =
+        compiledReplay(compiled.view(), config, options, &generic.log);
+    EXPECT_EQ(compareLogs(serial.log, generic.log), "")
+        << "compiled generic replay diverged from serial";
+    expectSameResult(serial.result, generic.result, "generic");
+
+    TimingConfig plain;
+    plain.model = model;
+    PersistTimingEngine plain_engine(plain);
+    trace.replay(plain_engine);
+    CompiledReplayStats fast;
+    expectSameResult(plain_engine.result(),
+                     compiledReplay(compiled.view(), plain, options,
+                                    nullptr, &fast),
+                     "fast");
+    EXPECT_EQ(fast.fast_path, model.kind != ModelKind::Px86)
+        << "plain " << model.name() << " config left the fast executor";
+    return generic;
 }
 
 std::string
@@ -163,7 +197,7 @@ struct FuzzStats
 {
     std::uint64_t programs = 0;
     std::uint64_t strand_free = 0;
-    std::uint64_t parallel_replays = 0;
+    std::uint64_t compiled_replays = 0;
     std::uint64_t events = 0;
     std::uint64_t persists = 0;
     std::uint64_t cuts_checked = 0;
@@ -186,12 +220,12 @@ checkSeed(std::uint64_t seed, FuzzStats &stats)
     sim.runSetup(program.setup);
     sim.run(program.workers);
 
-    // Odd seeds route the replays through the segment-parallel path
-    // (asserted bit-identical to serial inside replayTrace), so the
-    // refinement/recovery invariants below also fuzz segment merging.
+    // Odd seeds route the replays through compiled replay (asserted
+    // bit-identical to serial inside replayTrace), so the refinement/
+    // recovery invariants below also fuzz the compiled executors.
     const std::uint64_t pseed = seed % 2 == 1 ? seed : 0;
     if (pseed != 0)
-        ++stats.parallel_replays;
+        ++stats.compiled_replays;
     const Replay strict =
         replayTrace(trace, ModelConfig::strict(), EngineMutant::None,
                     pseed);
@@ -266,8 +300,8 @@ TEST(DifferentialFuzz, RandomPrograms)
     }
     std::cout << "fuzz: " << stats.programs << " programs ("
               << stats.strand_free << " strand-free, "
-              << stats.parallel_replays
-              << " via segment-parallel replay), " << stats.events
+              << stats.compiled_replays
+              << " via compiled replay), " << stats.events
               << " events, " << stats.persists << " persists, "
               << stats.cuts_checked << " cuts checked ("
               << stats.cut_budget_skips << " enumerations hit the "
@@ -283,9 +317,9 @@ TEST(DifferentialFuzz, RandomPrograms)
  * flushed line may be re-dirtied later without a covering flush, so
  * the final image may lag simulated memory. What must still hold:
  *
- *  - serial and segment-parallel Px86 replay are bit-identical
- *    (asserted inside replayTrace, including the flush/fence/
- *    unflushed counters);
+ *  - serial and compiled Px86 replay are bit-identical (asserted
+ *    inside replayTrace, including the flush/fence/unflushed
+ *    counters);
  *  - the Px86 persist log passes verifyLogConsistency;
  *  - persists + unflushed never exceeds the piece count strict
  *    persists (flush coalescing in the dirty bank may only shrink
@@ -324,7 +358,7 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
 
         const std::uint64_t pseed = seed % 2 == 1 ? seed : 0;
         if (pseed != 0)
-            ++stats.parallel_replays;
+            ++stats.compiled_replays;
         const Replay px86 = replayTrace(trace, ModelConfig::px86(),
                                         EngineMutant::None, pseed);
         const Replay strict = replayTrace(trace, ModelConfig::strict());
@@ -356,8 +390,8 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
     EXPECT_GT(unflushed, 0U);
     EXPECT_GT(flushes, 0U);
     std::cout << "fuzz(px86): " << stats.programs << " programs ("
-              << stats.parallel_replays
-              << " via segment-parallel replay), " << stats.events
+              << stats.compiled_replays
+              << " via compiled replay), " << stats.events
               << " events, " << stats.persists << " persists, "
               << unflushed << " unflushed, " << flushes
               << " flushes, " << stats.cuts_checked
@@ -371,7 +405,8 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
  * truth. Rule 1 (UnorderedPersist) independently re-derives the
  * engine's detect_races analysis from the plugin hook stream alone,
  * so plugin count == TimingResult::races must hold EXACTLY on every
- * (program, model) pair — serial and segment-parallel replay alike.
+ * (program, model) pair — interpreted and compiled replay alike (odd
+ * seeds take the compiled generic executor, which plugins force).
  * The flush-enabled px86 corpus must additionally produce DirtyRead
  * reports (rule 2 has teeth on random flush programs), and the
  * combined corpus must produce unordered races at all (rule 1 is not
@@ -416,11 +451,12 @@ TEST(DifferentialFuzz, PersistRaceDetectorAgreesWithEngine)
 
                 TimingResult result;
                 if (seed % 2 == 1) {
-                    SegmentReplayOptions sopts;
-                    sopts.jobs =
-                        2 + static_cast<std::uint32_t>(seed % 3);
-                    sopts.segment_events = 16 + seed % 113;
-                    result = segmentReplay(trace, config, sopts, nullptr);
+                    CompiledReplayOptions copts;
+                    copts.jobs = jobsFor(seed);
+                    const CompiledTrace compiled =
+                        compileTrace(trace.events().data(), trace.size(),
+                                     config, copts.jobs);
+                    result = compiledReplay(compiled.view(), config, copts);
                 } else {
                     PersistTimingEngine engine(config);
                     trace.replay(engine);

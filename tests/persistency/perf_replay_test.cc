@@ -25,13 +25,11 @@
 #include <iostream>
 #include <map>
 #include <string>
-#include <thread>
 
 #include "bench/bench_common.hh"
 #include "bench_util/bench_report.hh"
 #include "bench_util/synthetic_trace.hh"
 #include "persistency/compiled_replay.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 
 using namespace persim;
@@ -221,86 +219,4 @@ TEST(PerfReplay, CompiledThroughputHoldsBaseline)
             << " compiled replay dropped below 50% of the committed "
             << "baseline; investigate or refresh " << baseline_path;
     }
-}
-
-namespace {
-
-/** Best-of-5 segment-parallel replay at @p jobs workers. */
-double
-bestSegmentReplaySeconds(const InMemoryTrace &trace,
-                         const TimingConfig &config, std::uint32_t jobs)
-{
-    constexpr int reps = 5;
-    double best = 0.0;
-    TaskPool pool(jobs);
-    for (int rep = 0; rep < reps; ++rep) {
-        SegmentReplayOptions options;
-        options.jobs = jobs;
-        options.pool = &pool;
-        bench::Stopwatch watch;
-        (void)segmentReplay(trace, config, options);
-        const double wall = watch.seconds();
-        if (rep == 0 || wall < best)
-            best = wall;
-    }
-    return best;
-}
-
-} // namespace
-
-/**
- * Scaling gate for intra-trace parallel replay. The parallel section
- * is the segment prep (decode/split/scope-filter/intern) plus the
- * deferred log materialization; the stitch — the timing math itself —
- * stays serial to keep results bit-identical, so the achievable
- * speedup is Amdahl-bounded by the stitch share of serial cost. On
- * the default store-heavy mix the stitch is 35-50% of serial and the
- * ceiling is ~1.2-1.9x whatever the core count (see EXPERIMENTS.md
- * for the measured decomposition) — no honest gate fits there. The
- * gate therefore runs the regime the parallel path exists for:
- * a volatile-dominant (80%) trace under the scope-filtered BPFS
- * model, where the prep decodes and discards most of the stream in
- * parallel, the stitch is ~20% of serial, and the measured ceiling
- * is ~2.5x at j=4 / ~3.3x at j=8. Floors:
- *
- *  - j=4 must beat serial by >=2.0x (needs >=4 hardware threads);
- *  - j=8 must beat serial by >=2.5x (needs >=8 hardware threads).
- *
- * A real regression — a serialized prep, a broken pool, a stitch
- * that re-does decode work — lands at 1x or below, far under either
- * floor. Skips below 4 hardware threads, where the prep cannot fan
- * out wide enough for any floor to be meaningful.
- */
-TEST(PerfReplay, ParallelReplayScalingGate)
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 4)
-        GTEST_SKIP() << "needs >= 4 hardware threads, have " << hw;
-
-    SyntheticTraceConfig trace_config;
-    trace_config.volatile_pct = 80;
-    const InMemoryTrace trace = buildSyntheticTrace(trace_config);
-    TimingConfig config;
-    config.model = ModelConfig::bpfs();
-
-    const double serial = bestReplaySeconds(trace, config.model);
-    const double j4 = bestSegmentReplaySeconds(trace, config, 4);
-    std::cout << "parallel replay j4: serial " << serial
-              << " s, parallel " << j4 << " s, speedup " << serial / j4
-              << "x\n";
-    EXPECT_GE(serial / j4, 2.0)
-        << "segment-parallel replay at j=4 regressed below the 2x "
-        << "floor on this machine";
-
-    if (hw < 8) {
-        std::cout << "j8 leg skipped: " << hw
-                  << " hardware threads\n";
-        return;
-    }
-    const double j8 = bestSegmentReplaySeconds(trace, config, 8);
-    std::cout << "parallel replay j8: parallel " << j8 << " s, speedup "
-              << serial / j8 << "x\n";
-    EXPECT_GE(serial / j8, 2.5)
-        << "segment-parallel replay at j=8 regressed below the 2.5x "
-        << "floor on this machine";
 }

@@ -8,7 +8,7 @@
  * TimingResult::races — on hand litmus traces, on every golden
  * fixture under every frozen config (the zero-false-positive pin:
  * the engine's count is ground truth, so equality means no invented
- * races), and under serial vs segment (--jobs) replay. The DirtyRead
+ * races), and under interpreted vs compiled replay. The DirtyRead
  * rule is px86-only and pinned directly on hand traces.
  */
 
@@ -18,8 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "memtrace/trace_io.hh"
+#include "persistency/compiled_replay.hh"
 #include "persistency/persist_race.hh"
-#include "persistency/segment_replay.hh"
 #include "persistency/timing_engine.hh"
 #include "tests/persistency/golden_support.hh"
 #include "tests/support/trace_builder.hh"
@@ -281,9 +281,10 @@ TEST(PersistRace, NoFalsePositivesOnCleanFixtures)
 }
 
 // Hook-stream identity: the detector must see the same event stream
-// (and so produce identical counts) under serial and segment replay,
-// for every fixture and a racy hand trace, across jobs values.
-TEST(PersistRace, SerialAndSegmentReplayAgree)
+// (and so produce identical counts) under interpreted and compiled
+// replay, for every fixture, across jobs values. Plugins force the
+// compiled generic executor, which drives the engine's own handlers.
+TEST(PersistRace, SerialAndCompiledReplayAgree)
 {
     for (const std::string &name : goldenFixtureNames()) {
         const InMemoryTrace trace =
@@ -299,16 +300,18 @@ TEST(PersistRace, SerialAndSegmentReplayAgree)
             trace.replay(engine);
 
             for (std::uint32_t jobs : {2u, 7u}) {
-                PersistRaceDetector segmented;
-                config.plugins.assign(1, &segmented);
-                SegmentReplayOptions options;
+                PersistRaceDetector compiled;
+                config.plugins.assign(1, &compiled);
+                const CompiledTrace artifact =
+                    compileTrace(trace.events().data(), trace.size(),
+                                 config, jobs);
+                CompiledReplayOptions options;
                 options.jobs = jobs;
-                options.segment_events = 64;
-                segmentReplay(trace, config, options);
-                EXPECT_EQ(segmented.unorderedPersists(),
+                compiledReplay(artifact.view(), config, options);
+                EXPECT_EQ(compiled.unorderedPersists(),
                           serial.unorderedPersists())
                     << name << "/" << model.name() << " jobs=" << jobs;
-                EXPECT_EQ(segmented.dirtyReads(), serial.dirtyReads())
+                EXPECT_EQ(compiled.dirtyReads(), serial.dirtyReads())
                     << name << "/" << model.name() << " jobs=" << jobs;
             }
         }

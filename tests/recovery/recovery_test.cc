@@ -292,6 +292,10 @@ struct QueueInjectionCase
 {
     QueueKind kind;
     AnnotationVariant variant;
+    // gtest names each case after a byte dump of its parameter, and
+    // implicit padding would put uninitialized stack bytes into those
+    // names; spelling it out keeps the names the same on every build.
+    std::uint8_t padding[6] = {};
     ModelConfig model;
     const char *name;
 };
@@ -329,27 +333,34 @@ TEST_P(QueueInjection, AnnotationsSufficeForRecovery)
 INSTANTIATE_TEST_SUITE_P(
     Models, QueueInjection,
     ::testing::Values(
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Conservative,
-                           ModelConfig::strict(), "cwl_strict"},
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Conservative,
-                           ModelConfig::epoch(), "cwl_epoch"},
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Racing,
-                           ModelConfig::epoch(), "cwl_racing"},
-        QueueInjectionCase{QueueKind::CopyWhileLocked,
-                           AnnotationVariant::Strand,
-                           ModelConfig::strand(), "cwl_strand"},
-        QueueInjectionCase{QueueKind::TwoLockConcurrent,
-                           AnnotationVariant::Racing,
-                           ModelConfig::epoch(), "tlc_epoch"},
-        QueueInjectionCase{QueueKind::TwoLockConcurrent,
-                           AnnotationVariant::Strand,
-                           ModelConfig::strand(), "tlc_strand"},
-        QueueInjectionCase{QueueKind::TwoLockConcurrent,
-                           AnnotationVariant::Racing,
-                           ModelConfig::strict(), "tlc_strict"}),
+        QueueInjectionCase{.kind = QueueKind::CopyWhileLocked,
+                           .variant = AnnotationVariant::Conservative,
+                           .model = ModelConfig::strict(),
+                           .name = "cwl_strict"},
+        QueueInjectionCase{.kind = QueueKind::CopyWhileLocked,
+                           .variant = AnnotationVariant::Conservative,
+                           .model = ModelConfig::epoch(),
+                           .name = "cwl_epoch"},
+        QueueInjectionCase{.kind = QueueKind::CopyWhileLocked,
+                           .variant = AnnotationVariant::Racing,
+                           .model = ModelConfig::epoch(),
+                           .name = "cwl_racing"},
+        QueueInjectionCase{.kind = QueueKind::CopyWhileLocked,
+                           .variant = AnnotationVariant::Strand,
+                           .model = ModelConfig::strand(),
+                           .name = "cwl_strand"},
+        QueueInjectionCase{.kind = QueueKind::TwoLockConcurrent,
+                           .variant = AnnotationVariant::Racing,
+                           .model = ModelConfig::epoch(),
+                           .name = "tlc_epoch"},
+        QueueInjectionCase{.kind = QueueKind::TwoLockConcurrent,
+                           .variant = AnnotationVariant::Strand,
+                           .model = ModelConfig::strand(),
+                           .name = "tlc_strand"},
+        QueueInjectionCase{.kind = QueueKind::TwoLockConcurrent,
+                           .variant = AnnotationVariant::Racing,
+                           .model = ModelConfig::strict(),
+                           .name = "tlc_strict"}),
     [](const ::testing::TestParamInfo<QueueInjectionCase> &info) {
         return info.param.name;
     });
