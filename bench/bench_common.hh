@@ -11,11 +11,15 @@
 #ifndef PERSIM_BENCH_BENCH_COMMON_HH
 #define PERSIM_BENCH_BENCH_COMMON_HH
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util/bench_report.hh"
@@ -65,18 +69,41 @@ struct BenchOptions
      * every replay. Bit-identical to interpreted replay.
      */
     bool compiled = false;
-
-    /**
-     * Cache compiled artifacts here (.ctc files keyed by source hash
-     * and spec fingerprint); empty compiles in memory per run.
-     * Implies --compiled.
-     */
-    std::string compile_cache;
 };
 
 /**
+ * Parse @p text as the value of the numeric flag @p flag: plain
+ * digits (and, for a floating-point T, a fraction or exponent), no
+ * sign, no trailing characters, in range for T and finite. Anything
+ * else exits 2 with a message naming the flag — a bad value must not
+ * abort with an uncaught exception or wrap to a huge count.
+ */
+template <typename T>
+T
+parseFlagNumber(const char *flag, const std::string &text)
+{
+    T value{};
+    const char *first = text.data();
+    const char *last = first + text.size();
+    const bool has_sign =
+        !text.empty() && (text[0] == '-' || text[0] == '+');
+    const auto [end, ec] = std::from_chars(first, last, value);
+    bool ok = !text.empty() && !has_sign && ec == std::errc() &&
+        end == last;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        std::cerr << "bad value for " << flag << ": '" << text
+                  << "' (expected a non-negative number in range)\n";
+        std::exit(2);
+    }
+    return value;
+}
+
+/**
  * Parse the shared bench flags (--jobs=N, --stream,
- * --chunk-events=N); exits with usage on anything unrecognized.
+ * --chunk-events=N); exits 2 with usage on anything unrecognized and
+ * with a message on a bad numeric value.
  */
 inline BenchOptions
 parseBenchOptions(int argc, char **argv)
@@ -95,24 +122,21 @@ parseBenchOptions(int argc, char **argv)
             options.mmap = true;
         } else if (!value("--jobs").empty()) {
             options.jobs =
-                static_cast<std::uint32_t>(std::stoul(value("--jobs")));
+                parseFlagNumber<std::uint32_t>("--jobs", value("--jobs"));
         } else if (!value("--chunk-events").empty()) {
-            options.chunk_events = std::stoull(value("--chunk-events"));
+            options.chunk_events = parseFlagNumber<std::uint64_t>(
+                "--chunk-events", value("--chunk-events"));
         } else if (!value("--json").empty()) {
             options.json_path = value("--json");
         } else if (!value("--model").empty()) {
             options.models.push_back(value("--model"));
         } else if (arg == "--compiled") {
             options.compiled = true;
-        } else if (!value("--compile-cache").empty()) {
-            options.compiled = true;
-            options.compile_cache = value("--compile-cache");
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--jobs=N] [--stream] [--mmap]"
                          " [--chunk-events=N] [--json=PATH]"
-                         " [--model=NAME]... [--compiled]"
-                         " [--compile-cache=DIR]\n"
+                         " [--model=NAME]... [--compiled]\n"
                       << "  --jobs=N    analysis worker threads "
                          "(1 = serial baseline, 0 = hardware)\n"
                       << "  --stream    replay analyses from a trace "
@@ -125,10 +149,7 @@ parseBenchOptions(int argc, char **argv)
                          "(strict|epoch|strand|bpfs|px86) to the "
                          "analysis set; repeatable\n"
                       << "  --compiled  replay through the "
-                         "compiled-trace executor (bit-identical)\n"
-                      << "  --compile-cache=DIR cache compiled "
-                         "artifacts as .ctc files in DIR (implies "
-                         "--compiled)\n";
+                         "compiled-trace executor (bit-identical)\n";
             std::exit(2);
         }
     }
@@ -200,19 +221,12 @@ replayForOptions(const InMemoryTrace &trace, const TimingConfig &config,
         trace.replay(engine);
         return engine.result();
     }
-    // Compiled path: segment-prep once (cached across runs and across
-    // same-spec models when --compile-cache is set), then execute the
-    // micro-op columns directly.
+    // Compiled path: segment-prep this trace once in memory, then
+    // execute the micro-op columns directly.
     const std::uint32_t jobs = effectiveJobs(options.jobs);
     CompiledReplayOptions copts;
     copts.jobs = jobs;
     copts.pool = &pool;
-    if (!options.compile_cache.empty()) {
-        const CompiledTraceHandle handle = loadOrCompileTrace(
-            trace.events().data(), trace.events().size(), config,
-            options.compile_cache, {}, jobs, &pool);
-        return compiledReplay(handle.view(), config, copts);
-    }
     const CompiledTrace compiled =
         compileTrace(trace.events().data(), trace.events().size(),
                      config, jobs, &pool);

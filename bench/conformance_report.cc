@@ -25,6 +25,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench/bench_common.hh"
 #include "common/error.hh"
 #include "conformance/litmus.hh"
 
@@ -57,10 +58,12 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0)
-            options.jobs = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(7)));
+            options.jobs =
+                bench::parseFlagNumber<std::uint32_t>("--jobs",
+                                                      arg.substr(7));
         else if (arg.rfind("--generated=", 0) == 0)
-            generated = std::stoul(arg.substr(12));
+            generated = bench::parseFlagNumber<std::size_t>(
+                "--generated", arg.substr(12));
         else if (arg == "--handwritten")
             handwritten_only = true;
         else if (arg.rfind("--out=", 0) == 0)

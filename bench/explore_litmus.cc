@@ -16,11 +16,13 @@
 #include <iostream>
 #include <string>
 
+#include "bench/bench_common.hh"
 #include "common/error.hh"
 #include "explore/explore.hh"
 #include "explore/programs.hh"
 
 using namespace persim;
+using bench::parseFlagNumber;
 
 namespace {
 
@@ -86,19 +88,26 @@ parse(int argc, char **argv)
         else if (eatFlag(arg, "--kind", value))
             options.kind = value;
         else if (eatFlag(arg, "--threads", value))
-            options.threads = std::stoul(value);
+            options.threads = parseFlagNumber<std::uint32_t>(
+                "--threads", value);
         else if (eatFlag(arg, "--inserts", value))
-            options.inserts = std::stoul(value);
+            options.inserts = parseFlagNumber<std::uint32_t>(
+                "--inserts", value);
         else if (eatFlag(arg, "--max-depth", value))
-            options.max_depth = std::stoull(value);
+            options.max_depth = parseFlagNumber<std::uint64_t>(
+                "--max-depth", value);
         else if (eatFlag(arg, "--max-executions", value))
-            options.max_executions = std::stoull(value);
+            options.max_executions = parseFlagNumber<std::uint64_t>(
+                "--max-executions", value);
         else if (eatFlag(arg, "--max-cuts", value))
-            options.max_cuts = std::stoull(value);
+            options.max_cuts = parseFlagNumber<std::uint64_t>(
+                "--max-cuts", value);
         else if (eatFlag(arg, "--samples", value))
-            options.samples = std::stoull(value);
+            options.samples = parseFlagNumber<std::uint64_t>(
+                "--samples", value);
         else if (eatFlag(arg, "--shards", value))
-            options.shards = std::stoul(value);
+            options.shards = parseFlagNumber<std::uint32_t>(
+                "--shards", value);
         else
             usage(argv[0]);
     }

@@ -359,8 +359,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<std::uint32_t>(
-                std::stoul(arg.substr(7)));
+            jobs = parseFlagNumber<std::uint32_t>("--jobs",
+                                                  arg.substr(7));
         } else if (arg.rfind("--replay=", 0) == 0) {
             replay_line = arg.substr(9);
         } else {

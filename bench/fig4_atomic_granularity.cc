@@ -54,7 +54,6 @@ main(int argc, char **argv)
     sweep.chunk_events = options.chunk_events;
     sweep.mmap = options.mmap;
     sweep.compiled = options.compiled;
-    sweep.compile_cache = options.compile_cache;
 
     // One trace, 12 analyses (2 models x 6 granularities).
     std::vector<SweepSeries> series;

@@ -53,7 +53,6 @@ main(int argc, char **argv)
     sweep.chunk_events = options.chunk_events;
     sweep.mmap = options.mmap;
     sweep.compiled = options.compiled;
-    sweep.compile_cache = options.compile_cache;
 
     std::vector<SweepSeries> series;
     double analysis_wall = 0.0;

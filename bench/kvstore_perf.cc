@@ -71,7 +71,6 @@ struct DriverOptions
     std::string json_path;
     bool check = false; //!< CI smoke gate: tiny sizes, hard asserts.
     bool compiled = false; //!< Replay through the compiled-trace path.
-    std::string compile_cache; //!< .ctc cache dir (implies compiled).
 };
 
 DriverOptions
@@ -88,39 +87,43 @@ parseDriver(int argc, char **argv)
         if (arg == "--check") {
             options.check = true;
         } else if (!value("--clients").empty()) {
-            options.clients = static_cast<std::uint32_t>(
-                std::stoul(value("--clients")));
+            options.clients = parseFlagNumber<std::uint32_t>(
+                "--clients", value("--clients"));
         } else if (!value("--keys").empty()) {
-            options.keys = std::stoull(value("--keys"));
+            options.keys =
+                parseFlagNumber<std::uint64_t>("--keys", value("--keys"));
         } else if (!value("--ops").empty()) {
-            options.ops = std::stoull(value("--ops"));
+            options.ops =
+                parseFlagNumber<std::uint64_t>("--ops", value("--ops"));
         } else if (!value("--txn-ops").empty()) {
-            options.txn_ops = std::stoull(value("--txn-ops"));
+            options.txn_ops = parseFlagNumber<std::uint64_t>(
+                "--txn-ops", value("--txn-ops"));
         } else if (!value("--theta").empty()) {
-            options.theta = std::stod(value("--theta"));
+            options.theta =
+                parseFlagNumber<double>("--theta", value("--theta"));
         } else if (!value("--put").empty()) {
-            options.put_ratio = std::stod(value("--put"));
+            options.put_ratio =
+                parseFlagNumber<double>("--put", value("--put"));
         } else if (!value("--get").empty()) {
-            options.get_ratio = std::stod(value("--get"));
+            options.get_ratio =
+                parseFlagNumber<double>("--get", value("--get"));
         } else if (!value("--seed").empty()) {
-            options.seed = std::stoull(value("--seed"));
+            options.seed =
+                parseFlagNumber<std::uint64_t>("--seed", value("--seed"));
         } else if (!value("--jobs").empty()) {
-            options.jobs = static_cast<std::uint32_t>(
-                std::stoul(value("--jobs")));
+            options.jobs =
+                parseFlagNumber<std::uint32_t>("--jobs", value("--jobs"));
         } else if (!value("--json").empty()) {
             options.json_path = value("--json");
         } else if (arg == "--compiled") {
             options.compiled = true;
-        } else if (!value("--compile-cache").empty()) {
-            options.compiled = true;
-            options.compile_cache = value("--compile-cache");
         } else {
             std::cerr
                 << "usage: " << argv[0]
                 << " [--clients=N] [--keys=N] [--ops=N(per client)]"
                    " [--txn-ops=N(per thread)] [--theta=F] [--put=F]"
                    " [--get=F] [--seed=N] [--jobs=N] [--json=PATH]"
-                   " [--check] [--compiled] [--compile-cache=DIR]\n";
+                   " [--check] [--compiled]\n";
             std::exit(2);
         }
     }
@@ -330,7 +333,6 @@ main(int argc, char **argv)
     BenchOptions txn_replay_options;
     txn_replay_options.jobs = jobs;
     txn_replay_options.compiled = options.compiled;
-    txn_replay_options.compile_cache = options.compile_cache;
     BenchOptions shard_replay_options = txn_replay_options;
     shard_replay_options.jobs = 1;
     banner("KV-store service under heavy traffic",

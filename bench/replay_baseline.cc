@@ -14,7 +14,7 @@
  *
  * Besides the serial rows ("replay/<trace>/<model>") each model is
  * also executed through the compiled-trace path
- * ("replay/<trace>/<model>/compiled": the artifact is built outside
+ * ("replay/<trace>/<model>/compiled": the trace is compiled outside
  * the timer, the row measures pure column execution), so the
  * committed baseline records the compiled speedup on the baseline
  * machine alongside the serial numbers. With --mmap the file-backed
@@ -63,7 +63,7 @@ timedReplay(const TraceEvent *events, std::size_t count,
     return best;
 }
 
-/** Best-of-N compiled-path execution (artifact built outside). */
+/** Best-of-N compiled-path execution (compiled outside the timer). */
 double
 timedCompiledReplay(const CompiledTraceView &view,
                     const TimingConfig &timing)
@@ -159,9 +159,10 @@ main(int argc, char **argv)
                        formatEventsPerSec(count, wall)});
             report.add("replay/" + entry.name + "/" + model.name,
                        count, wall);
-            // Compiled path: the artifact is built once outside the
-            // timer (it is cached across runs in real use); the row
-            // measures pure execution of the columns.
+            // Compiled path: the trace is compiled once outside the
+            // timer, so the row measures pure execution of the columns
+            // (compile cost is reported by perfbench's
+            // persistency.ref.compile_wall_s).
             const CompiledTrace compiled =
                 compileTrace(events, count, timing);
             const double cwall =

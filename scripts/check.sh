@@ -5,10 +5,10 @@
 # stage (PersistRace detector + crash-state pruner tests and the
 # explore-scaling acceptance gate), run the kvstore stage (recovery
 # ladder + corruption fuzzer + load-driver gate), run the
-# compiled-trace stage (bit-identity + corrupt-artifact suite and the
-# trace_pack round-trip battery, instrumented), fuzz the timing
-# engine differentially (--fuzz-iters=N, default 500), and run the
-# perf-labeled replay-throughput regression.
+# compiled-trace stage (compiled-vs-interpreted bit-identity suite,
+# instrumented), fuzz the timing engine differentially
+# (--fuzz-iters=N, default 500), and run the perf-labeled
+# replay-throughput regression.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,7 +73,8 @@ for row in 'kvstore/txn_in_place/strict/replay' \
 done
 rm -f "$KV_JSON"
 
-# ThreadSanitizer pass: the task pool, the pool-driven parallel sweep,
+# ThreadSanitizer pass: the task pool, the pool-driven parallel sweep
+# (interpreted and compiled),
 # the compiled-trace path (parallel compile prep + deferred log
 # materialization), and the sharded explorer must be race-free.
 # Separate build tree so the instrumented objects never mix with the
@@ -120,7 +121,7 @@ cmake --build build-asan -j \
     persist_race_test pruned_cuts_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
-    compiled_trace_test trace_pack
+    compiled_trace_test
 ./build-asan/tests/faults_test
 ./build-asan/tests/fault_campaign_test
 ./build-asan/tests/recovery_test
@@ -149,15 +150,12 @@ PERSIM_GOLDEN_DIR=tests/persistency/golden \
 ./build-asan/tests/kv_router_fuzz_test
 ./build-asan/tests/kv_txn_campaign_test
 
-# Compiled-trace stage: the artifact format does raw mmap'd column
-# slicing and varint decoding — run the full bit-identity +
-# corrupt-artifact suite instrumented (shrunken synthetic trace, the
-# identity must hold at any size), then the trace_pack round-trip
-# battery (compile -> pack -> unpack -> replay == interpreted on the
-# four goldens plus a 1M synthetic trace).
+# Compiled-trace stage: the compiled executors index their column
+# banks by precomputed slots without bounds checks — run the full
+# compiled-vs-interpreted bit-identity suite instrumented (shrunken
+# synthetic trace; the identity must hold at any size).
 PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/compiled_trace_test
-./build-asan/bench/trace_pack verify >/dev/null
 
 # Fuzz stage: the differential fuzzer at full depth, instrumented —
 # 500 seeded random programs (default) replayed under all three

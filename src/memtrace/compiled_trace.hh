@@ -2,39 +2,11 @@
  * @file
  * Compiled trace container (DESIGN.md Section 17).
  *
- * A compiled trace persists the output of segment prep — the decoded,
+ * A compiled trace holds the output of segment prep — the decoded,
  * cache-line-split, scope-filtered, slot-interned micro-op program a
- * replay would otherwise rebuild from the raw event stream on every
- * run — as an mmap-able artifact the timing engine executes straight
- * out of the mapping.
- *
- * Layout (".ctc", little-endian, 128-byte header):
- *
- *   offset size field
- *        0    8 magic "PSIMCTC1"
- *        8    4 version (currently 1)
- *       12    4 endianness marker 0x01020304 (stored LE; a
- *              byte-swapped artifact reads back 0x04030201)
- *       16    8 source_hash   fnv1a64 of the source trace's raw
- *              32-byte event records — stale-artifact gate
- *       24    8 spec_fp       fingerprint of the CompileSpec the
- *              micro-ops were compiled under (persistency layer)
- *       32    8 micro_ops     rows in each micro-op column
- *       40    8 events        raw events the program was compiled
- *              from (includes kinds that compile to nothing)
- *       48    8 track_slots   entries in the track_keys table
- *       56    8 atomic_slots  entries in the atomic_keys table
- *       64    8 runs          rows in the run-length dispatch index
- *       72    4 thread_count
- *       76    4 reserved (0)
- *       80    8 payload_bytes (64-byte-aligned section area size)
- *       88    8 payload_checksum  fnv1a64 of the payload area
- *       96    8 header_checksum   fnv1a64 of bytes [0, 96)
- *      104   24 zero padding to 128
- *
- * The payload is a fixed-order sequence of struct-of-arrays columns,
- * each starting on a 64-byte boundary (the header is 128 bytes, so
- * in-file alignment equals in-memory alignment of the mapping):
+ * replay would otherwise rebuild from the raw event stream — as
+ * in-memory struct-of-arrays columns the timing engine executes
+ * directly:
  *
  *   kind u8[n] | size u8[n] | flags u8[n] | thread u32[n]
  *   | tslot u32[n] | aslot u32[n] | addr u64[n] | value u64[n]
@@ -45,29 +17,17 @@
  * persistent" (precomputed so the hot loop never recomputes range
  * membership). The run index partitions [0, micro_ops) into maximal
  * same-kind runs so the executor dispatches per run, not per op.
- *
- * A packed sibling (".ctp", magic "PSIMCTP1") stores the same columns
- * delta/varint-encoded for cold storage; see packCompiledTrace().
- *
- * Like MmapTraceReader, both readers require a little-endian host and
- * validate everything up front — magic, version, endianness, both
- * checksums, file size against the header's counts (reporting the
- * offending byte offset on truncation), and every column row (kind
- * bytes, slot bounds, run-length partition) — so consumers can trust
- * the views without per-op checks.
+ * spec_fp records the compile spec the program was built under, so
+ * replaying it under a different one is caught.
  */
 
 #ifndef PERSIM_MEMTRACE_COMPILED_TRACE_HH
 #define PERSIM_MEMTRACE_COMPILED_TRACE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace persim {
-
-/** Container format version. */
-constexpr std::uint32_t compiled_trace_version = 1;
 
 /** tslot/aslot sentinel: the op has no slot in that bank. */
 constexpr std::uint32_t compiled_no_slot = ~0u;
@@ -79,8 +39,7 @@ constexpr std::uint8_t compiled_flag_persistent = 2u;
 
 /**
  * Zero-copy view of one compiled trace: column pointers plus the
- * header facts. Valid only while the backing storage (a mapping or a
- * CompiledTrace) is alive.
+ * trace facts. Valid only while the backing CompiledTrace is alive.
  */
 struct CompiledTraceView
 {
@@ -90,7 +49,6 @@ struct CompiledTraceView
     std::uint64_t atomic_slots = 0;
     std::uint64_t runs = 0;
     std::uint32_t thread_count = 0;
-    std::uint64_t source_hash = 0;
     std::uint64_t spec_fp = 0;
 
     const std::uint8_t *kind = nullptr;
@@ -113,7 +71,6 @@ struct CompiledTrace
 {
     std::uint64_t events = 0;
     std::uint32_t thread_count = 0;
-    std::uint64_t source_hash = 0;
     std::uint64_t spec_fp = 0;
 
     std::vector<std::uint8_t> kind;
@@ -136,65 +93,6 @@ struct CompiledTrace
     /** A view over this object's storage. */
     CompiledTraceView view() const;
 };
-
-/**
- * Validate every column row of @p view: kind and run_kind bytes are
- * <= @p max_kind, the run lengths partition [0, micro_ops) with
- * matching kinds, and slots are in range or compiled_no_slot. Fatals
- * naming the offending row; @p what names the artifact in messages.
- */
-void validateCompiledView(const CompiledTraceView &view,
-                          std::uint8_t max_kind,
-                          const std::string &what);
-
-/**
- * Write @p trace to @p path in the .ctc layout above. Fatals on IO
- * errors and (like MmapTraceReader) on a big-endian host.
- */
-void writeCompiledTrace(const std::string &path,
-                        const CompiledTrace &trace);
-
-/**
- * Maps a .ctc file and hands out a zero-copy CompiledTraceView.
- * Fatals on any validation failure; truncation errors name the byte
- * offset where the file ended short. @p max_kind bounds the kind
- * bytes accepted (the persistency layer passes its micro-op limit).
- */
-class MmapCompiledTrace
-{
-  public:
-    explicit MmapCompiledTrace(const std::string &path,
-                               std::uint8_t max_kind = 0xff);
-    ~MmapCompiledTrace();
-
-    MmapCompiledTrace(const MmapCompiledTrace &) = delete;
-    MmapCompiledTrace &operator=(const MmapCompiledTrace &) = delete;
-
-    const CompiledTraceView &view() const { return view_; }
-
-  private:
-    CompiledTraceView view_;
-    void *map_ = nullptr;
-    std::size_t map_size_ = 0;
-};
-
-/**
- * Pack @p view into the delta/varint cold-storage encoding (the .ctp
- * byte stream, header included). Address-like columns (addr, seq,
- * track/atomic keys) are zigzag-delta coded to exploit locality;
- * small-integer columns (thread, tslot, aslot, value, run_len) are
- * plain varints; u8 columns are stored raw.
- */
-std::vector<std::uint8_t> packCompiledTrace(const CompiledTraceView &view);
-
-/** Decode a .ctp byte stream back into an owning CompiledTrace. */
-CompiledTrace unpackCompiledTrace(const std::uint8_t *data,
-                                  std::size_t size);
-
-/** Write/read the packed encoding to/from a file. */
-void writePackedTrace(const std::string &path,
-                      const CompiledTraceView &view);
-CompiledTrace readPackedTrace(const std::string &path);
 
 } // namespace persim
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <vector>
 
 #include "common/bitops.hh"
-#include "common/checksum.hh"
 #include "common/error.hh"
 #include "persistency/segment_compile.hh"
 
@@ -38,52 +35,6 @@ specFor(const TimingConfig &config)
     spec.detect_races = config.detect_races;
     spec.px86 = config.model.kind == ModelKind::Px86;
     return spec;
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-/**
- * Replay-side validation of facts the format layer cannot know:
- * every Piece op must carry a resolved tracking slot and a 1..8-byte
- * size (the executors index banks with them unchecked), and the
- * thread column must stay within the header's thread count. Runs
- * once when CompiledTraceHandle loads an artifact — not per replay —
- * so the executors trust views that reach them (compiler output is
- * correct by construction). Returns the thread count the executors
- * should size their state by.
- */
-std::uint32_t
-validateForReplay(const CompiledTraceView &view)
-{
-    std::uint32_t max_thread = 0;
-    for (std::uint64_t i = 0; i < view.micro_ops; ++i) {
-        if (view.kind[i] == MicroOp::Piece) {
-            PERSIM_REQUIRE(view.tslot[i] != compiled_no_slot,
-                           "corrupt compiled trace op " << i
-                               << ": piece without a tracking slot");
-            PERSIM_REQUIRE(view.size[i] >= 1 && view.size[i] <= 8,
-                           "corrupt compiled trace op " << i
-                               << ": piece size "
-                               << unsigned(view.size[i])
-                               << " outside 1..8");
-        }
-        if (view.thread[i] > max_thread)
-            max_thread = view.thread[i];
-    }
-    const std::uint32_t need =
-        view.micro_ops > 0 ? max_thread + 1 : 0;
-    PERSIM_REQUIRE(need <= view.thread_count || view.thread_count == 0,
-                   "corrupt compiled trace: thread "
-                       << max_thread << " exceeds the header's "
-                       << view.thread_count << "-thread count");
-    return std::max(need, view.thread_count);
 }
 
 /**
@@ -135,18 +86,15 @@ fmerge(FastTag &dst, const FastTag &cand)
 std::uint64_t
 compiledSpecFingerprint(const TimingConfig &config)
 {
+    // One byte per fact (shifts are < 64), so equal fingerprints mean
+    // equal specs: no hash, no collisions.
     const CompileSpec spec = specFor(config);
-    const std::uint8_t facts[8] = {
-        static_cast<std::uint8_t>(compiled_trace_version),
-        static_cast<std::uint8_t>(spec.track_shift),
-        static_cast<std::uint8_t>(spec.atomic_shift),
-        static_cast<std::uint8_t>(spec.unified),
-        static_cast<std::uint8_t>(spec.all_scope),
-        static_cast<std::uint8_t>(spec.detect_races),
-        static_cast<std::uint8_t>(spec.px86),
-        0,
-    };
-    return fnv1a64(facts, sizeof(facts));
+    return std::uint64_t{spec.track_shift} |
+        std::uint64_t{spec.atomic_shift} << 8 |
+        std::uint64_t{spec.unified} << 16 |
+        std::uint64_t{spec.all_scope} << 24 |
+        std::uint64_t{spec.detect_races} << 32 |
+        std::uint64_t{spec.px86} << 40;
 }
 
 bool
@@ -206,10 +154,9 @@ compileTrace(const TraceEvent *events, std::size_t count,
     // exactly the order the engine's own interning would produce when
     // replaying the events serially. The generic executor re-interns
     // these keys into a fresh engine and asserts the identity, so the
-    // artifact's slot numbering is provably the engine's.
+    // compiled slot numbering is provably the engine's.
     CompiledTrace out;
     out.spec_fp = compiledSpecFingerprint(config);
-    out.source_hash = fnv1a64(events, count * sizeof(TraceEvent));
 
     std::uint64_t total_ops = 0;
     for (const SegmentProgram &program : programs)
@@ -474,16 +421,16 @@ class CompiledReplayer
     }
 
     /** Generic path: the engine's own inline handlers over the
-        columns, slots handed to the engine in artifact order. */
+        columns, slots handed to the engine in compiled order. */
     static TimingResult
     runGeneric(const CompiledTraceView &view, const TimingConfig &config,
                const CompiledReplayOptions &options, PersistLog *log_out)
     {
         PersistTimingEngine engine(config);
 
-        // Pre-intern the artifact's slot tables. The engine's map is
+        // Pre-intern the compiled slot tables. The engine's map is
         // empty, so insertion order is slot order — the identity
-        // check below turns "the artifact's numbering matches the
+        // check below turns "the compiled numbering matches the
         // engine's" from an assumption into an invariant.
         for (std::uint64_t i = 0; i < view.track_slots; ++i) {
             const std::uint32_t slot =
@@ -492,7 +439,7 @@ class CompiledReplayer
                            "corrupt compiled trace: tracking key table "
                            "entry " << i << " interned to slot "
                                << slot
-                               << " (duplicate key in the artifact?)");
+                               << " (duplicate key in the table?)");
         }
         if (!engine.unified_) {
             for (std::uint64_t i = 0; i < view.atomic_slots; ++i) {
@@ -503,7 +450,7 @@ class CompiledReplayer
                                "table entry " << i
                                    << " interned to slot " << slot
                                    << " (duplicate key in the "
-                                      "artifact?)");
+                                      "table?)");
             }
         }
 
@@ -617,14 +564,13 @@ compiledReplay(const CompiledTraceView &view, const TimingConfig &config,
     const std::uint64_t want_fp = compiledSpecFingerprint(config);
     PERSIM_REQUIRE(view.spec_fp == want_fp,
                    "compiled trace was built under a different compile "
-                   "spec (artifact 0x"
+                   "spec (trace 0x"
                        << std::hex << view.spec_fp << ", config 0x"
                        << want_fp
                        << "): recompile it for this configuration");
 
-    // Per-op validation (piece slots/sizes, thread bounds) happened
-    // when the artifact was loaded (CompiledTraceHandle) or is
-    // guaranteed by the compiler; repeating the O(n) scan here would
+    // Per-op invariants (piece slots/sizes, thread bounds) hold by
+    // construction in compileTrace's output; an O(n) check here would
     // cost ~20% of a fast-path replay.
     const std::uint32_t thread_count = view.thread_count;
     const bool fast = compiledFastEligible(config) && log_out == nullptr;
@@ -658,72 +604,6 @@ compiledReplay(const CompiledTraceView &view, const TimingConfig &config,
         stats->exec_seconds = secondsSince(start);
     }
     return result;
-}
-
-CompiledTraceHandle
-CompiledTraceHandle::fromMemory(CompiledTrace trace)
-{
-    CompiledTraceHandle handle;
-    handle.owned_ = std::make_unique<CompiledTrace>(std::move(trace));
-    handle.view_ = handle.owned_->view();
-    (void)validateForReplay(handle.view_);
-    return handle;
-}
-
-CompiledTraceHandle
-CompiledTraceHandle::fromFile(const std::string &path)
-{
-    CompiledTraceHandle handle;
-    handle.map_ =
-        std::make_unique<MmapCompiledTrace>(path, kMaxMicroOpKind);
-    handle.view_ = handle.map_->view();
-    (void)validateForReplay(handle.view_);
-    return handle;
-}
-
-CompiledTraceHandle
-loadOrCompileTrace(const TraceEvent *events, std::size_t count,
-                   const TimingConfig &config,
-                   const std::string &cache_dir, const std::string &tag,
-                   std::uint32_t jobs, TaskPool *pool, bool *cache_hit)
-{
-    PERSIM_REQUIRE(!cache_dir.empty(),
-                   "loadOrCompileTrace needs a cache directory");
-    const std::uint64_t source_hash =
-        fnv1a64(events, count * sizeof(TraceEvent));
-    const std::uint64_t spec_fp = compiledSpecFingerprint(config);
-    const std::string name = tag.empty() ? hex16(source_hash) : tag;
-    const std::string path =
-        cache_dir + "/" + name + "." + hex16(spec_fp) + ".ctc";
-
-    if (cache_hit != nullptr)
-        *cache_hit = false;
-    std::error_code ec;
-    if (std::filesystem::exists(path, ec)) {
-        try {
-            CompiledTraceHandle handle =
-                CompiledTraceHandle::fromFile(path);
-            if (handle.view().source_hash == source_hash &&
-                handle.view().spec_fp == spec_fp) {
-                if (cache_hit != nullptr)
-                    *cache_hit = true;
-                return handle;
-            }
-            // Stale: compiled from different trace contents (or for
-            // another spec under a caller-chosen tag). Fall through
-            // and recompile — never execute the stale micro-ops.
-        } catch (const Error &) {
-            // Truncated or corrupt artifact: recompile in place.
-        }
-    }
-
-    std::filesystem::create_directories(cache_dir, ec);
-    const CompiledTrace trace =
-        compileTrace(events, count, config, jobs, pool);
-    writeCompiledTrace(path, trace);
-    // Serve the freshly written artifact through the same mmap path a
-    // warm run would take, which also round-trip-validates the write.
-    return CompiledTraceHandle::fromFile(path);
 }
 
 } // namespace persim

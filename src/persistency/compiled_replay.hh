@@ -1,8 +1,8 @@
 /**
  * @file
- * Compiled-trace replay: execute a persisted micro-op artifact
- * (memtrace/compiled_trace.hh) through the timing engine with zero
- * per-run prep (DESIGN.md Section 17).
+ * Compiled-trace replay: compile a trace once into in-memory micro-op
+ * columns (memtrace/compiled_trace.hh) and execute them through the
+ * timing engine with zero per-op prep (DESIGN.md Section 17).
  *
  * Interpreted replay spends a large share of every run re-deriving
  * facts that depend only on the trace and the model configuration:
@@ -11,7 +11,7 @@
  * pass once (in parallel, via the shared segment compiler) and
  * renumbers the segment-local slots into one global first-touch
  * order, producing a CompiledTrace whose columns the executor reads
- * straight out of an mmap on every later run.
+ * directly.
  *
  * Execution has two paths, both bit-identical to interpreted replay:
  *
@@ -30,15 +30,9 @@
  *    mutants, BPFS-style scopes): the engine's own inline handlers
  *    driven by the run-length dispatch index, with every slot
  *    pre-resolved — the engine is handed its slot tables up front in
- *    the artifact's first-touch order, so identical slot numbering
- *    (and therefore bit-identical results) is enforced, not hoped
- *    for.
- *
- * loadOrCompileTrace() adds the cache discipline: artifacts are
- * keyed by source-trace content hash and compile-spec fingerprint,
- * and a cached file whose stored hash does not match the trace that
- * is about to be replayed is recompiled in place — a stale artifact
- * is never silently executed.
+ *    the compiled trace's first-touch order, so identical slot
+ *    numbering (and therefore bit-identical results) is enforced,
+ *    not hoped for.
  */
 
 #ifndef PERSIM_PERSISTENCY_COMPILED_REPLAY_HH
@@ -46,8 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "common/task_pool.hh"
 #include "memtrace/compiled_trace.hh"
@@ -58,9 +50,9 @@ namespace persim {
 
 /**
  * Fingerprint of the compile-relevant slice of @p config (shifts,
- * unified/scope/race flags, px86) plus the artifact ABI version.
- * Two configs with equal fingerprints compile any trace to identical
- * micro-op programs, so one artifact serves all of strict / epoch /
+ * unified/scope/race flags, px86), one byte per field. Two configs
+ * with equal fingerprints compile any trace to identical micro-op
+ * programs, so one compiled trace serves all of strict / epoch /
  * strand at equal granularities.
  */
 std::uint64_t compiledSpecFingerprint(const TimingConfig &config);
@@ -75,8 +67,7 @@ bool compiledFastEligible(const TimingConfig &config);
  * Compile @p count events into a global-slot compiled trace for
  * @p config. Segments compile in parallel on @p pool (or a transient
  * pool of @p jobs workers); the slot renumbering and column append
- * are serial. The result carries the source hash of the event bytes
- * and the spec fingerprint of @p config.
+ * are serial. The result carries the spec fingerprint of @p config.
  */
 CompiledTrace compileTrace(const TraceEvent *events, std::size_t count,
                            const TimingConfig &config,
@@ -103,71 +94,20 @@ struct CompiledReplayStats
 
 /**
  * Execute @p view under @p config. Fatals if the view's spec
- * fingerprint does not match @p config — an artifact compiled under
- * a different scope/granularity must never be replayed silently.
+ * fingerprint does not match @p config — a trace compiled under a
+ * different scope/granularity must never be replayed silently.
  * Bit-identical to interpreted replay of the source trace for every
  * model and configuration.
  *
- * @p view must come from compileTrace() or a CompiledTraceHandle:
- * the per-op replay invariants (piece slots and sizes, thread
- * bounds) are validated once when an artifact is loaded, not on
- * every call, so the executors index their state unchecked.
+ * @p view must come from compileTrace(): its per-op replay invariants
+ * (piece slots and sizes, thread bounds) hold by construction, so
+ * the executors index their state unchecked.
  */
 TimingResult compiledReplay(const CompiledTraceView &view,
                             const TimingConfig &config,
                             const CompiledReplayOptions &options = {},
                             PersistLog *log_out = nullptr,
                             CompiledReplayStats *stats = nullptr);
-
-/**
- * Owner of a compiled trace's storage: either an open mapping of a
- * .ctc artifact or an in-memory CompiledTrace. Movable; the view is
- * valid while the handle lives.
- */
-class CompiledTraceHandle
-{
-  public:
-    CompiledTraceHandle() = default;
-
-    /** Adopt an in-memory compiled trace. */
-    static CompiledTraceHandle fromMemory(CompiledTrace trace);
-
-    /** Map (and fully validate) a .ctc artifact. */
-    static CompiledTraceHandle fromFile(const std::string &path);
-
-    const CompiledTraceView &view() const { return view_; }
-
-    /** True when backed by an mmap rather than owned vectors. */
-    bool mapped() const { return map_ != nullptr; }
-
-    bool valid() const { return map_ != nullptr || owned_ != nullptr; }
-
-  private:
-    std::unique_ptr<MmapCompiledTrace> map_;
-    std::unique_ptr<CompiledTrace> owned_;
-    CompiledTraceView view_;
-};
-
-/**
- * Cached compile: look for
- * `<cache_dir>/<tag or source-hash hex>.<spec-fp hex>.ctc`, verify
- * its stored source hash against the events about to be replayed and
- * its spec fingerprint against @p config, and return the mapping on
- * a match. On a miss, a validation failure, or a stale hash (the
- * file was compiled from different trace contents — possible when a
- * caller-supplied @p tag names a regenerated trace), recompile and
- * rewrite the artifact. @p cache_dir is created if absent.
- * @p cache_hit, when non-null, reports whether the mapping came from
- * a pre-existing valid artifact.
- */
-CompiledTraceHandle loadOrCompileTrace(const TraceEvent *events,
-                                       std::size_t count,
-                                       const TimingConfig &config,
-                                       const std::string &cache_dir,
-                                       const std::string &tag = {},
-                                       std::uint32_t jobs = 1,
-                                       TaskPool *pool = nullptr,
-                                       bool *cache_hit = nullptr);
 
 } // namespace persim
 

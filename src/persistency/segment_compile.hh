@@ -4,11 +4,11 @@
  * slot interning as a pure function of (events, CompileSpec).
  *
  * compiled_replay.cc compiles a whole trace's segments in parallel on
- * the TaskPool, renumbers the segment-local slots to global ones, and
- * persists the result as an on-disk compiled-trace artifact
- * (memtrace/compiled_trace.hh, DESIGN.md Section 17) that later
- * replays skip this pass for. None of this depends on engine state,
- * so segments compile in any order on any worker.
+ * the TaskPool and renumbers the segment-local slots to global ones,
+ * producing the in-memory compiled trace (memtrace/compiled_trace.hh,
+ * DESIGN.md Section 17) the compiled executors run. None of this
+ * depends on engine state, so segments compile in any order on any
+ * worker.
  */
 
 #ifndef PERSIM_PERSISTENCY_SEGMENT_COMPILE_HH
@@ -60,9 +60,6 @@ struct MicroOp
     std::uint8_t size = 0;
     std::uint8_t is_write = 0;
 };
-
-/** The largest MicroOp::Kind value (for artifact validation). */
-constexpr std::uint8_t kMaxMicroOpKind = MicroOp::RoleHead;
 
 /** Compiled form of one trace segment. */
 struct SegmentProgram

@@ -61,8 +61,7 @@ buildEngines(const std::vector<TimingConfig> &configs)
 /**
  * Compiled-path sweep body shared by the in-memory and file entry
  * points: one compile + execute per config, serial or fanned out on a
- * TaskPool. Configs differing only in model kind share one artifact
- * in the cache (the spec fingerprint ignores the kind except Px86).
+ * TaskPool.
  */
 std::vector<TimingResult>
 runCompiled(const TraceEvent *events, std::size_t count,
@@ -73,15 +72,9 @@ runCompiled(const TraceEvent *events, std::size_t count,
     std::vector<TimingResult> results(configs.size());
     auto run = [&](std::size_t i) {
         const auto start = SteadyClock::now();
-        if (!options.compile_cache.empty()) {
-            const CompiledTraceHandle handle = loadOrCompileTrace(
-                events, count, configs[i], options.compile_cache);
-            results[i] = compiledReplay(handle.view(), configs[i]);
-        } else {
-            const CompiledTrace compiled =
-                compileTrace(events, count, configs[i]);
-            results[i] = compiledReplay(compiled.view(), configs[i]);
-        }
+        const CompiledTrace compiled =
+            compileTrace(events, count, configs[i]);
+        results[i] = compiledReplay(compiled.view(), configs[i]);
         wall_seconds[i] = secondsSince(start);
     };
     if (options.jobs != 1) {

@@ -66,13 +66,6 @@ struct SweepOptions
      * sweeps ignore chunk_events.
      */
     bool compiled = false;
-
-    /**
-     * Compiled-artifact cache directory (empty = compile in memory
-     * each run). Distinct granularities compile under distinct spec
-     * fingerprints, so one sweep populates one .ctc per knob value.
-     */
-    std::string compile_cache;
 };
 
 /** One sweep sample: the knob value and the analysis result. */

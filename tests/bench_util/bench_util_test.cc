@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the experiment support library: the throughput model,
- * bench-report JSON round-tripping, table formatting, and the queue
- * workload driver configuration.
+ * bench-report JSON round-tripping, table formatting, the queue
+ * workload driver configuration, and the bench flag parser.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.hh"
 #include "bench_util/bench_report.hh"
 #include "bench_util/queue_workload.hh"
 #include "bench_util/table.hh"
@@ -208,6 +209,60 @@ TEST(Workload, SeedChangesInterleavingButNotInserts)
     for (std::size_t i = 0; !differs && i < a.size(); ++i)
         differs = a.events()[i].thread != b.events()[i].thread;
     EXPECT_TRUE(differs);
+}
+
+/** parseBenchOptions over a command line of @p args. */
+bench::BenchOptions
+parseArgs(std::vector<std::string> args)
+{
+    std::string program = "bench";
+    std::vector<char *> argv{program.data()};
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return bench::parseBenchOptions(static_cast<int>(argv.size()),
+                                    argv.data());
+}
+
+TEST(BenchFlags, ParsesNumericValues)
+{
+    const bench::BenchOptions options =
+        parseArgs({"--jobs=4", "--chunk-events=100", "--compiled"});
+    EXPECT_EQ(options.jobs, 4u);
+    EXPECT_EQ(options.chunk_events, 100u);
+    EXPECT_TRUE(options.compiled);
+    EXPECT_EQ(parseArgs({"--jobs=0"}).jobs, 0u);
+    EXPECT_DOUBLE_EQ(bench::parseFlagNumber<double>("--theta", "0.99"),
+                     0.99);
+}
+
+// A bad numeric flag must exit 2 naming the flag, not abort on an
+// uncaught exception or wrap a negative count to ~4 billion workers.
+TEST(BenchFlagsDeathTest, NonNumericJobsExitsTwo)
+{
+    EXPECT_EXIT(parseArgs({"--jobs=abc"}), ::testing::ExitedWithCode(2),
+                "--jobs");
+}
+
+TEST(BenchFlagsDeathTest, NegativeJobsExitsTwo)
+{
+    EXPECT_EXIT(parseArgs({"--jobs=-1"}), ::testing::ExitedWithCode(2),
+                "--jobs");
+}
+
+TEST(BenchFlagsDeathTest, TrailingCharactersExitTwo)
+{
+    EXPECT_EXIT(parseArgs({"--chunk-events=12x"}),
+                ::testing::ExitedWithCode(2), "--chunk-events");
+}
+
+TEST(BenchFlagsDeathTest, OutOfRangeAndSignedValuesExitTwo)
+{
+    EXPECT_EXIT(parseArgs({"--jobs=4294967296"}),
+                ::testing::ExitedWithCode(2), "--jobs");
+    EXPECT_EXIT(parseArgs({"--jobs=+4"}), ::testing::ExitedWithCode(2),
+                "--jobs");
+    EXPECT_EXIT(bench::parseFlagNumber<double>("--theta", "nan"),
+                ::testing::ExitedWithCode(2), "--theta");
 }
 
 } // namespace

@@ -238,7 +238,7 @@ TEST(ShardedIndexMap, MatchesFlatIndexMapSlotNumbering)
 {
     // The sharded map must hand out the same dense insertion-order
     // slots as the unsharded map — the timing engine's slot numbers
-    // are part of the bit-identity surface (compiled artifacts bake
+    // are part of the bit-identity surface (compiled traces bake
     // them in).
     FlatIndexMap flat;
     ShardedIndexMap sharded;

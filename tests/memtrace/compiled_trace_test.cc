@@ -1,37 +1,27 @@
 /**
  * @file
- * Compiled-trace format and replay tests.
+ * Compiled-trace replay tests.
  *
- * Three surfaces:
- *
- *  - the .ctc artifact format itself: layout invariants, the
- *    little-endian gate, and rejection of corrupt artifacts — bad
- *    magic, wrong version, flipped header/payload checksum bytes,
- *    truncation (errors must name the offending byte offset), plus
- *    the .ctp pack round-trip;
- *  - the cache discipline: loadOrCompileTrace must recompile — never
- *    silently replay stale micro-ops — when the source trace changed
- *    under a caller-chosen tag, and must recover from corrupt cache
- *    files in place;
  *  - bit-identity: compiledReplay must produce the same TimingResult
  *    (and, where recorded, the same persist-log hash) as interpreted
  *    replay for every golden fixture under the full frozen golden
  *    configuration matrix, and for the 1M synthetic bench trace
  *    under strict/epoch/strand/px86 plus a recorded-log stochastic
- *    epoch config at jobs in {1, 4}.
+ *    epoch config at jobs in {1, 4};
+ *  - the spec guard: a trace compiled under one compile spec must
+ *    not replay under another.
  *
  * The streaming/mmap trace readers' truncation diagnostics
- * (byte-offset reporting) are covered here too — they share the
- * "reject short files loudly" contract with the compiled format.
+ * (byte-offset reporting) are covered here too: a .trc file is the
+ * input compileTrace consumes, and a short one must be rejected
+ * loudly.
  */
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -44,25 +34,14 @@
 #include "memtrace/event.hh"
 #include "memtrace/trace_io.hh"
 #include "persistency/compiled_replay.hh"
-#include "persistency/segment_compile.hh"
 #include "tests/persistency/golden_support.hh"
 
 namespace persim::test {
 namespace {
 
-// Layout invariants the .ctc format depends on. TraceEvent must stay
-// fully packed (source hashing covers raw bytes) and the compiled
-// sentinels must match the segment compiler's.
-static_assert(sizeof(TraceEvent) == 32,
-              "TraceEvent layout feeds fnv1a source hashing");
+// The compiled sentinel must match the segment compiler's.
 static_assert(compiled_no_slot == 0xffffffffu,
               "compiled_no_slot must match the engine's no-slot-hint");
-static_assert(compiled_trace_version == 1, "bump tests with the format");
-static_assert(compiled_flag_write == 1 && compiled_flag_persistent == 2,
-              "flag bits are baked into committed artifacts");
-static_assert(std::endian::native == std::endian::little,
-              "compiled artifacts are little-endian; the mmap path is "
-              "gated on LE hosts like MmapTraceReader");
 
 std::string
 goldenDir()
@@ -92,22 +71,7 @@ loadGolden(const std::string &name)
 std::string
 scratchPath(const std::string &name)
 {
-    return ::testing::TempDir() + "persim_ctc_" + name;
-}
-
-/** Byte-level surgery on a written artifact. */
-void
-flipByte(const std::string &path, std::uint64_t offset)
-{
-    std::fstream file(path,
-                      std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(file.is_open());
-    file.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0xff);
-    file.seekp(static_cast<std::streamoff>(offset));
-    file.write(&byte, 1);
+    return ::testing::TempDir() + "persim_reader_" + name;
 }
 
 void
@@ -131,174 +95,12 @@ errorOf(Fn &&fn)
     return {};
 }
 
-/** A small but structurally rich compiled artifact. */
-CompiledTrace
-compileMixed(const TimingConfig &config)
-{
-    const std::vector<TraceEvent> events = loadGolden("mixed");
-    return compileTrace(events.data(), events.size(), config);
-}
-
 TimingConfig
 epochConfig()
 {
     TimingConfig config;
     config.model = ModelConfig::epoch();
     return config;
-}
-
-// ---------------------------------------------------------------
-// Format: write -> mmap round trip and corrupt-artifact rejection.
-// ---------------------------------------------------------------
-
-TEST(CompiledTraceFormat, WriteThenMapRoundTripsColumns)
-{
-    const TimingConfig config = epochConfig();
-    const CompiledTrace trace = compileMixed(config);
-    const std::string path = scratchPath("roundtrip.ctc");
-    writeCompiledTrace(path, trace);
-
-    MmapCompiledTrace mapped(path, kMaxMicroOpKind);
-    const CompiledTraceView &a = trace.view();
-    const CompiledTraceView &b = mapped.view();
-    ASSERT_EQ(a.micro_ops, b.micro_ops);
-    ASSERT_EQ(a.events, b.events);
-    ASSERT_EQ(a.track_slots, b.track_slots);
-    ASSERT_EQ(a.atomic_slots, b.atomic_slots);
-    ASSERT_EQ(a.runs, b.runs);
-    ASSERT_EQ(a.thread_count, b.thread_count);
-    EXPECT_EQ(a.source_hash, b.source_hash);
-    EXPECT_EQ(a.spec_fp, b.spec_fp);
-    for (std::uint64_t i = 0; i < a.micro_ops; ++i) {
-        ASSERT_EQ(a.kind[i], b.kind[i]) << "op " << i;
-        ASSERT_EQ(a.size[i], b.size[i]) << "op " << i;
-        ASSERT_EQ(a.flags[i], b.flags[i]) << "op " << i;
-        ASSERT_EQ(a.thread[i], b.thread[i]) << "op " << i;
-        ASSERT_EQ(a.tslot[i], b.tslot[i]) << "op " << i;
-        ASSERT_EQ(a.aslot[i], b.aslot[i]) << "op " << i;
-        ASSERT_EQ(a.addr[i], b.addr[i]) << "op " << i;
-        ASSERT_EQ(a.value[i], b.value[i]) << "op " << i;
-        ASSERT_EQ(a.seq[i], b.seq[i]) << "op " << i;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(CompiledTraceFormat, RejectsBadMagic)
-{
-    const std::string path = scratchPath("magic.ctc");
-    writeCompiledTrace(path, compileMixed(epochConfig()));
-    flipByte(path, 0);
-    const std::string what = errorOf(
-        [&] { MmapCompiledTrace mapped(path, kMaxMicroOpKind); });
-    EXPECT_NE(what.find("magic"), std::string::npos) << what;
-    std::remove(path.c_str());
-}
-
-TEST(CompiledTraceFormat, RejectsWrongVersion)
-{
-    const std::string path = scratchPath("version.ctc");
-    writeCompiledTrace(path, compileMixed(epochConfig()));
-    // Version lives at byte 8; bump it and refresh the header
-    // checksum is deliberately NOT done — the version check fires
-    // first and must name the version it saw.
-    flipByte(path, 8);
-    const std::string what = errorOf(
-        [&] { MmapCompiledTrace mapped(path, kMaxMicroOpKind); });
-    EXPECT_NE(what.find("version"), std::string::npos) << what;
-    std::remove(path.c_str());
-}
-
-TEST(CompiledTraceFormat, RejectsFlippedHeaderChecksum)
-{
-    const std::string path = scratchPath("hsum.ctc");
-    writeCompiledTrace(path, compileMixed(epochConfig()));
-    flipByte(path, 96); // Header checksum field itself.
-    const std::string what = errorOf(
-        [&] { MmapCompiledTrace mapped(path, kMaxMicroOpKind); });
-    EXPECT_NE(what.find("checksum"), std::string::npos) << what;
-    std::remove(path.c_str());
-}
-
-TEST(CompiledTraceFormat, RejectsFlippedPayloadByte)
-{
-    const std::string path = scratchPath("psum.ctc");
-    const CompiledTrace trace = compileMixed(epochConfig());
-    writeCompiledTrace(path, trace);
-    // Flip one byte mid-payload: the payload checksum must catch it
-    // before any column is interpreted.
-    const std::uint64_t payload_mid =
-        128 + trace.view().micro_ops / 2;
-    flipByte(path, payload_mid);
-    const std::string what = errorOf(
-        [&] { MmapCompiledTrace mapped(path, kMaxMicroOpKind); });
-    EXPECT_NE(what.find("checksum"), std::string::npos) << what;
-    std::remove(path.c_str());
-}
-
-TEST(CompiledTraceFormat, TruncationInsideHeaderNamesOffset)
-{
-    const std::string path = scratchPath("trunc_hdr.ctc");
-    writeCompiledTrace(path, compileMixed(epochConfig()));
-    truncateFile(path, 57);
-    const std::string what = errorOf(
-        [&] { MmapCompiledTrace mapped(path, kMaxMicroOpKind); });
-    EXPECT_NE(what.find("byte 57"), std::string::npos) << what;
-    EXPECT_NE(what.find("header"), std::string::npos) << what;
-    std::remove(path.c_str());
-}
-
-TEST(CompiledTraceFormat, TruncationInsidePayloadNamesOffset)
-{
-    const std::string path = scratchPath("trunc_pay.ctc");
-    writeCompiledTrace(path, compileMixed(epochConfig()));
-    const std::uint64_t full =
-        std::filesystem::file_size(path);
-    const std::uint64_t cut = full - 100;
-    truncateFile(path, cut);
-    const std::string what = errorOf(
-        [&] { MmapCompiledTrace mapped(path, kMaxMicroOpKind); });
-    EXPECT_NE(what.find("byte " + std::to_string(cut)),
-              std::string::npos)
-        << what;
-    std::remove(path.c_str());
-}
-
-TEST(CompiledTraceFormat, PackUnpackIsExact)
-{
-    const TimingConfig config = epochConfig();
-    const CompiledTrace trace = compileMixed(config);
-    const std::vector<std::uint8_t> packed =
-        packCompiledTrace(trace.view());
-    // Packed must actually compress the aligned layout.
-    const std::string ctc = scratchPath("pack.ctc");
-    writeCompiledTrace(ctc, trace);
-    EXPECT_LT(packed.size(), std::filesystem::file_size(ctc));
-
-    const CompiledTrace unpacked =
-        unpackCompiledTrace(packed.data(), packed.size());
-    const std::string ctc2 = scratchPath("pack2.ctc");
-    writeCompiledTrace(ctc2, unpacked);
-    // Byte-exact through the full pack -> unpack -> write chain.
-    std::ifstream a(ctc, std::ios::binary), b(ctc2, std::ios::binary);
-    const std::vector<char> ab((std::istreambuf_iterator<char>(a)),
-                               std::istreambuf_iterator<char>());
-    const std::vector<char> bb((std::istreambuf_iterator<char>(b)),
-                               std::istreambuf_iterator<char>());
-    EXPECT_EQ(ab, bb);
-    std::remove(ctc.c_str());
-    std::remove(ctc2.c_str());
-}
-
-TEST(CompiledTraceFormat, TruncatedPackedStreamNamesColumn)
-{
-    const CompiledTrace trace = compileMixed(epochConfig());
-    std::vector<std::uint8_t> packed =
-        packCompiledTrace(trace.view());
-    packed.resize(packed.size() / 2);
-    const std::string what = errorOf(
-        [&] { unpackCompiledTrace(packed.data(), packed.size()); });
-    EXPECT_FALSE(what.empty());
-    EXPECT_NE(what.find("byte"), std::string::npos) << what;
 }
 
 // ---------------------------------------------------------------
@@ -378,96 +180,9 @@ TEST(TraceReaderErrors, ReadPastShrunkenFileNamesRecord)
 }
 
 // ---------------------------------------------------------------
-// Cache discipline: stale artifacts must recompile, never replay.
+// Spec guard: a trace compiled under one spec never replays under
+// another.
 // ---------------------------------------------------------------
-
-TEST(CompiledCache, HitsOnSecondLoadAndValidatesSourceHash)
-{
-    const std::vector<TraceEvent> events = loadGolden("cwl1");
-    const TimingConfig config = epochConfig();
-    const std::string cache = scratchPath("cache_hit");
-    std::filesystem::remove_all(cache);
-
-    bool hit = true;
-    const CompiledTraceHandle cold = loadOrCompileTrace(
-        events.data(), events.size(), config, cache, "cwl1", 1,
-        nullptr, &hit);
-    EXPECT_FALSE(hit);
-    const CompiledTraceHandle warm = loadOrCompileTrace(
-        events.data(), events.size(), config, cache, "cwl1", 1,
-        nullptr, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(cold.view().source_hash, warm.view().source_hash);
-    EXPECT_EQ(compiledReplay(warm.view(), config).critical_path,
-              compiledReplay(cold.view(), config).critical_path);
-    std::filesystem::remove_all(cache);
-}
-
-TEST(CompiledCache, StaleArtifactRecompilesUnderSameTag)
-{
-    // Same tag, different trace contents: the cached artifact's
-    // source hash no longer matches, so the loader must recompile —
-    // silently replaying the stale micro-ops would produce results
-    // for the wrong trace.
-    std::vector<TraceEvent> events = loadGolden("cwl1");
-    const TimingConfig config = epochConfig();
-    const std::string cache = scratchPath("cache_stale");
-    std::filesystem::remove_all(cache);
-
-    bool hit = true;
-    (void)loadOrCompileTrace(events.data(), events.size(), config,
-                             cache, "fixed-tag", 1, nullptr, &hit);
-    EXPECT_FALSE(hit);
-
-    // Mutate the trace; interpreted replay notices, the cache must
-    // too.
-    events[events.size() / 2].value ^= 0xdeadbeef;
-    const CompiledTraceHandle handle = loadOrCompileTrace(
-        events.data(), events.size(), config, cache, "fixed-tag", 1,
-        nullptr, &hit);
-    EXPECT_FALSE(hit) << "stale artifact served from cache";
-
-    PersistTimingEngine engine(config);
-    engine.onBatch(events.data(), events.size());
-    engine.onFinish();
-    const TimingResult want = engine.result();
-    const TimingResult got = compiledReplay(handle.view(), config);
-    EXPECT_EQ(want.critical_path, got.critical_path);
-    EXPECT_EQ(want.persists, got.persists);
-    std::filesystem::remove_all(cache);
-}
-
-TEST(CompiledCache, CorruptArtifactRecompilesInPlace)
-{
-    const std::vector<TraceEvent> events = loadGolden("cwl1");
-    const TimingConfig config = epochConfig();
-    const std::string cache = scratchPath("cache_corrupt");
-    std::filesystem::remove_all(cache);
-
-    bool hit = true;
-    (void)loadOrCompileTrace(events.data(), events.size(), config,
-                             cache, "t", 1, nullptr, &hit);
-    // Corrupt the single cached artifact's payload.
-    std::string artifact;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(cache))
-        artifact = entry.path().string();
-    ASSERT_FALSE(artifact.empty());
-    flipByte(artifact, 200);
-
-    const CompiledTraceHandle handle = loadOrCompileTrace(
-        events.data(), events.size(), config, cache, "t", 1, nullptr,
-        &hit);
-    EXPECT_FALSE(hit);
-    // And the rewritten artifact is valid again.
-    const CompiledTraceHandle again = loadOrCompileTrace(
-        events.data(), events.size(), config, cache, "t", 1, nullptr,
-        &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(compiledReplay(handle.view(), config).persists,
-              compiledReplay(again.view(), config).persists);
-    std::filesystem::remove_all(cache);
-}
 
 TEST(CompiledCache, WrongSpecFingerprintIsAHardError)
 {
@@ -621,61 +336,6 @@ TEST(CompiledReplayBitIdentity, SyntheticAllModelsSerialAndJobs)
             EXPECT_EQ(want_log, hashPersistLog(log)) << label;
         }
     }
-}
-
-TEST(CompiledReplayBitIdentity, MappedArtifactMatchesInMemory)
-{
-    // The zero-copy mmap execution path must agree with the
-    // freshly-compiled in-memory columns.
-    const std::vector<TraceEvent> events = loadGolden("tlc2");
-    for (const ModelConfig &model :
-         {ModelConfig::strict(), ModelConfig::px86()}) {
-        TimingConfig config;
-        config.model = model;
-        const CompiledTrace trace =
-            compileTrace(events.data(), events.size(), config);
-        const TimingResult want =
-            compiledReplay(trace.view(), config);
-
-        const std::string path = scratchPath(
-            std::string("mapped_") + model.name() + ".ctc");
-        writeCompiledTrace(path, trace);
-        const CompiledTraceHandle handle =
-            CompiledTraceHandle::fromFile(path);
-        CompiledReplayStats stats;
-        const TimingResult got = compiledReplay(
-            handle.view(), config, {}, nullptr, &stats);
-        EXPECT_EQ(want.critical_path, got.critical_path);
-        EXPECT_EQ(want.persists, got.persists);
-        EXPECT_EQ(want.coalesced, got.coalesced);
-        EXPECT_EQ(stats.micro_ops, trace.view().micro_ops);
-        std::remove(path.c_str());
-    }
-}
-
-TEST(CompiledReplayBitIdentity, PackedRoundTripReplaysIdentically)
-{
-    const std::vector<TraceEvent> events = loadGolden("strand1");
-    TimingConfig config;
-    config.model = ModelConfig::strand();
-    PersistTimingEngine engine(config);
-    engine.onBatch(events.data(), events.size());
-    engine.onFinish();
-    const TimingResult want = engine.result();
-
-    const CompiledTrace compiled =
-        compileTrace(events.data(), events.size(), config);
-    const std::vector<std::uint8_t> packed =
-        packCompiledTrace(compiled.view());
-    CompiledTrace unpacked =
-        unpackCompiledTrace(packed.data(), packed.size());
-    const CompiledTraceHandle handle =
-        CompiledTraceHandle::fromMemory(std::move(unpacked));
-    const TimingResult got = compiledReplay(handle.view(), config);
-    EXPECT_EQ(want.critical_path, got.critical_path);
-    EXPECT_EQ(want.persists, got.persists);
-    EXPECT_EQ(want.coalesced, got.coalesced);
-    EXPECT_EQ(want.strands, got.strands);
 }
 
 } // namespace

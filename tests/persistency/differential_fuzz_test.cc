@@ -146,7 +146,7 @@ replayTrace(const InMemoryTrace &trace, const ModelConfig &model,
     if (compiled_seed == 0)
         return serial;
 
-    // Logging is outside the compile spec: one artifact serves both.
+    // Logging is outside the compile spec: one compiled trace serves both.
     CompiledReplayOptions options;
     options.jobs = jobsFor(compiled_seed);
     const CompiledTrace compiled = compileTrace(

@@ -105,7 +105,7 @@ TEST(PerfReplay, SyntheticTraceHoldsBaselineThroughput)
 
 namespace {
 
-/** Best-of-5 compiled-path execution (artifact built outside). */
+/** Best-of-5 compiled-path execution (compiled outside the timer). */
 double
 bestCompiledSeconds(const CompiledTraceView &view,
                     const TimingConfig &config)

@@ -116,7 +116,9 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
 {
     // The acceptance oracle for the task-pool runtime: the parallel
     // sweep (one engine replay per task) must reproduce the serial
-    // single-pass FanoutSink results exactly, for every config.
+    // single-pass FanoutSink results exactly, for every config. So
+    // must the compiled sweep (one compile + execute per config),
+    // serial and pooled.
     const auto trace = mixedTrace();
     const std::vector<ModelConfig> models{
         ModelConfig::strict(), ModelConfig::epoch(),
@@ -137,6 +139,14 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
         expectSameResults(
             serial, granularitySweep(trace, models, grans, knob,
                                      hardware));
+        for (const std::uint32_t jobs : {1u, 4u}) {
+            SweepOptions compiled;
+            compiled.jobs = jobs;
+            compiled.compiled = true;
+            expectSameResults(
+                serial, granularitySweep(trace, models, grans, knob,
+                                         compiled));
+        }
     }
 }
 
@@ -145,7 +155,8 @@ TEST(Sweep, StreamingFileSweepMatchesInMemory)
     // granularitySweepFile replays from disk in batched chunks; per
     // engine the event order is identical, so results must match the
     // in-memory sweep exactly — serial and parallel, including a
-    // chunk size that doesn't divide the trace evenly.
+    // chunk size that doesn't divide the trace evenly. The compiled
+    // file sweep maps the whole trace instead and must match too.
     const auto trace = mixedTrace();
     const std::string path =
         std::string(::testing::TempDir()) + "persim_sweep_stream.trc";
@@ -158,14 +169,17 @@ TEST(Sweep, StreamingFileSweepMatchesInMemory)
         trace, models, grans, GranularityKnob::AtomicPersist);
 
     for (const std::uint32_t jobs : {1u, 3u}) {
-        SweepOptions options;
-        options.jobs = jobs;
-        options.chunk_events = 37; // Deliberately uneven.
-        expectSameResults(
-            serial,
-            granularitySweepFile(path, models, grans,
-                                 GranularityKnob::AtomicPersist,
-                                 options));
+        for (const bool compiled : {false, true}) {
+            SweepOptions options;
+            options.jobs = jobs;
+            options.chunk_events = 37; // Deliberately uneven.
+            options.compiled = compiled;
+            expectSameResults(
+                serial,
+                granularitySweepFile(path, models, grans,
+                                     GranularityKnob::AtomicPersist,
+                                     options));
+        }
     }
 
     SweepOptions bad;

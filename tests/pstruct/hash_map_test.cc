@@ -196,6 +196,14 @@ struct MapInjectionCase
     const char *name;
 };
 
+// gtest prints a parameter into the ctest name; by default that is a
+// byte dump of padding and the name pointer, which changes per run.
+void
+PrintTo(const MapInjectionCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class HashMapInjection
     : public ::testing::TestWithParam<MapInjectionCase>
 {

@@ -292,13 +292,17 @@ struct QueueInjectionCase
 {
     QueueKind kind;
     AnnotationVariant variant;
-    // gtest names each case after a byte dump of its parameter, and
-    // implicit padding would put uninitialized stack bytes into those
-    // names; spelling it out keeps the names the same on every build.
-    std::uint8_t padding[6] = {};
     ModelConfig model;
     const char *name;
 };
+
+// gtest prints a parameter into the ctest name; by default that is a
+// byte dump of padding and the name pointer, which changes per run.
+void
+PrintTo(const QueueInjectionCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class QueueInjection
     : public ::testing::TestWithParam<QueueInjectionCase>
