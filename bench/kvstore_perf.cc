@@ -365,7 +365,7 @@ main(int argc, char **argv)
     TextTable txn_generation;
     txn_generation.header({"strategy", "ops", "txns", "committed",
                            "snapshots", "migrations", "rejected",
-                           "wall(s)", "ops/s"});
+                           "handoffs", "drains", "wall(s)", "ops/s"});
     TextTable txn_replay;
     txn_replay.header({"strategy", "model", "events", "wall(s)",
                        "events/s", "critical path", "persists"});
@@ -507,6 +507,8 @@ main(int argc, char **argv)
              std::to_string(txn_run.snapshots),
              std::to_string(txn_run.migrations),
              std::to_string(txn_rejected),
+             std::to_string(txn_run.sim.handoffs),
+             std::to_string(txn_run.sim.store_buffer_drains),
              formatDouble(txn_wall, 3),
              formatEventsPerSec(txn_total_ops, txn_wall)});
         report.add(std::string("kvstore/txn_") + strategy.name +

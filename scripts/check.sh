@@ -77,6 +77,11 @@ rm -f "$KV_JSON"
 # (interpreted and compiled),
 # the compiled-trace path (parallel compile prep + deferred log
 # materialization), and the sharded explorer must be race-free.
+# The simulator itself is no longer concurrent — simulated threads
+# are fibers on the caller's OS thread — so sim_test and replay_test
+# run here to exercise the annotated fiber switches and abort
+# unwinding (and engines running side by side on pool workers), not
+# to look for races between simulated threads.
 # Separate build tree so the instrumented objects never mix with the
 # tier-1 build. The compiled-trace test's synthetic trace is shrunk to
 # 150k events because TSan's ~10x slowdown would otherwise dominate
@@ -87,8 +92,10 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-tsan -j \
     --target task_pool_test sweep_test compiled_trace_test \
     explore_test explore_litmus tso_test conformance_test \
-    kv_txn_test kvstore_perf
+    kv_txn_test kvstore_perf sim_test replay_test
 ./build-tsan/tests/task_pool_test
+./build-tsan/tests/sim_test
+./build-tsan/tests/replay_test
 ./build-tsan/tests/sweep_test
 PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-tsan/tests/compiled_trace_test
@@ -97,12 +104,13 @@ PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
 ./build-tsan/bench/explore_litmus --program=queue --shards=4 \
     --max-executions=256 --samples=32
 # The TSO store-buffer scheduler and the parallel (--jobs) conformance
-# harness are new concurrency surfaces: run both instrumented.
+# harness (one engine per pool worker): run both instrumented.
 ./build-tsan/tests/tso_test
 PERSIM_CONFORMANCE_GOLDEN=tests/conformance/golden/conformance_report.txt \
     ./build-tsan/tests/conformance_test
-# The router's global sequence counter is polled by real threads in
-# kv_txn_test's snapshot regression (acquire/release, no data race),
+# The router's global sequence counter is polled by a real OS thread
+# in kv_txn_test's snapshot regression while the engine's fibers
+# mutate it on another (acquire/release, no data race),
 # and the KV load driver fans shard generation, per-model replay of
 # the cross-shard txn mix, and both audit campaigns out over the
 # shared pool: run both instrumented.
@@ -121,7 +129,12 @@ cmake --build build-asan -j \
     persist_race_test pruned_cuts_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
-    compiled_trace_test
+    compiled_trace_test sim_test replay_test
+# Fiber stacks are mmap'd and switched by hand: run the engine suites
+# (worker errors and max_events aborts unwind suspended fibers)
+# instrumented, with the ASan fiber-switch annotations live.
+./build-asan/tests/sim_test
+./build-asan/tests/replay_test
 ./build-asan/tests/faults_test
 ./build-asan/tests/fault_campaign_test
 ./build-asan/tests/recovery_test

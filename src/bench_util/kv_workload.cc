@@ -311,6 +311,7 @@ runKvRouterWorkload(const KvRouterWorkloadConfig &config)
         });
     }
     engine.run(workers);
+    result.sim = engine.counters();
 
     for (const RouterClientStats &s : stats) {
         result.puts += s.puts;

@@ -26,6 +26,7 @@
 #include "kvstore/kvstore.hh"
 #include "kvstore/router.hh"
 #include "memtrace/sink.hh"
+#include "sim/engine.hh"
 
 namespace persim {
 
@@ -174,6 +175,9 @@ struct KvRouterWorkloadResult
 
     /** Txn rejections by KvTxnStatus enumerator. */
     std::array<std::uint64_t, 7> txn_rejected{};
+
+    /** Scheduler counters of the generating engine. */
+    SimCounters sim;
 };
 
 /** Run the router workload; deterministic in the config. */

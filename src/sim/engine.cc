@@ -1,12 +1,197 @@
 #include "sim/engine.hh"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
-#include <thread>
 
 #include "common/error.hh"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
+#if !defined(__x86_64__)
+#error "the fiber switch in engine.cc is written for x86-64"
+#endif
+
+/*
+ * persim_fiber_switch(save, next): save the System V callee-saved
+ * state (rbx, rbp, r12-r15, the MXCSR control bits and the x87
+ * control word) on the current stack, store the stack pointer in
+ * *save, load next as the stack pointer and restore the same state
+ * from it. Returns on the fiber whose stack next is.
+ *
+ * It carries no CFI: mid-switch the frame belongs to neither stack,
+ * and nothing unwinds through it.
+ *
+ * persim_fiber_start: where a fresh fiber's first switch "returns"
+ * to. Its initial frame (see Fiber::Fiber) leaves the entry function
+ * in r12 and its argument in rbx; the stack is 16-byte aligned at the
+ * call. The entry function never returns (a finished fiber switches
+ * away for good); ud2 traps if it does.
+ */
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl persim_fiber_switch
+    .hidden persim_fiber_switch
+    .type persim_fiber_switch, @function
+persim_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size persim_fiber_switch, .-persim_fiber_switch
+
+    .p2align 4
+    .globl persim_fiber_start
+    .hidden persim_fiber_start
+    .type persim_fiber_start, @function
+persim_fiber_start:
+    .cfi_startproc
+    .cfi_undefined rip
+    movq %rbx, %rdi
+    callq *%r12
+    ud2
+    .cfi_endproc
+    .size persim_fiber_start, .-persim_fiber_start
+    .popsection
+)");
+
+extern "C" void persim_fiber_switch(void **save, void *next);
+extern "C" void persim_fiber_start();
+
 namespace persim {
+
+namespace {
+
+/** Fiber stack size, guard page included: glibc's default thread
+    stack (RLIMIT_STACK), so a workload that fits a std::thread fits
+    a fiber. */
+constexpr std::size_t fiber_stack_bytes = 8ULL << 20;
+
+} // namespace
+
+/**
+ * One simulated thread's execution context. A worker fiber owns an
+ * mmap'd stack whose lowest page is a PROT_NONE guard; the context of
+ * run()'s caller (the one without a stack) only holds its saved stack
+ * pointer while the workers run.
+ */
+struct ExecutionEngine::Fiber
+{
+    /** The caller's context. */
+    Fiber() = default;
+
+    /** A worker fiber that will run @p fn as thread @p tid. */
+    Fiber(ExecutionEngine *engine, ThreadId tid, const WorkerFn *fn)
+        : engine(engine), tid(tid), fn(fn)
+    {
+        void *mapping = mmap(nullptr, fiber_stack_bytes,
+                             PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE |
+                                 MAP_STACK,
+                             -1, 0);
+        if (mapping == MAP_FAILED)
+            PERSIM_FATAL("cannot map a " << fiber_stack_bytes
+                         << "-byte fiber stack: " << std::strerror(errno));
+        stack = static_cast<char *>(mapping);
+        const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        if (mprotect(stack, page, PROT_NONE) != 0) {
+            const int error = errno;
+            munmap(stack, fiber_stack_bytes);
+            PERSIM_FATAL("cannot protect a fiber guard page: "
+                         << std::strerror(error));
+        }
+        stack_bottom = stack + page;
+        stack_size = fiber_stack_bytes - page;
+
+        // Initial frame, as persim_fiber_switch pops it: control
+        // words, r15..r12, rbx, rbp, return address. Leaves rsp
+        // 16-byte aligned in persim_fiber_start.
+        auto *frame = reinterpret_cast<std::uint64_t *>(
+            stack + fiber_stack_bytes - 128);
+        std::uint32_t mxcsr = 0;
+        std::uint16_t fpu_cw = 0;
+        asm volatile("stmxcsr %0" : "=m"(mxcsr));
+        asm volatile("fnstcw %0" : "=m"(fpu_cw));
+        frame[0] = mxcsr | (std::uint64_t{fpu_cw} << 32);
+        frame[1] = 0; // r15
+        frame[2] = 0; // r14
+        frame[3] = 0; // r13
+        frame[4] = reinterpret_cast<std::uint64_t>(&fiberMain); // r12
+        frame[5] = reinterpret_cast<std::uint64_t>(this);       // rbx
+        frame[6] = 0; // rbp: ends frame-pointer walks
+        frame[7] = reinterpret_cast<std::uint64_t>(&persim_fiber_start);
+        sp = frame;
+#if defined(__SANITIZE_THREAD__)
+        tsan_fiber = __tsan_create_fiber(0);
+#endif
+    }
+
+    ~Fiber()
+    {
+        if (stack == nullptr)
+            return;
+#if defined(__SANITIZE_THREAD__)
+        __tsan_destroy_fiber(tsan_fiber);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+        // Frames left on a finished fiber's stack keep their redzones
+        // poisoned; clear them before the range can be mapped again.
+        __asan_unpoison_memory_region(stack_bottom, stack_size);
+#endif
+        munmap(stack, fiber_stack_bytes);
+    }
+
+    Fiber(const Fiber &) = delete;
+    Fiber &operator=(const Fiber &) = delete;
+
+    ExecutionEngine *engine = nullptr;
+    ThreadId tid = invalid_thread;
+    const WorkerFn *fn = nullptr;
+
+    /** Saved stack pointer while suspended. */
+    void *sp = nullptr;
+
+    /** The mapping (guard page first); null for the caller. */
+    char *stack = nullptr;
+
+    /** Usable stack range (the caller's is learned on first entry). */
+    const void *stack_bottom = nullptr;
+    std::size_t stack_size = 0;
+
+#if defined(__SANITIZE_ADDRESS__)
+    void *fake_stack = nullptr;
+#endif
+#if defined(__SANITIZE_THREAD__)
+    void *tsan_fiber = nullptr;
+#endif
+};
 
 ExecutionEngine::ExecutionEngine(const EngineConfig &config, TraceSink *sink)
     : config_(config), sink_(sink),
@@ -34,10 +219,16 @@ ExecutionEngine::ExecutionEngine(const EngineConfig &config, TraceSink *sink,
                    "volatile region overlaps the persistent region");
 }
 
+ExecutionEngine::~ExecutionEngine() = default;
+
 void
 ExecutionEngine::runSetup(const WorkerFn &fn)
 {
     PERSIM_REQUIRE(!ran_, "runSetup must precede run");
+    if (store_buffers_.empty()) {
+        store_buffers_.resize(1);
+        drain_ticks_.resize(1, 0);
+    }
     in_setup_ = true;
     ThreadCtx ctx(this, 0);
     try {
@@ -66,9 +257,9 @@ ExecutionEngine::run(const std::vector<WorkerFn> &workers)
 
     const auto n = static_cast<ThreadId>(workers.size());
     serial_ = (n == 1);
-    slots_.clear();
-    for (ThreadId t = 0; t < n; ++t)
-        slots_.push_back(std::make_unique<ThreadSlot>());
+    errors_.assign(n, nullptr);
+    store_buffers_.resize(std::max<std::size_t>(store_buffers_.size(), n));
+    drain_ticks_.resize(store_buffers_.size(), 0);
     runnable_.clear();
     for (ThreadId t = 0; t < n; ++t)
         runnable_.push_back(t);
@@ -76,37 +267,69 @@ ExecutionEngine::run(const std::vector<WorkerFn> &workers)
     if (serial_) {
         workerBody(0, workers[0]);
     } else {
-        std::vector<std::thread> threads;
-        threads.reserve(n);
+        caller_ = std::make_unique<Fiber>();
+#if defined(__SANITIZE_THREAD__)
+        caller_->tsan_fiber = __tsan_get_current_fiber();
+#endif
         for (ThreadId t = 0; t < n; ++t)
-            threads.emplace_back([this, t, &workers] {
-                workerBody(t, workers[t]);
-            });
+            fibers_.push_back(std::make_unique<Fiber>(this, t, &workers[t]));
 
-        {
-            std::lock_guard<std::mutex> guard(mutex_);
-            const ScheduleDecision d =
-                policy_->pick(runnable_, invalid_thread);
-            token_ = d.thread;
-            quantum_left_ = d.quantum;
-            slots_[d.thread]->cv.notify_one();
-        }
-        for (auto &thread : threads)
-            thread.join();
+        const ScheduleDecision d = policy_->pick(runnable_, invalid_thread);
+        quantum_left_ = d.quantum;
+        switchFiber(*caller_, *fibers_[d.thread]);
+        // Every fiber has finished: free their stacks.
+        fibers_.clear();
     }
 
-    for (const auto &slot : slots_) {
-        if (slot->error)
-            std::rethrow_exception(slot->error);
+    for (const std::exception_ptr &error : errors_) {
+        if (error)
+            std::rethrow_exception(error);
     }
     if (sink_)
         sink_->onFinish();
 }
 
 void
+ExecutionEngine::fiberMain(void *arg)
+{
+    Fiber &self = *static_cast<Fiber *>(arg);
+    ExecutionEngine &engine = *self.engine;
+#if defined(__SANITIZE_ADDRESS__)
+    const void *from_bottom = nullptr;
+    std::size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(nullptr, &from_bottom, &from_size);
+    // The first fiber to start is entered from run()'s caller.
+    if (engine.caller_->stack_bottom == nullptr) {
+        engine.caller_->stack_bottom = from_bottom;
+        engine.caller_->stack_size = from_size;
+    }
+#endif
+    engine.workerBody(self.tid, *self.fn);
+}
+
+void
+ExecutionEngine::switchFiber(Fiber &from, Fiber &to, bool from_exits)
+{
+    if (from.stack && to.stack)
+        ++counters_.handoffs;
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(from_exits ? nullptr : &from.fake_stack,
+                                   to.stack_bottom, to.stack_size);
+#else
+    (void)from_exits;
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+    persim_fiber_switch(&from.sp, to.sp);
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(from.fake_stack, nullptr, nullptr);
+#endif
+}
+
+void
 ExecutionEngine::workerBody(ThreadId tid, const WorkerFn &fn)
 {
-    bool clean_abort = false;
     try {
         ThreadCtx ctx(this, tid);
         schedulePoint(tid);
@@ -117,11 +340,12 @@ ExecutionEngine::workerBody(ThreadId tid, const WorkerFn &fn)
             drainAll(tid);
         emit(tid, EventKind::ThreadEnd, 0, 0, 0);
     } catch (const Aborted &) {
-        clean_abort = true;
     } catch (...) {
-        slots_[tid]->error = std::current_exception();
+        errors_[tid] = std::current_exception();
     }
-    (void)clean_abort;
+    // Outside the handlers: the C++ runtime's exception state is per
+    // OS thread, shared by every fiber, so no switch may happen while
+    // a handler is active.
     finishThread(tid);
 }
 
@@ -129,7 +353,7 @@ void
 ExecutionEngine::schedulePoint(ThreadId tid)
 {
     schedulePointInner(tid);
-    // The token is held here: safe to age the store buffer.
+    // This thread runs the next event: safe to age its store buffer.
     if (config_.consistency == ConsistencyModel::TSO)
         backgroundDrain(tid);
 }
@@ -137,10 +361,7 @@ ExecutionEngine::schedulePoint(ThreadId tid)
 void
 ExecutionEngine::backgroundDrain(ThreadId tid)
 {
-    auto &buffer = storeBuffer(tid);
-    if (tid >= drain_ticks_.size())
-        drain_ticks_.resize(tid + 1, 0);
-    if (buffer.empty()) {
+    if (store_buffers_[tid].empty()) {
         drain_ticks_[tid] = 0;
         return;
     }
@@ -156,59 +377,46 @@ ExecutionEngine::schedulePointInner(ThreadId tid)
     if (in_setup_ || serial_)
         return;
 
-    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
         if (aborting_)
             throw Aborted{};
-        if (token_ != tid) {
-            slots_[tid]->cv.wait(lock, [this, tid] {
-                return token_ == tid || aborting_;
-            });
-            continue;
-        }
         if (quantum_left_ > 0) {
             --quantum_left_;
             return;
         }
         const ScheduleDecision d = policy_->pick(runnable_, tid);
         quantum_left_ = d.quantum;
-        if (d.thread != tid) {
-            token_ = d.thread;
-            slots_[d.thread]->cv.notify_one();
-        }
-        // Loop: either we still hold the token (and now have quantum)
-        // or we wait to be granted again.
+        // Loop: either this thread keeps running (and now has
+        // quantum) or it resumes here when it is picked again.
+        if (d.thread != tid)
+            switchFiber(*fibers_[tid], *fibers_[d.thread]);
     }
 }
 
 void
 ExecutionEngine::finishThread(ThreadId tid)
 {
-    if (in_setup_ || serial_)
+    if (serial_)
         return;
 
-    std::lock_guard<std::mutex> guard(mutex_);
     runnable_.erase(std::remove(runnable_.begin(), runnable_.end(), tid),
                     runnable_.end());
-    slots_[tid]->done = true;
-    if (slots_[tid]->error && !aborting_) {
-        // Unwind every other thread so run() can join and report.
+    // A worker error aborts the run: every unfinished fiber is resumed
+    // in turn and unwinds from its schedule point.
+    if (errors_[tid])
         aborting_ = true;
-        for (auto &slot : slots_)
-            slot->cv.notify_one();
-        return;
-    }
-    if (token_ == tid) {
-        if (!aborting_ && !runnable_.empty()) {
+    Fiber *next = caller_.get();
+    if (!runnable_.empty()) {
+        if (aborting_) {
+            next = fibers_[runnable_.front()].get();
+        } else {
             const ScheduleDecision d =
                 policy_->pick(runnable_, invalid_thread);
-            token_ = d.thread;
             quantum_left_ = d.quantum;
-            slots_[d.thread]->cv.notify_one();
-        } else {
-            token_ = invalid_thread;
+            next = fibers_[d.thread].get();
         }
     }
+    switchFiber(*fibers_[tid], *next, /*from_exits=*/true);
 }
 
 void
@@ -217,12 +425,8 @@ ExecutionEngine::emit(ThreadId tid, EventKind kind, Addr addr,
                       std::uint16_t marker)
 {
     if (config_.max_events > 0 && next_seq_ >= config_.max_events) {
-        if (!(in_setup_ || serial_)) {
-            std::lock_guard<std::mutex> guard(mutex_);
+        if (!(in_setup_ || serial_))
             aborting_ = true;
-            for (auto &slot : slots_)
-                slot->cv.notify_one();
-        }
         PERSIM_FATAL("execution exceeded max_events="
                      << config_.max_events
                      << " (possible livelock in the workload)");
@@ -252,21 +456,14 @@ ExecutionEngine::debugReadBytes(void *dst, Addr src, std::size_t n) const
     image_.readBytes(dst, src, n);
 }
 
-std::deque<ExecutionEngine::BufferedStore> &
-ExecutionEngine::storeBuffer(ThreadId tid)
-{
-    if (tid >= store_buffers_.size())
-        store_buffers_.resize(tid + 1);
-    return store_buffers_[tid];
-}
-
 void
 ExecutionEngine::drainOne(ThreadId tid)
 {
-    auto &buffer = storeBuffer(tid);
+    auto &buffer = store_buffers_[tid];
     PERSIM_ASSERT(!buffer.empty(), "drain of an empty store buffer");
     const BufferedStore entry = buffer.front();
     buffer.pop_front();
+    ++counters_.store_buffer_drains;
     image_.store(entry.addr, entry.size, entry.value);
     emit(tid, EventKind::Store, entry.addr, entry.size, entry.value);
 }
@@ -274,7 +471,7 @@ ExecutionEngine::drainOne(ThreadId tid)
 void
 ExecutionEngine::drainAll(ThreadId tid)
 {
-    auto &buffer = storeBuffer(tid);
+    auto &buffer = store_buffers_[tid];
     while (!buffer.empty())
         drainOne(tid);
 }
@@ -283,7 +480,7 @@ void
 ExecutionEngine::drainLine(ThreadId tid, Addr addr)
 {
     const std::uint64_t line = addr / cache_line_bytes;
-    auto &buffer = storeBuffer(tid);
+    auto &buffer = store_buffers_[tid];
     // Find the newest buffered store of the line; everything up to it
     // must drain first (the buffer is FIFO), which is always legal —
     // the background drain may retire those stores at any time.
@@ -303,7 +500,7 @@ ThreadCtx::load(Addr addr, unsigned size)
 {
     engine_->schedulePoint(tid_);
     if (engine_->config_.consistency == ConsistencyModel::TSO) {
-        auto &buffer = engine_->storeBuffer(tid_);
+        auto &buffer = engine_->store_buffers_[tid_];
         // Store-to-load forwarding: the newest buffered store fully
         // covering the load supplies the value. A partial overlap
         // (which real pipelines stall on) drains the buffer instead.
@@ -333,7 +530,7 @@ ThreadCtx::store(Addr addr, std::uint64_t value, unsigned size)
 {
     engine_->schedulePoint(tid_);
     if (engine_->config_.consistency == ConsistencyModel::TSO) {
-        auto &buffer = engine_->storeBuffer(tid_);
+        auto &buffer = engine_->store_buffers_[tid_];
         buffer.push_back(ExecutionEngine::BufferedStore{
             addr, size, value});
         while (buffer.size() > engine_->config_.store_buffer_depth)

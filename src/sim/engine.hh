@@ -10,6 +10,12 @@
  * occur in program order, the emitted global order is a legal
  * sequentially consistent execution by construction.
  *
+ * Simulated threads are fibers: each runs on its own mmap'd stack,
+ * and all of them share the OS thread that called run(). A handoff
+ * is a direct user-level switch to the fiber the SchedulingPolicy
+ * picked — no lock, no kernel wake. A one-worker run stays on the
+ * caller's stack and never switches. See DESIGN.md Section 18.
+ *
  * Workloads are ordinary C++ functions taking a ThreadCtx and using
  * its traced memory API: load/store/rmw, bulk copies (split into
  * <= 8-byte word accesses), persist and strand barriers, persistent
@@ -24,13 +30,11 @@
 #ifndef PERSIM_SIM_ENGINE_HH
 #define PERSIM_SIM_ENGINE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.hh"
@@ -102,6 +106,16 @@ struct EngineConfig
      * buffer.
      */
     std::uint32_t drain_interval = 16;
+};
+
+/** Scheduler activity of one ExecutionEngine run. */
+struct SimCounters
+{
+    /** Control transfers from one simulated thread to another. */
+    std::uint64_t handoffs = 0;
+
+    /** TSO buffered stores drained into memory (and the trace). */
+    std::uint64_t store_buffer_drains = 0;
 };
 
 /**
@@ -260,6 +274,8 @@ class ExecutionEngine
     ExecutionEngine(const EngineConfig &config, TraceSink *sink,
                     SchedulingPolicy *policy);
 
+    ~ExecutionEngine();
+
     ExecutionEngine(const ExecutionEngine &) = delete;
     ExecutionEngine &operator=(const ExecutionEngine &) = delete;
 
@@ -280,6 +296,9 @@ class ExecutionEngine
     /** Total events emitted so far. */
     std::uint64_t eventCount() const { return next_seq_; }
 
+    /** Scheduler counters accumulated so far. */
+    SimCounters counters() const { return counters_; }
+
     /** Direct (untraced) read of simulated memory, for inspection. */
     std::uint64_t debugLoad(Addr addr, unsigned size = 8) const;
 
@@ -295,28 +314,38 @@ class ExecutionEngine
     /** Exception used to unwind workers when the engine aborts. */
     struct Aborted {};
 
-    struct ThreadSlot
-    {
-        std::condition_variable cv;
-        bool done = false;
-        std::exception_ptr error;
-    };
+    /** One simulated thread's execution context (engine.cc). */
+    struct Fiber;
 
     /**
      * Acquire the right to execute one event on thread @p tid,
-     * blocking until the scheduler grants it. Under TSO, also ticks
-     * the thread's background store-buffer drain.
+     * switching to other fibers until the scheduler grants it. Under
+     * TSO, also ticks the thread's background store-buffer drain.
      */
     void schedulePoint(ThreadId tid);
 
-    /** Token-acquisition part of schedulePoint. */
+    /** Scheduling part of schedulePoint. */
     void schedulePointInner(ThreadId tid);
+
+    /** Suspend @p from and resume @p to; returns when @p from is
+        resumed. @p from_exits: @p from is finished and never
+        resumes. */
+    void switchFiber(Fiber &from, Fiber &to, bool from_exits = false);
+
+    /** Entry point of a fresh fiber (argument: its Fiber). */
+    static void fiberMain(void *arg);
 
     /** Age the thread's store buffer; drain the oldest entry when the
         drain interval elapses. */
     void backgroundDrain(ThreadId tid);
 
-    /** Release the token when thread @p tid finishes or unwinds. */
+    /**
+     * Retire thread @p tid after it finished or unwound, and hand
+     * control to the next fiber (or back to run()). Never returns for
+     * a fiber. Call it only outside every catch handler: the runtime's
+     * caught-exception stack is shared by all fibers (DESIGN.md
+     * Section 18.4).
+     */
     void finishThread(ThreadId tid);
 
     /** Build and emit an event (caller holds the token). */
@@ -330,9 +359,6 @@ class ExecutionEngine
         std::uint32_t size = 0;
         std::uint64_t value = 0;
     };
-
-    /** This thread's store buffer (TSO only), created on demand. */
-    std::deque<BufferedStore> &storeBuffer(ThreadId tid);
 
     /** Drain the oldest buffered store of @p tid (token held). */
     void drainOne(ThreadId tid);
@@ -361,12 +387,18 @@ class ExecutionEngine
     bool in_setup_ = false;
     bool serial_ = true;
 
-    std::mutex mutex_;
-    ThreadId token_ = invalid_thread;
     std::uint64_t quantum_left_ = 0;
     bool aborting_ = false;
+    SimCounters counters_;
     std::vector<ThreadId> runnable_;
-    std::vector<std::unique_ptr<ThreadSlot>> slots_;
+    std::vector<std::exception_ptr> errors_;
+
+    /** One fiber per worker, indexed by thread id (multi-worker runs
+        only), and the context of run()'s caller. */
+    std::vector<std::unique_ptr<Fiber>> fibers_;
+    std::unique_ptr<Fiber> caller_;
+
+    /** Per-thread TSO state, sized by runSetup() and run(). */
     std::vector<std::deque<BufferedStore>> store_buffers_;
     std::vector<std::uint32_t> drain_ticks_;
 };

@@ -1,5 +1,6 @@
 #include "sim/memory_image.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hh"
@@ -31,12 +32,19 @@ MemoryImage::load(Addr addr, unsigned size) const
 {
     PERSIM_REQUIRE(size >= 1 && size <= max_access_size,
                    "load size must be 1..8, got " << size);
+    // One page lookup per page touched (an access spans at most two).
     std::uint64_t value = 0;
-    for (unsigned i = 0; i < size; ++i) {
-        const Addr a = addr + i;
-        const Page *page = pageForIfPresent(a);
-        const std::uint8_t byte = page ? (*page)[a % page_size] : 0;
-        value |= static_cast<std::uint64_t>(byte) << (8 * i);
+    for (unsigned done = 0; done < size;) {
+        const Addr a = addr + done;
+        const std::uint64_t offset = a % page_size;
+        const unsigned chunk = static_cast<unsigned>(
+            std::min<std::uint64_t>(size - done, page_size - offset));
+        if (const Page *page = pageForIfPresent(a)) {
+            for (unsigned i = 0; i < chunk; ++i)
+                value |= std::uint64_t{(*page)[offset + i]}
+                         << (8 * (done + i));
+        }
+        done += chunk;
     }
     return value;
 }
@@ -46,10 +54,16 @@ MemoryImage::store(Addr addr, unsigned size, std::uint64_t value)
 {
     PERSIM_REQUIRE(size >= 1 && size <= max_access_size,
                    "store size must be 1..8, got " << size);
-    for (unsigned i = 0; i < size; ++i) {
-        const Addr a = addr + i;
-        pageFor(a)[a % page_size] =
-            static_cast<std::uint8_t>((value >> (8 * i)) & 0xff);
+    for (unsigned done = 0; done < size;) {
+        const Addr a = addr + done;
+        const std::uint64_t offset = a % page_size;
+        const unsigned chunk = static_cast<unsigned>(
+            std::min<std::uint64_t>(size - done, page_size - offset));
+        Page &page = pageFor(a);
+        for (unsigned i = 0; i < chunk; ++i)
+            page[offset + i] =
+                static_cast<std::uint8_t>(value >> (8 * (done + i)));
+        done += chunk;
     }
 }
 

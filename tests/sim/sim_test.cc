@@ -9,9 +9,12 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "common/bitops.hh"
 #include "common/error.hh"
+#include "common/task_pool.hh"
 #include "memtrace/sink.hh"
 #include "sim/address_allocator.hh"
 #include "sim/engine.hh"
@@ -53,6 +56,18 @@ TEST(MemoryImage, CrossPageAccess)
     image.store(addr, 8, 0xa1b2c3d4e5f60718ULL);
     EXPECT_EQ(image.load(addr, 8), 0xa1b2c3d4e5f60718ULL);
     EXPECT_EQ(image.pageCount(), 2u);
+}
+
+TEST(MemoryImage, CrossPageLoadSeesUnwrittenPageAsZero)
+{
+    MemoryImage image;
+    const Addr addr = MemoryImage::page_size - 2;
+    image.store(addr, 2, 0xbeef);
+    EXPECT_EQ(image.pageCount(), 1u);
+    EXPECT_EQ(image.load(addr, 8), 0xbeefULL);
+    image.store(MemoryImage::page_size, 1, 0x7a);
+    EXPECT_EQ(image.load(addr, 4), 0x7abeefULL);
+    EXPECT_EQ(image.load(addr - 4, 8), 0x7abeef00000000ULL);
 }
 
 TEST(MemoryImage, BulkBytes)
@@ -418,39 +433,223 @@ TEST(Engine, MaxEventsGuardsAgainstLivelock)
     }}), FatalError);
 }
 
+/** Counts live instances: a worker's stack frames were unwound iff
+    every Sentinel it constructed was destroyed. */
+struct Sentinel
+{
+    explicit Sentinel(int &live) : live_(live) { ++live_; }
+    ~Sentinel() { --live_; }
+    Sentinel(const Sentinel &) = delete;
+    Sentinel &operator=(const Sentinel &) = delete;
+
+    int &live_;
+};
+
 TEST(Engine, MaxEventsAbortsAllThreads)
 {
     EngineConfig config;
     config.max_events = 200;
     ExecutionEngine engine(config, nullptr);
+    int live = 0;
+    int constructed = 0;
     std::vector<ExecutionEngine::WorkerFn> workers;
-    for (int t = 0; t < 3; ++t) {
-        workers.push_back([](ThreadCtx &ctx) {
+    for (int t = 0; t < 4; ++t) {
+        workers.push_back([&live, &constructed](ThreadCtx &ctx) {
+            Sentinel sentinel(live);
+            ++constructed;
             const Addr a = ctx.vmalloc(8);
             for (;;)
                 ctx.load(a);
         });
     }
     EXPECT_THROW(engine.run(workers), FatalError);
+    // Every worker was unwound, not just stopped.
+    EXPECT_EQ(constructed, 4);
+    EXPECT_EQ(live, 0);
 }
 
 TEST(Engine, WorkerExceptionPropagates)
 {
     EngineConfig config;
+    config.scheduler = SchedulerKind::RoundRobin;
+    config.quantum = 1;
     ExecutionEngine engine(config, nullptr);
+    int live = 0;
+    int constructed = 0;
     std::vector<ExecutionEngine::WorkerFn> workers;
-    workers.push_back([](ThreadCtx &ctx) {
-        const Addr a = ctx.vmalloc(8);
-        for (int i = 0; i < 10; ++i)
-            ctx.store(a, i);
-        PERSIM_FATAL("worker gave up");
-    });
-    workers.push_back([](ThreadCtx &ctx) {
-        const Addr a = ctx.vmalloc(8);
-        for (int i = 0; i < 1000000; ++i)
-            ctx.store(a, i);
-    });
+    for (int t = 0; t < 4; ++t) {
+        workers.push_back([&live, &constructed, t](ThreadCtx &ctx) {
+            Sentinel sentinel(live);
+            ++constructed;
+            const Addr a = ctx.vmalloc(8);
+            for (int i = 0; i < 1000000; ++i) {
+                ctx.store(a, i);
+                if (t == 0 && i == 5)
+                    PERSIM_FATAL("worker 0 gave up");
+            }
+        });
+    }
+    // Round-robin at quantum 1: workers 1-3 are all suspended at a
+    // schedule point when worker 0 throws.
+    try {
+        engine.run(workers);
+        FAIL() << "run() did not rethrow the worker error";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("worker 0 gave up"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(constructed, 4);
+    EXPECT_EQ(live, 0);
+}
+
+TEST(Engine, AbortFinishesNeverScheduledWorkers)
+{
+    // One quantum outlasts worker 0, which throws before anyone else
+    // is scheduled: the abort resumes workers 1-3 only to unwind them
+    // at their first schedule point, so their bodies never run and
+    // they never emit.
+    EngineConfig config;
+    config.scheduler = SchedulerKind::RoundRobin;
+    config.quantum = 1000;
+    InMemoryTrace trace;
+    ExecutionEngine engine(config, &trace);
+    int live = 0;
+    int constructed = 0;
+    std::vector<ExecutionEngine::WorkerFn> workers;
+    for (int t = 0; t < 4; ++t) {
+        workers.push_back([&live, &constructed, t](ThreadCtx &ctx) {
+            Sentinel sentinel(live);
+            ++constructed;
+            const Addr a = ctx.vmalloc(8);
+            for (int i = 0; i < 10; ++i)
+                ctx.store(a, i);
+            if (t == 0)
+                PERSIM_FATAL("worker 0 gave up");
+        });
+    }
     EXPECT_THROW(engine.run(workers), FatalError);
+    EXPECT_EQ(constructed, 1);
+    EXPECT_EQ(live, 0);
+    for (const TraceEvent &event : trace.events())
+        EXPECT_EQ(event.thread, 0u) << formatEvent(event);
+}
+
+/** Hash of a seeded four-worker run (FNV-1a over thread and value);
+    @p os_thread_stable is cleared if a worker ever observes an OS
+    thread other than run()'s caller. */
+std::uint64_t
+seededRunHash(std::uint64_t seed, bool &os_thread_stable)
+{
+    EngineConfig config;
+    config.seed = seed;
+    config.quantum = 2;
+    InMemoryTrace trace;
+    ExecutionEngine engine(config, &trace);
+    Addr cell = 0;
+    engine.runSetup([&cell](ThreadCtx &ctx) { cell = ctx.pmalloc(8); });
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<ExecutionEngine::WorkerFn> workers;
+    for (int t = 0; t < 4; ++t) {
+        workers.push_back([&, t](ThreadCtx &ctx) {
+            for (int i = 0; i < 40; ++i) {
+                ctx.rmwFetchAdd(cell, static_cast<std::uint64_t>(t + 1));
+                if (std::this_thread::get_id() != caller)
+                    os_thread_stable = false;
+            }
+        });
+    }
+    engine.run(workers);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const TraceEvent &event : trace.events()) {
+        hash = (hash ^ event.thread) * 0x100000001b3ULL;
+        hash = (hash ^ event.value) * 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+TEST(Engine, ConcurrentEnginesMatchSerialRuns)
+{
+    constexpr std::size_t engines = 8;
+    std::vector<std::uint64_t> serial(engines);
+    bool stable = true;
+    for (std::size_t i = 0; i < engines; ++i)
+        serial[i] = seededRunHash(100 + i, stable);
+
+    std::vector<std::uint64_t> pooled(engines);
+    std::vector<char> pooled_stable(engines, 1);
+    TaskPool pool(4);
+    pool.parallelFor(engines, [&](std::size_t i) {
+        bool ok = true;
+        pooled[i] = seededRunHash(100 + i, ok);
+        pooled_stable[i] = ok;
+    });
+    EXPECT_EQ(pooled, serial);
+    EXPECT_TRUE(stable);
+    for (std::size_t i = 0; i < engines; ++i)
+        EXPECT_TRUE(pooled_stable[i]) << "engine " << i << " migrated";
+}
+
+TEST(Engine, HandoffsCountThreadChangesUnderRoundRobin)
+{
+    for (std::uint64_t quantum : {1u, 3u}) {
+        EngineConfig config;
+        config.scheduler = SchedulerKind::RoundRobin;
+        config.quantum = quantum;
+        InMemoryTrace trace;
+        ExecutionEngine engine(config, &trace);
+        Addr base = 0;
+        engine.runSetup([&base](ThreadCtx &ctx) {
+            base = ctx.pmalloc(64);
+        });
+        const std::uint64_t setup_events = engine.eventCount();
+        // Only traced operations: every schedule point emits an event,
+        // so each handoff shows as a thread change in the trace.
+        std::vector<ExecutionEngine::WorkerFn> workers;
+        for (int t = 0; t < 3; ++t) {
+            workers.push_back([base, t](ThreadCtx &ctx) {
+                for (int i = 0; i < 10 + 7 * t; ++i) {
+                    ctx.store(base + 8 * t, i);
+                    ctx.load(base);
+                }
+            });
+        }
+        engine.run(workers);
+        std::uint64_t changes = 0;
+        const auto &events = trace.events();
+        for (std::size_t i = setup_events + 1; i < events.size(); ++i)
+            changes += events[i].thread != events[i - 1].thread;
+        EXPECT_GT(changes, 0u);
+        EXPECT_EQ(engine.counters().handoffs, changes)
+            << "quantum " << quantum;
+        EXPECT_EQ(engine.counters().store_buffer_drains, 0u);
+    }
+}
+
+TEST(Engine, CountersOfOneWorkerAndTsoRuns)
+{
+    EngineConfig config;
+    config.consistency = ConsistencyModel::TSO;
+    InMemoryTrace trace;
+    ExecutionEngine engine(config, &trace);
+    Addr base = 0;
+    engine.runSetup([&base](ThreadCtx &ctx) {
+        base = ctx.pmalloc(64);
+        ctx.store(base, 1);
+    });
+    engine.run({[base](ThreadCtx &ctx) {
+        for (int i = 0; i < 20; ++i)
+            ctx.store(base + 8 * (i % 4), i);
+        ctx.fence();
+    }});
+    // A one-worker run never switches; every TSO store reaches the
+    // trace through exactly one drain.
+    EXPECT_EQ(engine.counters().handoffs, 0u);
+    std::uint64_t stores = 0;
+    for (const TraceEvent &event : trace.events())
+        stores += event.kind == EventKind::Store;
+    EXPECT_EQ(stores, 21u);
+    EXPECT_EQ(engine.counters().store_buffer_drains, stores);
 }
 
 TEST(Engine, RunTwiceIsFatal)
