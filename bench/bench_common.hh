@@ -39,18 +39,6 @@ struct BenchOptions
     /** Analysis parallelism: 1 = serial baseline, 0 = hardware. */
     std::uint32_t jobs = 1;
 
-    /** Replay analyses from a trace file in streaming chunks. */
-    bool stream = false;
-
-    /** Streaming chunk size in events. */
-    std::uint64_t chunk_events = 1ULL << 16;
-
-    /**
-     * Replay file-backed traces through the zero-copy mmap reader
-     * (MmapTraceReader) instead of the streaming decoder.
-     */
-    bool mmap = false;
-
     /** Write machine-readable replay samples here (empty = don't). */
     std::string json_path;
 
@@ -101,9 +89,9 @@ parseFlagNumber(const char *flag, const std::string &text)
 }
 
 /**
- * Parse the shared bench flags (--jobs=N, --stream,
- * --chunk-events=N); exits 2 with usage on anything unrecognized and
- * with a message on a bad numeric value.
+ * Parse the shared bench flags (--jobs=N, --json=PATH, --model=NAME,
+ * --compiled); exits 2 with usage on anything unrecognized and with a
+ * message on a bad numeric value.
  */
 inline BenchOptions
 parseBenchOptions(int argc, char **argv)
@@ -116,16 +104,9 @@ parseBenchOptions(int argc, char **argv)
             return arg.rfind(prefix, 0) == 0 ? arg.substr(prefix.size())
                                              : std::string();
         };
-        if (arg == "--stream") {
-            options.stream = true;
-        } else if (arg == "--mmap") {
-            options.mmap = true;
-        } else if (!value("--jobs").empty()) {
+        if (!value("--jobs").empty()) {
             options.jobs =
                 parseFlagNumber<std::uint32_t>("--jobs", value("--jobs"));
-        } else if (!value("--chunk-events").empty()) {
-            options.chunk_events = parseFlagNumber<std::uint64_t>(
-                "--chunk-events", value("--chunk-events"));
         } else if (!value("--json").empty()) {
             options.json_path = value("--json");
         } else if (!value("--model").empty()) {
@@ -134,15 +115,10 @@ parseBenchOptions(int argc, char **argv)
             options.compiled = true;
         } else {
             std::cerr << "usage: " << argv[0]
-                      << " [--jobs=N] [--stream] [--mmap]"
-                         " [--chunk-events=N] [--json=PATH]"
+                      << " [--jobs=N] [--json=PATH]"
                          " [--model=NAME]... [--compiled]\n"
                       << "  --jobs=N    analysis worker threads "
                          "(1 = serial baseline, 0 = hardware)\n"
-                      << "  --stream    replay analyses from a trace "
-                         "file in chunks\n"
-                      << "  --mmap      replay file-backed traces via "
-                         "the zero-copy mmap reader\n"
                       << "  --json=PATH write BENCH_replay.json-style "
                          "replay samples\n"
                       << "  --model=NAME add a persistency model "
@@ -302,15 +278,6 @@ banner(const std::string &title, const std::string &paper_claim)
               << "Paper: " << paper_claim << "\n"
               << "==========================================================="
               << "=====\n";
-}
-
-/** Scratch path for --stream trace spills. */
-inline std::string
-tempTracePath(const std::string &tag)
-{
-    const char *tmp = std::getenv("TMPDIR");
-    return std::string(tmp != nullptr ? tmp : "/tmp") + "/persim_" +
-        tag + ".trc";
 }
 
 /** Run one queue workload into a set of timing engines (fanout). */

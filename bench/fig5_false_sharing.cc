@@ -10,16 +10,11 @@
  * persists are already serialized).
  *
  * The 12 analyses run through granularitySweep: serial single-pass by
- * default, one engine replay per task with --jobs=N, --stream
- * replays them from an on-disk trace file in batched chunks, and
- * --mmap replays them from a zero-copy mapped view of that file.
+ * default, one engine replay per task with --jobs=N.
  */
-
-#include <cstdio>
 
 #include "bench/bench_common.hh"
 #include "bench_util/table.hh"
-#include "memtrace/trace_io.hh"
 #include "persistency/sweep.hh"
 
 using namespace persim;
@@ -50,32 +45,14 @@ main(int argc, char **argv)
         models.push_back(model);
     SweepOptions sweep;
     sweep.jobs = options.jobs;
-    sweep.chunk_events = options.chunk_events;
-    sweep.mmap = options.mmap;
     sweep.compiled = options.compiled;
 
-    std::vector<SweepSeries> series;
-    double analysis_wall = 0.0;
-    if (options.stream || options.mmap) {
-        const std::string path = tempTracePath("fig5");
-        {
-            TraceFileWriter writer(path);
-            runQueueWorkload(config, {&writer});
-            writer.onFinish();
-        }
-        Stopwatch watch;
-        series = granularitySweepFile(path, models, grans,
-                                      GranularityKnob::Tracking, sweep);
-        analysis_wall = watch.seconds();
-        std::remove(path.c_str());
-    } else {
-        InMemoryTrace trace;
-        runQueueWorkload(config, {&trace});
-        Stopwatch watch;
-        series = granularitySweep(trace, models, grans,
-                                  GranularityKnob::Tracking, sweep);
-        analysis_wall = watch.seconds();
-    }
+    InMemoryTrace trace;
+    runQueueWorkload(config, {&trace});
+    Stopwatch watch;
+    const std::vector<SweepSeries> series = granularitySweep(
+        trace, models, grans, GranularityKnob::Tracking, sweep);
+    const double analysis_wall = watch.seconds();
     const SweepSeries &strict = series[0];
     const SweepSeries &epoch = series[1];
 
@@ -111,9 +88,7 @@ main(int argc, char **argv)
                        point.result.events, point.wall_seconds);
         }
     }
-    std::cout << "\nPer-analysis wall time"
-              << (options.stream ? " (streaming)" : "") << ":\n"
-              << timing.render() << "\n";
+    std::cout << "\nPer-analysis wall time:\n" << timing.render() << "\n";
     reportAnalysisWall(grans.size() * models.size(), events_analyzed,
                        analysis_wall, options.jobs);
     writeBenchReport(report, options);

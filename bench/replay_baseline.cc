@@ -17,9 +17,7 @@
  * ("replay/<trace>/<model>/compiled": the trace is compiled outside
  * the timer, the row measures pure column execution), so the
  * committed baseline records the compiled speedup on the baseline
- * machine alongside the serial numbers. With --mmap the file-backed
- * variant is measured instead: the trace is spilled to a .trc file
- * once and replayed from MmapTraceReader's zero-copy span.
+ * machine alongside the serial numbers.
  *
  * Each sample is the best of five replays (the minimum wall time is
  * the least noise-polluted estimate of achievable throughput). Run
@@ -27,16 +25,12 @@
  * EXPERIMENTS.md documents the procedure.
  */
 
-#include <algorithm>
-#include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hh"
 #include "bench_util/synthetic_trace.hh"
 #include "bench_util/table.hh"
-#include "memtrace/trace_io.hh"
 
 using namespace persim;
 using namespace persim::bench;
@@ -127,30 +121,13 @@ main(int argc, char **argv)
         traces.push_back({"cwl1", std::move(trace)});
     }
 
-    // --mmap: spill each trace to a .trc file once and replay from
-    // the zero-copy mapped span instead of the in-memory vector.
-    std::vector<std::unique_ptr<MmapTraceReader>> readers;
-    std::vector<std::string> spill_paths;
-
     BenchReport report;
     TextTable table;
     table.header({"trace", "model", "path", "events", "wall(s)",
                   "events/s"});
     for (const TraceEntry &entry : traces) {
         const TraceEvent *events = entry.trace.events().data();
-        std::size_t count = entry.trace.size();
-        if (options.mmap) {
-            const std::string path =
-                tempTracePath("replay_baseline_" + entry.name);
-            {
-                TraceFileWriter writer(path);
-                entry.trace.replay(writer);
-            }
-            readers.push_back(std::make_unique<MmapTraceReader>(path));
-            spill_paths.push_back(path);
-            events = readers.back()->events().data();
-            count = readers.back()->eventCount();
-        }
+        const std::size_t count = entry.trace.size();
         for (const Model &model : model_list) {
             const TimingConfig timing = levels(model.model);
             const double wall = timedReplay(events, count, timing);
@@ -177,8 +154,5 @@ main(int argc, char **argv)
     }
     std::cout << "\n" << table.render() << "\n";
     writeBenchReport(report, options);
-    readers.clear();
-    for (const std::string &path : spill_paths)
-        std::remove(path.c_str());
     return 0;
 }

@@ -52,15 +52,15 @@ main(int argc, char **argv)
                   << " events to " << path << "\n";
     }
 
-    // ---- Inspect: header, stats, first events. ----
-    TraceFileReader reader(path);
-    std::cout << "header: " << reader.eventCount() << " events, "
-              << reader.threadCount() << " threads\n\nfirst events:\n";
-    TraceEvent event;
-    for (int i = 0; i < 8 && reader.readNext(event); ++i)
-        std::cout << "  " << formatEvent(event) << "\n";
-
+    // ---- Inspect: header, stats, first events. The reader checks
+    // the header counts against the records, so the loaded trace's
+    // counts are the header's. ----
     const InMemoryTrace trace = readTraceFile(path);
+    std::cout << "header: " << trace.size() << " events, "
+              << trace.threadCount() << " threads\n\nfirst events:\n";
+    for (std::size_t i = 0; i < trace.size() && i < 8; ++i)
+        std::cout << "  " << formatEvent(trace.events()[i]) << "\n";
+
     TraceStats stats;
     trace.replay(stats);
     std::cout << "\n" << stats.render();

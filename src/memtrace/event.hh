@@ -74,9 +74,9 @@ enum class EventKind : std::uint8_t {
 };
 
 /**
- * Highest valid EventKind value. The single source of truth for every
- * kind-byte validator (trace_io read, MmapTraceReader, the segment
- * decoder reasserts it): keep it on the last enumerator above when
+ * Highest valid EventKind value. The single source of truth for the
+ * trace reader's kind-byte check (readTraceFile) and the segment
+ * compiler's static_assert: keep it on the last enumerator above when
  * extending the enum — eventKindName's exhaustive switch (-Wswitch)
  * is the compile-time reminder.
  */

@@ -1,13 +1,15 @@
 #include "memtrace/trace_io.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstddef>
 #include <cstring>
 #include <type_traits>
+#include <vector>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -23,22 +25,25 @@ constexpr std::uint32_t trace_version = 1;
 constexpr std::size_t header_size = 8 + 4 + 4 + 8;
 constexpr std::size_t record_size = 32;
 
-/** Records per buffered write burst. */
-constexpr std::size_t io_batch_records = 4096;
-
-/**
- * Records per bulk read burst (512 KiB). The streaming reader is the
- * fallback for pipes and cold caches, so bursts are sized to amortize
- * the syscall + decode loop rather than to fit a stdio buffer.
- */
+/** Records per read(2) burst (512 KiB). */
 constexpr std::size_t read_batch_records = 16384;
 
+/** The file header, exactly as it sits on disk. */
+struct TraceHeader
+{
+    std::array<char, 8> magic;
+    std::uint32_t version;
+    std::uint32_t thread_count;
+    std::uint64_t event_count;
+};
+
 /**
- * The zero-copy reader reinterprets the on-disk record array as
- * TraceEvent directly; pin the layout equivalence it relies on.
- * packEvent writes fields in declaration order at these offsets, so
- * on a little-endian host a mapped record *is* a TraceEvent.
+ * Records and the header are written and read as raw bytes, so the
+ * file format is the in-memory layout pinned here: little-endian, the
+ * fields at these offsets, no padding.
  */
+static_assert(std::endian::native == std::endian::little,
+              "the .trc format is the little-endian TraceEvent layout");
 static_assert(std::is_standard_layout_v<TraceEvent> &&
               std::is_trivially_copyable_v<TraceEvent>);
 static_assert(sizeof(TraceEvent) == record_size);
@@ -49,69 +54,41 @@ static_assert(offsetof(TraceEvent, seq) == 0 &&
               offsetof(TraceEvent, kind) == 28 &&
               offsetof(TraceEvent, size) == 29 &&
               offsetof(TraceEvent, marker) == 30);
-static_assert(header_size % alignof(TraceEvent) == 0,
-              "mapped record array must stay 8-byte aligned");
+static_assert(std::is_trivially_copyable_v<TraceHeader> &&
+              sizeof(TraceHeader) == header_size &&
+              offsetof(TraceHeader, version) == 8 &&
+              offsetof(TraceHeader, thread_count) == 12 &&
+              offsetof(TraceHeader, event_count) == 16);
 
-/** Highest EventKind a record may carry (reject garbage above it);
-    centralized in event.hh so every validator agrees. */
-constexpr std::uint64_t max_event_kind = kMaxEventKind;
-
-/** Store @p v little-endian into out[0..bytes). */
-void
-putLe(unsigned char *out, std::uint64_t v, int bytes)
+/** Closes a file descriptor on scope exit. */
+struct FdGuard
 {
-    for (int i = 0; i < bytes; ++i)
-        out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-}
+    int fd;
+    ~FdGuard() { ::close(fd); }
+};
 
-/** Load a little-endian value from in[0..bytes). */
-std::uint64_t
-getLe(const unsigned char *in, int bytes)
+/**
+ * read(2) until @p bytes arrived or the file ended; returns how many
+ * bytes were read. Fatals on a read error.
+ */
+std::size_t
+readFully(int fd, void *out, std::size_t bytes, const std::string &path)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i)
-        v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    return v;
-}
-
-/** Pack one event into a 32-byte little-endian record. */
-void
-packEvent(const TraceEvent &event, unsigned char *out)
-{
-    auto put = [&out](std::uint64_t v, int bytes) {
-        for (int i = 0; i < bytes; ++i)
-            *out++ = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-    };
-    put(event.seq, 8);
-    put(event.addr, 8);
-    put(event.value, 8);
-    put(event.thread, 4);
-    put(static_cast<std::uint64_t>(event.kind), 1);
-    put(event.size, 1);
-    put(event.marker, 2);
-}
-
-/** Unpack one 32-byte record into an event; rejects bad kind bytes. */
-void
-unpackEvent(const unsigned char *in, TraceEvent &event)
-{
-    auto get = [&in](int bytes) {
-        const std::uint64_t v = getLe(in, bytes);
-        in += bytes;
-        return v;
-    };
-    event.seq = get(8);
-    event.addr = get(8);
-    event.value = get(8);
-    event.thread = static_cast<ThreadId>(get(4));
-    const std::uint64_t kind = get(1);
-    PERSIM_REQUIRE(kind <= max_event_kind,
-                   "corrupt trace record: event kind byte "
-                       << kind << " is out of range (max "
-                       << max_event_kind << ")");
-    event.kind = static_cast<EventKind>(kind);
-    event.size = static_cast<std::uint8_t>(get(1));
-    event.marker = static_cast<std::uint16_t>(get(2));
+    auto *dst = static_cast<unsigned char *>(out);
+    std::size_t done = 0;
+    while (done < bytes) {
+        const ssize_t got = ::read(fd, dst + done, bytes - done);
+        if (got == 0)
+            break;
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            PERSIM_FATAL("cannot read trace file: "
+                         << path << ": " << std::strerror(errno));
+        }
+        done += static_cast<std::size_t>(got);
+    }
+    return done;
 }
 
 } // namespace
@@ -142,55 +119,34 @@ TraceFileWriter::~TraceFileWriter()
 void
 TraceFileWriter::writeHeader()
 {
-    // The header is little-endian on disk like the records; memcpy of
-    // host integers would bake the writer's endianness into the file.
-    unsigned char header[header_size] = {};
-    std::memcpy(header, trace_magic.data(), trace_magic.size());
-    putLe(header + 8, trace_version, 4);
-    putLe(header + 12, thread_count_, 4);
-    putLe(header + 16, event_count_, 8);
+    TraceHeader header = {};
+    header.magic = trace_magic;
+    header.version = trace_version;
+    header.thread_count = thread_count_;
+    header.event_count = event_count_;
     PERSIM_REQUIRE(std::fseek(file_, 0, SEEK_SET) == 0,
                    "cannot seek in trace file: " << path_);
-    const std::size_t written =
-        std::fwrite(header, 1, header_size, file_);
-    PERSIM_REQUIRE(written == header_size,
+    PERSIM_REQUIRE(std::fwrite(&header, header_size, 1, file_) == 1,
                    "short write to trace file: " << path_);
 }
 
 void
 TraceFileWriter::onEvent(const TraceEvent &event)
 {
-    PERSIM_REQUIRE(file_ != nullptr && !finished_,
-                   "write to a finished trace file: " << path_);
-    if (!buffer_)
-        buffer_ = std::make_unique<unsigned char[]>(io_batch_records *
-                                                    record_size);
-    packEvent(event, buffer_.get() + buffered_ * record_size);
-    if (++buffered_ == io_batch_records)
-        flushRecords();
-    ++event_count_;
-    if (event.thread + 1 > thread_count_)
-        thread_count_ = event.thread + 1;
+    onBatch(&event, 1);
 }
 
 void
 TraceFileWriter::onBatch(const TraceEvent *events, std::size_t count)
 {
-    for (std::size_t i = 0; i < count; ++i)
-        onEvent(events[i]);
-}
-
-void
-TraceFileWriter::flushRecords()
-{
-    if (buffered_ == 0)
-        return;
-    const std::size_t bytes = buffered_ * record_size;
-    const std::size_t written =
-        std::fwrite(buffer_.get(), 1, bytes, file_);
-    PERSIM_REQUIRE(written == bytes,
+    PERSIM_REQUIRE(file_ != nullptr && !finished_,
+                   "write to a finished trace file: " << path_);
+    // stdio's buffer batches the write(2)s.
+    PERSIM_REQUIRE(std::fwrite(events, record_size, count, file_) == count,
                    "short write to trace file: " << path_);
-    buffered_ = 0;
+    event_count_ += count;
+    for (std::size_t i = 0; i < count; ++i)
+        thread_count_ = std::max(thread_count_, events[i].thread + 1);
 }
 
 void
@@ -198,7 +154,6 @@ TraceFileWriter::onFinish()
 {
     if (finished_ || file_ == nullptr)
         return;
-    flushRecords();
     finished_ = true;
     writeHeader();
     // Flush before close so a full disk surfaces here, checked,
@@ -210,249 +165,83 @@ TraceFileWriter::onFinish()
                    "cannot finish trace file: " << path_);
 }
 
-TraceFileReader::TraceFileReader(const std::string &path) : path_(path)
-{
-    file_ = std::fopen(path.c_str(), "rb");
-    PERSIM_REQUIRE(file_ != nullptr,
-                   "cannot open trace file for reading: " << path);
-    unsigned char header[header_size];
-    const std::size_t got = std::fread(header, 1, header_size, file_);
-    PERSIM_REQUIRE(got == header_size,
-                   "trace file too short: " << path << " ends at byte "
-                       << got << " inside the " << header_size
-                       << "-byte header");
-    PERSIM_REQUIRE(
-        std::memcmp(header, trace_magic.data(), trace_magic.size()) == 0,
-        "bad trace file magic: " << path);
-    const auto version =
-        static_cast<std::uint32_t>(getLe(header + 8, 4));
-    PERSIM_REQUIRE(version == trace_version,
-                   "unsupported trace version " << version << ": " << path);
-    thread_count_ = static_cast<ThreadId>(getLe(header + 12, 4));
-    event_count_ = getLe(header + 16, 8);
-
-    // Don't trust the header count: a truncated or corrupt file must
-    // be rejected at open, not midway through an analysis.
-    constexpr std::uint64_t max_events =
-        (~0ULL - header_size) / record_size;
-    PERSIM_REQUIRE(event_count_ <= max_events,
-                   "unreasonable event count " << event_count_ << ": "
-                                               << path);
-    const long data_start = std::ftell(file_);
-    PERSIM_REQUIRE(data_start >= 0 &&
-                       std::fseek(file_, 0, SEEK_END) == 0,
-                   "cannot seek in trace file: " << path);
-    const long file_size = std::ftell(file_);
-    PERSIM_REQUIRE(file_size >= 0 &&
-                       std::fseek(file_, data_start, SEEK_SET) == 0,
-                   "cannot seek in trace file: " << path);
-    const std::uint64_t expected =
-        header_size + event_count_ * record_size;
-    PERSIM_REQUIRE(
-        static_cast<std::uint64_t>(file_size) == expected,
-        "trace file size mismatch: header claims "
-            << event_count_ << " events (" << expected
-            << " bytes) but the file holds " << file_size
-            << " bytes: " << path);
-
-#ifdef POSIX_FADV_SEQUENTIAL
-    // Replay scans the file front to back exactly once: ask the
-    // kernel for aggressive readahead and early page reclaim so a
-    // cold-cache replay is not bounded by 128 KiB default readahead.
-    // Advisory only; ignore the result.
-    (void)::posix_fadvise(::fileno(file_), 0, 0, POSIX_FADV_SEQUENTIAL);
-#endif
-}
-
-TraceFileReader::~TraceFileReader()
-{
-    if (file_ != nullptr)
-        std::fclose(file_);
-}
-
-bool
-TraceFileReader::readNext(TraceEvent &event)
-{
-    if (events_read_ >= event_count_)
-        return false;
-    unsigned char record[record_size];
-    const std::size_t got = std::fread(record, 1, record_size, file_);
-    PERSIM_REQUIRE(got == record_size,
-                   "truncated trace file: " << path_
-                       << " ends at byte "
-                       << header_size + events_read_ * record_size + got
-                       << " inside event record " << events_read_);
-    unpackEvent(record, event);
-    ++events_read_;
-    return true;
-}
-
-std::size_t
-TraceFileReader::readBatch(TraceEvent *out, std::size_t max)
-{
-    const std::uint64_t remaining = event_count_ - events_read_;
-    std::size_t want = max;
-    if (remaining < want)
-        want = static_cast<std::size_t>(remaining);
-    if (want == 0)
-        return 0;
-    if (want > read_batch_records)
-        want = read_batch_records;
-    if (buffer_records_ < want) {
-        // Size the staging buffer for full bursts up front instead of
-        // growing it to each caller's max.
-        buffer_ = std::make_unique<unsigned char[]>(read_batch_records *
-                                                    record_size);
-        buffer_records_ = read_batch_records;
-    }
-    const std::size_t bytes = want * record_size;
-    const std::size_t got = std::fread(buffer_.get(), 1, bytes, file_);
-    PERSIM_REQUIRE(got == bytes,
-                   "truncated trace file: " << path_
-                       << " ends at byte "
-                       << header_size + events_read_ * record_size + got
-                       << " inside event record "
-                       << events_read_ + got / record_size);
-    for (std::size_t i = 0; i < want; ++i)
-        unpackEvent(buffer_.get() + i * record_size, out[i]);
-    events_read_ += want;
-    return want;
-}
-
-void
-TraceFileReader::readAll(TraceSink &sink)
-{
-    std::vector<TraceEvent> batch(read_batch_records);
-    while (true) {
-        const std::size_t got =
-            readBatch(batch.data(), batch.size());
-        if (got == 0)
-            break;
-        sink.onBatch(batch.data(), got);
-    }
-    sink.onFinish();
-}
-
-MmapTraceReader::MmapTraceReader(const std::string &path)
-{
-    PERSIM_REQUIRE(std::endian::native == std::endian::little,
-                   "MmapTraceReader requires a little-endian host "
-                   "(use TraceFileReader): " << path);
-
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    PERSIM_REQUIRE(fd >= 0,
-                   "cannot open trace file for mapping: " << path);
-    struct stat st = {};
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-        ::close(fd);
-        PERSIM_REQUIRE(false,
-                       "cannot map trace: not a regular file: " << path);
-    }
-    const auto file_size = static_cast<std::uint64_t>(st.st_size);
-    if (file_size < header_size) {
-        ::close(fd);
-        PERSIM_REQUIRE(false,
-                       "trace file too short: " << path
-                           << " ends at byte " << file_size
-                           << " inside the " << header_size
-                           << "-byte header");
-    }
-
-    map_size_ = static_cast<std::size_t>(file_size);
-    map_ = ::mmap(nullptr, map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd); // The mapping keeps the file alive.
-    PERSIM_REQUIRE(map_ != MAP_FAILED,
-                   "cannot mmap trace file: " << path);
-
-    try {
-        const auto *base = static_cast<const unsigned char *>(map_);
-        PERSIM_REQUIRE(std::memcmp(base, trace_magic.data(),
-                                   trace_magic.size()) == 0,
-                       "bad trace file magic: " << path);
-        const auto version =
-            static_cast<std::uint32_t>(getLe(base + 8, 4));
-        PERSIM_REQUIRE(version == trace_version,
-                       "unsupported trace version " << version << ": "
-                                                    << path);
-        thread_count_ = static_cast<ThreadId>(getLe(base + 12, 4));
-        event_count_ = getLe(base + 16, 8);
-        const std::uint64_t expected =
-            header_size + event_count_ * record_size;
-        PERSIM_REQUIRE(
-            event_count_ <= (file_size - header_size) / record_size &&
-                file_size == expected,
-            "trace file size mismatch: header claims "
-                << event_count_ << " events (" << expected
-                << " bytes) but the file holds " << file_size
-                << " bytes: " << path);
-
-        events_ = reinterpret_cast<const TraceEvent *>(base +
-                                                       header_size);
-
-#ifdef POSIX_MADV_WILLNEED
-        (void)::posix_madvise(map_, map_size_, POSIX_MADV_WILLNEED);
-#endif
-
-        // Validate every record's kind byte once, here, so the views
-        // handed out need no per-event checks (matching the streaming
-        // reader's unpackEvent guarantee). This also pre-faults the
-        // mapping, which replay would pay for anyway.
-        for (std::uint64_t i = 0; i < event_count_; ++i) {
-            const auto kind =
-                static_cast<std::uint64_t>(events_[i].kind);
-            PERSIM_REQUIRE(kind <= max_event_kind,
-                           "corrupt trace record " << i
-                               << ": event kind byte " << kind
-                               << " is out of range (max "
-                               << max_event_kind << "): " << path);
-        }
-    } catch (...) {
-        ::munmap(map_, map_size_);
-        map_ = nullptr;
-        throw;
-    }
-}
-
-MmapTraceReader::~MmapTraceReader()
-{
-    if (map_ != nullptr)
-        ::munmap(map_, map_size_);
-}
-
-std::span<const TraceEvent>
-MmapTraceReader::segment(std::uint64_t offset, std::uint64_t count) const
-{
-    PERSIM_REQUIRE(offset <= event_count_ &&
-                       count <= event_count_ - offset,
-                   "trace segment [" << offset << ", "
-                       << offset + count << ") out of range (trace has "
-                       << event_count_ << " events)");
-    return {events_ + offset, static_cast<std::size_t>(count)};
-}
-
-void
-MmapTraceReader::readAll(TraceSink &sink) const
-{
-    if (event_count_ > 0)
-        sink.onBatch(events_, static_cast<std::size_t>(event_count_));
-    sink.onFinish();
-}
-
 void
 writeTraceFile(const std::string &path, const InMemoryTrace &trace)
 {
     TraceFileWriter writer(path);
-    for (const auto &event : trace.events())
-        writer.onEvent(event);
+    writer.onBatch(trace.events().data(), trace.size());
     writer.onFinish();
 }
 
 InMemoryTrace
 readTraceFile(const std::string &path)
 {
-    TraceFileReader reader(path);
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    PERSIM_REQUIRE(fd >= 0, "cannot open trace file for reading: "
+                                << path << ": " << std::strerror(errno));
+    const FdGuard guard{fd};
+    struct stat st = {};
+    PERSIM_REQUIRE(::fstat(fd, &st) == 0 && S_ISREG(st.st_mode),
+                   "cannot read trace: not a regular file: " << path);
+    const auto file_size = static_cast<std::uint64_t>(st.st_size);
+
+    TraceHeader header;
+    const std::size_t got = readFully(fd, &header, header_size, path);
+    PERSIM_REQUIRE(got == header_size,
+                   "trace file too short: " << path << " ends at byte "
+                       << got << " inside the " << header_size
+                       << "-byte header");
+    PERSIM_REQUIRE(header.magic == trace_magic,
+                   "bad trace file magic: " << path);
+    PERSIM_REQUIRE(header.version == trace_version,
+                   "unsupported trace version " << header.version << ": "
+                                                << path);
+
+    // Don't trust the header count: a truncated or corrupt file must
+    // be rejected before any record is read.
+    const std::uint64_t records = (file_size - header_size) / record_size;
+    PERSIM_REQUIRE(
+        header.event_count == records &&
+            file_size == header_size + records * record_size,
+        "trace file size mismatch: header claims "
+            << header.event_count << " events but the file holds "
+            << file_size << " bytes (" << records << " whole "
+            << record_size << "-byte records): " << path);
+
     InMemoryTrace trace;
-    reader.readAll(trace);
+    trace.events().reserve(static_cast<std::size_t>(records));
+    std::vector<TraceEvent> burst(static_cast<std::size_t>(
+        std::min<std::uint64_t>(records, read_batch_records)));
+    for (std::uint64_t done = 0; done < records;) {
+        const auto want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(burst.size(), records - done));
+        const std::size_t bytes =
+            readFully(fd, burst.data(), want * record_size, path);
+        PERSIM_REQUIRE(bytes == want * record_size,
+                       "truncated trace file: " << path
+                           << " ends at byte "
+                           << header_size + done * record_size + bytes
+                           << " inside event record "
+                           << done + bytes / record_size);
+        for (std::size_t i = 0; i < want; ++i) {
+            const auto kind = static_cast<unsigned>(burst[i].kind);
+            PERSIM_REQUIRE(
+                kind <= kMaxEventKind,
+                "corrupt trace record " << done + i << ": event kind byte "
+                    << kind << " at file offset "
+                    << header_size + (done + i) * record_size +
+                        offsetof(TraceEvent, kind)
+                    << " is out of range (max "
+                    << unsigned{kMaxEventKind} << "): " << path);
+        }
+        trace.onBatch(burst.data(), want);
+        done += want;
+    }
+
+    PERSIM_REQUIRE(trace.threadCount() == header.thread_count,
+                   "trace header claims " << header.thread_count
+                       << " threads but the records' max thread id + 1 is "
+                       << trace.threadCount() << ": " << path);
     return trace;
 }
 

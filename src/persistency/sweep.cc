@@ -7,7 +7,6 @@
 
 #include "common/error.hh"
 #include "common/task_pool.hh"
-#include "memtrace/trace_io.hh"
 #include "persistency/compiled_replay.hh"
 
 namespace persim {
@@ -59,12 +58,11 @@ buildEngines(const std::vector<TimingConfig> &configs)
 }
 
 /**
- * Compiled-path sweep body shared by the in-memory and file entry
- * points: one compile + execute per config, serial or fanned out on a
- * TaskPool.
+ * Compiled-path sweep body: one compile + execute per config, serial
+ * or fanned out on a TaskPool.
  */
 std::vector<TimingResult>
-runCompiled(const TraceEvent *events, std::size_t count,
+runCompiled(const InMemoryTrace &trace,
             const std::vector<TimingConfig> &configs,
             const SweepOptions &options,
             std::vector<double> &wall_seconds)
@@ -73,7 +71,7 @@ runCompiled(const TraceEvent *events, std::size_t count,
     auto run = [&](std::size_t i) {
         const auto start = SteadyClock::now();
         const CompiledTrace compiled =
-            compileTrace(events, count, configs[i]);
+            compileTrace(trace.events().data(), trace.size(), configs[i]);
         results[i] = compiledReplay(compiled.view(), configs[i]);
         wall_seconds[i] = secondsSince(start);
     };
@@ -145,8 +143,7 @@ granularitySweep(const InMemoryTrace &trace,
     if (options.compiled) {
         std::vector<double> wall_seconds(configs.size(), 0.0);
         const auto results =
-            runCompiled(trace.events().data(), trace.events().size(),
-                        configs, options, wall_seconds);
+            runCompiled(trace, configs, options, wall_seconds);
         return collectSeries(results, models, granularities,
                              wall_seconds);
     }
@@ -173,110 +170,6 @@ granularitySweep(const InMemoryTrace &trace,
             trace.replay(*engines[i]);
             wall_seconds[i] = secondsSince(start);
         });
-    }
-
-    return collectSeries(engines, models, granularities, wall_seconds);
-}
-
-std::vector<SweepSeries>
-granularitySweepFile(const std::string &path,
-                     const std::vector<ModelConfig> &models,
-                     const std::vector<std::uint64_t> &granularities,
-                     GranularityKnob knob, const SweepOptions &options)
-{
-    PERSIM_REQUIRE(!models.empty() && !granularities.empty(),
-                   "sweep needs at least one model and one value");
-    PERSIM_REQUIRE(options.chunk_events >= 1,
-                   "streaming sweep needs a positive chunk size");
-
-    const auto configs = buildConfigs(models, granularities, knob);
-
-    if (options.compiled) {
-        // The compiler needs the whole event span: map the file (the
-        // compiled sweep subsumes --mmap) and run the shared body.
-        MmapTraceReader reader(path);
-        const auto view = reader.events();
-        std::vector<double> wall_seconds(configs.size(), 0.0);
-        const auto results = runCompiled(view.data(), view.size(),
-                                         configs, options, wall_seconds);
-        return collectSeries(results, models, granularities,
-                             wall_seconds);
-    }
-
-    auto engines = buildEngines(configs);
-    std::vector<double> wall_seconds(engines.size(), 0.0);
-
-    if (options.mmap) {
-        // Zero-copy path: every engine replays straight out of the
-        // shared read-only mapping, one full-span batch each.
-        MmapTraceReader reader(path);
-        const auto view = reader.events();
-        auto run = [&](std::size_t i) {
-            const auto start = SteadyClock::now();
-            engines[i]->onBatch(view.data(), view.size());
-            engines[i]->onFinish();
-            wall_seconds[i] = secondsSince(start);
-        };
-        if (options.jobs != 1) {
-            TaskPool pool(options.jobs);
-            pool.parallelFor(engines.size(), run);
-        } else {
-            for (std::size_t i = 0; i < engines.size(); ++i)
-                run(i);
-        }
-        return collectSeries(engines, models, granularities,
-                             wall_seconds);
-    }
-
-    // Feed one chunk to engine i, accumulating its analysis time.
-    std::vector<TraceEvent> chunk(
-        static_cast<std::size_t>(options.chunk_events));
-    std::size_t chunk_size = 0;
-    auto feed = [&](std::size_t i) {
-        const auto start = SteadyClock::now();
-        engines[i]->onBatch(chunk.data(), chunk_size);
-        wall_seconds[i] += secondsSince(start);
-    };
-    auto finish = [&](std::size_t i) {
-        const auto start = SteadyClock::now();
-        engines[i]->onFinish();
-        wall_seconds[i] += secondsSince(start);
-    };
-
-    TraceFileReader reader(path);
-    std::unique_ptr<TaskPool> pool;
-    if (options.jobs != 1)
-        pool = std::make_unique<TaskPool>(options.jobs);
-
-    while (true) {
-        // Refill the chunk with bulk reads (readBatch may return
-        // fewer than asked; keep going until the chunk is full or the
-        // trace ends, so chunk boundaries stay identical to the
-        // previous per-event refill and tests comparing streaming to
-        // in-memory results see the same grouping).
-        chunk_size = 0;
-        while (chunk_size < chunk.size()) {
-            const std::size_t got = reader.readBatch(
-                chunk.data() + chunk_size, chunk.size() - chunk_size);
-            if (got == 0)
-                break;
-            chunk_size += got;
-        }
-        if (chunk_size == 0)
-            break;
-        if (pool) {
-            pool->parallelFor(engines.size(), feed);
-        } else {
-            for (std::size_t i = 0; i < engines.size(); ++i)
-                feed(i);
-        }
-    }
-
-    if (pool) {
-        pool->parallelFor(engines.size(), finish);
-    } else {
-        for (std::size_t i = 0; i < engines.size(); ++i)
-            finish(i);
     }
 
     return collectSeries(engines, models, granularities, wall_seconds);

@@ -19,16 +19,14 @@
  *    parallel results are bit-identical to the serial pass — asserted
  *    by tests/persistency/sweep_test.cc.
  *
- * granularitySweepFile additionally streams the trace from disk in
- * batched chunks, so sweeps over very large traces never materialize
- * the whole event stream in memory.
+ * Sweeps run over an in-memory trace; a trace on disk is loaded with
+ * readTraceFile (memtrace/trace_io.hh) first.
  */
 
 #ifndef PERSIM_PERSISTENCY_SWEEP_HH
 #define PERSIM_PERSISTENCY_SWEEP_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "memtrace/sink.hh"
@@ -46,24 +44,10 @@ struct SweepOptions
      */
     std::uint32_t jobs = 1;
 
-    /** Streaming batch size in events (granularitySweepFile). */
-    std::uint64_t chunk_events = 1ULL << 16;
-
-    /**
-     * granularitySweepFile only: map the trace file with
-     * MmapTraceReader and feed every engine the zero-copy event span
-     * in one batch instead of copying chunks through a read buffer.
-     * Results are identical to both the streaming and the in-memory
-     * paths; peak memory is the map itself (shared, read-only).
-     */
-    bool mmap = false;
-
     /**
      * Run every config through the compiled-trace path
      * (persistency/compiled_replay.hh) instead of interpreted replay;
-     * bit-identical results. granularitySweepFile maps the trace for
-     * this (the compiler needs the whole event span), so compiled
-     * sweeps ignore chunk_events.
+     * bit-identical results.
      */
     bool compiled = false;
 };
@@ -106,20 +90,6 @@ granularitySweep(const InMemoryTrace &trace,
                  const std::vector<std::uint64_t> &granularities,
                  GranularityKnob knob,
                  const SweepOptions &options = {});
-
-/**
- * Same sweep, streaming the trace from @p path in batches of
- * SweepOptions::chunk_events events instead of materializing it:
- * every engine consumes each chunk (in parallel across engines when
- * jobs != 1) before the next chunk is read. Event order per engine is
- * identical to the in-memory replay, so results match it exactly.
- */
-std::vector<SweepSeries>
-granularitySweepFile(const std::string &path,
-                     const std::vector<ModelConfig> &models,
-                     const std::vector<std::uint64_t> &granularities,
-                     GranularityKnob knob,
-                     const SweepOptions &options = {});
 
 /** One latency sample: latency and the achievable ops/s. */
 struct LatencyPoint

@@ -251,9 +251,9 @@ class PersistTimingEngine : public TraceSink
 
   private:
     /**
-     * Compiled-trace replay (compiled_replay.cc) executes persisted
-     * micro-op columns straight out of an mmap through the inline
-     * handlers below, with every slot pre-resolved at compile time.
+     * Compiled-trace replay (compiled_replay.cc) executes in-memory
+     * micro-op columns through the inline handlers below, with every
+     * slot pre-resolved at compile time.
      */
     friend class CompiledReplayer;
 

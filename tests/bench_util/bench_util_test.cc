@@ -226,9 +226,8 @@ parseArgs(std::vector<std::string> args)
 TEST(BenchFlags, ParsesNumericValues)
 {
     const bench::BenchOptions options =
-        parseArgs({"--jobs=4", "--chunk-events=100", "--compiled"});
+        parseArgs({"--jobs=4", "--compiled"});
     EXPECT_EQ(options.jobs, 4u);
-    EXPECT_EQ(options.chunk_events, 100u);
     EXPECT_TRUE(options.compiled);
     EXPECT_EQ(parseArgs({"--jobs=0"}).jobs, 0u);
     EXPECT_DOUBLE_EQ(bench::parseFlagNumber<double>("--theta", "0.99"),
@@ -251,8 +250,20 @@ TEST(BenchFlagsDeathTest, NegativeJobsExitsTwo)
 
 TEST(BenchFlagsDeathTest, TrailingCharactersExitTwo)
 {
-    EXPECT_EXIT(parseArgs({"--chunk-events=12x"}),
-                ::testing::ExitedWithCode(2), "--chunk-events");
+    EXPECT_EXIT(parseArgs({"--jobs=12x"}), ::testing::ExitedWithCode(2),
+                "--jobs");
+}
+
+// The trace-file replay flags are gone: every bench now rejects them
+// as unknown instead of some benches silently ignoring them.
+TEST(BenchFlagsDeathTest, RemovedTraceFileFlagsExitTwo)
+{
+    EXPECT_EXIT(parseArgs({"--stream"}), ::testing::ExitedWithCode(2),
+                "usage");
+    EXPECT_EXIT(parseArgs({"--mmap"}), ::testing::ExitedWithCode(2),
+                "usage");
+    EXPECT_EXIT(parseArgs({"--chunk-events=4"}),
+                ::testing::ExitedWithCode(2), "usage");
 }
 
 TEST(BenchFlagsDeathTest, OutOfRangeAndSignedValuesExitTwo)

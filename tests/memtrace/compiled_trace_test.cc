@@ -11,10 +11,9 @@
  *  - the spec guard: a trace compiled under one compile spec must
  *    not replay under another.
  *
- * The streaming/mmap trace readers' truncation diagnostics
- * (byte-offset reporting) are covered here too: a .trc file is the
- * input compileTrace consumes, and a short one must be rejected
- * loudly.
+ * The trace reader's truncation diagnostics (byte-offset reporting)
+ * are covered here too: a .trc file is the input compileTrace
+ * consumes, and a short one must be rejected loudly.
  */
 
 #include <algorithm>
@@ -62,9 +61,7 @@ syntheticEvents()
 std::vector<TraceEvent>
 loadGolden(const std::string &name)
 {
-    MmapTraceReader reader(goldenDir() + "/" + name + ".trc");
-    const auto view = reader.events();
-    return {view.begin(), view.end()};
+    return readTraceFile(goldenDir() + "/" + name + ".trc").events();
 }
 
 /** Scratch path inside gtest's per-run temp directory. */
@@ -120,69 +117,19 @@ TEST(TraceReaderErrors, StreamingTruncationNamesByteOffset)
     const std::uint64_t cut = full - 7; // Mid-record.
     truncateFile(path, cut);
 
-    // Header still reads fine (the reader checks size at open) —
-    // so the size mismatch fires at construction, naming both sizes.
-    const std::string open_what =
-        errorOf([&] { TraceFileReader reader(path); });
-    EXPECT_NE(open_what.find(std::to_string(cut)), std::string::npos)
-        << open_what;
+    // The header still reads fine, so the size check rejects the file
+    // before any record is read, naming the actual size.
+    const std::string size_what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(size_what.find(std::to_string(cut)), std::string::npos)
+        << size_what;
 
     // Slice below the header to hit the in-header truncation path.
     truncateFile(path, 9);
-    const std::string hdr_what =
-        errorOf([&] { TraceFileReader reader(path); });
+    const std::string hdr_what = errorOf([&] { readTraceFile(path); });
     EXPECT_NE(hdr_what.find("byte 9"), std::string::npos) << hdr_what;
     EXPECT_NE(hdr_what.find("header"), std::string::npos) << hdr_what;
-
-    const std::string mmap_what =
-        errorOf([&] { MmapTraceReader reader(path); });
-    EXPECT_NE(mmap_what.find("byte 9"), std::string::npos) << mmap_what;
     std::remove(path.c_str());
 }
-
-TEST(TraceReaderErrors, ReadPastShrunkenFileNamesRecord)
-{
-    // A file that shrinks after open (or lies in its header) must
-    // fail the read loop with the record index and byte offset.
-    const std::vector<TraceEvent> events = loadGolden("mixed");
-    const std::string path = scratchPath("shrink.trc");
-    {
-        TraceFileWriter writer(path);
-        writer.onBatch(events.data(), events.size());
-        writer.onFinish();
-    }
-    TraceFileReader reader(path);
-    TraceFileReader batch_reader(path);
-    const std::uint64_t full = std::filesystem::file_size(path);
-    truncateFile(path, full - 13);
-    const std::string what = errorOf([&] {
-        TraceEvent event;
-        while (reader.readNext(event)) {
-        }
-    });
-    EXPECT_NE(what.find("truncated trace file"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("byte"), std::string::npos) << what;
-    EXPECT_NE(what.find("record"), std::string::npos) << what;
-
-    std::vector<TraceEvent> buffer(events.size());
-    const std::string batch_what = errorOf([&] {
-        while (batch_reader.readBatch(buffer.data(), buffer.size()) >
-               0) {
-        }
-    });
-    EXPECT_NE(batch_what.find("truncated trace file"),
-              std::string::npos)
-        << batch_what;
-    EXPECT_NE(batch_what.find("record"), std::string::npos)
-        << batch_what;
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------
-// Spec guard: a trace compiled under one spec never replays under
-// another.
-// ---------------------------------------------------------------
 
 TEST(CompiledCache, WrongSpecFingerprintIsAHardError)
 {

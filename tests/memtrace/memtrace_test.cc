@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "memtrace/sink.hh"
 #include "memtrace/trace_io.hh"
 #include "memtrace/trace_stats.hh"
+#include "tests/persistency/golden_support.hh"
 #include "tests/support/trace_builder.hh"
 
 namespace persim {
@@ -26,6 +28,26 @@ std::string
 tempPath(const char *tag)
 {
     return std::string(::testing::TempDir()) + "persim_" + tag + ".trc";
+}
+
+std::string
+goldenDir()
+{
+    const char *dir = std::getenv("PERSIM_GOLDEN_DIR");
+    return dir != nullptr ? dir : "tests/persistency/golden";
+}
+
+/** What the error said, or "" if @p fn did not throw. */
+template <typename Fn>
+std::string
+errorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &error) {
+        return error.what();
+    }
+    return {};
 }
 
 std::vector<unsigned char>
@@ -160,6 +182,7 @@ TEST(TraceIo, RoundTripPreservesEvents)
     const InMemoryTrace loaded = readTraceFile(path);
 
     ASSERT_EQ(loaded.size(), builder.trace().size());
+    EXPECT_EQ(loaded.threadCount(), builder.trace().threadCount());
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         const auto &a = builder.trace().events()[i];
         const auto &b = loaded.events()[i];
@@ -181,35 +204,23 @@ TEST(TraceIo, HeaderRecordsCounts)
     const std::string path = tempPath("header");
     writeTraceFile(path, builder.trace());
 
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.eventCount(), 2u);
-    EXPECT_EQ(reader.threadCount(), 4u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, StreamingReaderMatchesReadAll)
-{
-    test::TraceBuilder builder;
-    for (int i = 0; i < 20; ++i)
-        builder.store(0, paddr(i), i);
-    const std::string path = tempPath("stream");
-    writeTraceFile(path, builder.trace());
-
-    TraceFileReader reader(path);
-    TraceEvent event;
-    int count = 0;
-    while (reader.readNext(event)) {
-        EXPECT_EQ(event.value, static_cast<std::uint64_t>(count));
-        ++count;
-    }
-    EXPECT_EQ(count, 20);
+    const InMemoryTrace loaded = readTraceFile(path);
+    EXPECT_EQ(loaded.size(), 2u);
+    EXPECT_EQ(loaded.threadCount(), 4u);
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, MissingFileIsFatal)
 {
-    EXPECT_THROW(TraceFileReader("/nonexistent/path/trace.trc"),
+    EXPECT_THROW(readTraceFile("/nonexistent/path/trace.trc"),
                  FatalError);
+}
+
+TEST(TraceIo, NonRegularFileIsFatal)
+{
+    EXPECT_NE(errorOf([] { readTraceFile("/dev/null"); })
+                  .find("not a regular file"),
+              std::string::npos);
 }
 
 TEST(TraceIo, BadMagicIsFatal)
@@ -219,7 +230,7 @@ TEST(TraceIo, BadMagicIsFatal)
     ASSERT_NE(f, nullptr);
     std::fputs("NOTATRACEFILE_________________", f);
     std::fclose(f);
-    EXPECT_THROW(TraceFileReader reader(path), FatalError);
+    EXPECT_THROW(readTraceFile(path), FatalError);
     std::remove(path.c_str());
 }
 
@@ -265,14 +276,8 @@ TEST(TraceIo, TruncatedFileIsRejectedAtOpen)
     auto bytes = readBytes(path);
     bytes.resize(bytes.size() - 10);
     writeBytes(path, bytes);
-    try {
-        TraceFileReader reader(path);
-        FAIL() << "expected a size-mismatch error";
-    } catch (const FatalError &error) {
-        EXPECT_NE(std::string(error.what()).find("size mismatch"),
-                  std::string::npos)
-            << error.what();
-    }
+    const std::string what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(what.find("size mismatch"), std::string::npos) << what;
     std::remove(path.c_str());
 }
 
@@ -284,15 +289,30 @@ TEST(TraceIo, OverstatedEventCountIsRejectedAtOpen)
     auto bytes = readBytes(path);
     bytes[16] = 200; // event_count LE low byte: claim 200 events.
     writeBytes(path, bytes);
-    EXPECT_THROW(TraceFileReader reader(path), FatalError);
+    EXPECT_THROW(readTraceFile(path), FatalError);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, HeaderThreadCountMismatchIsFatal)
+{
+    // The records' highest thread id is 3; a header claiming 7
+    // threads is corrupt, and the error names both counts.
+    const std::string path = writeSmallTrace("threadcount");
+    auto bytes = readBytes(path);
+    bytes[12] = 7; // thread_count LE low byte.
+    writeBytes(path, bytes);
+    const std::string what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(what.find("claims 7 threads"), std::string::npos) << what;
+    EXPECT_NE(what.find("max thread id + 1 is 4"), std::string::npos)
+        << what;
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, BadEventKindByteIsRejected)
 {
     // Corrupt the kind byte of the second record (offset 24 + 32 + 28)
-    // — the file size still matches, so the open succeeds and the
-    // poisoned record must be caught during reading.
+    // — the file size still matches, so only the per-record check can
+    // catch it, and it must say which record and where.
     const std::string path = writeSmallTrace("badkind");
     auto bytes = readBytes(path);
     const std::size_t kind_offset = 24 + 32 + 28;
@@ -300,23 +320,14 @@ TEST(TraceIo, BadEventKindByteIsRejected)
     bytes[kind_offset] = 0xee;
     writeBytes(path, bytes);
 
-    TraceFileReader reader(path);
-    TraceEvent event;
-    EXPECT_TRUE(reader.readNext(event)); // First record is intact.
-    try {
-        reader.readNext(event);
-        FAIL() << "expected a bad-kind error";
-    } catch (const FatalError &error) {
-        EXPECT_NE(std::string(error.what()).find("kind byte"),
-                  std::string::npos)
-            << error.what();
-    }
+    const std::string what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(what.find("record 1:"), std::string::npos) << what;
+    EXPECT_NE(what.find("kind byte 238"), std::string::npos) << what;
+    EXPECT_NE(what.find("file offset 84"), std::string::npos) << what;
     std::remove(path.c_str());
 }
 
-// The x86 flush/fence kinds (ISSUE 6) must survive every trace
-// surface: the buffered reader, the streaming reader, and the mmap
-// reader all reproduce them bit-exactly.
+// The x86 flush/fence kinds must survive the trace file bit-exactly.
 TEST(TraceIo, FlushAndFenceKindsRoundTrip)
 {
     test::TraceBuilder builder;
@@ -329,21 +340,13 @@ TEST(TraceIo, FlushAndFenceKindsRoundTrip)
     const std::string path = tempPath("flushkinds");
     writeTraceFile(path, builder.trace());
 
-    const InMemoryTrace buffered = readTraceFile(path);
-    MmapTraceReader mapped(path);
-    TraceFileReader streaming(path);
+    const InMemoryTrace loaded = readTraceFile(path);
     const auto &expect = builder.trace().events();
-    ASSERT_EQ(buffered.size(), expect.size());
-    ASSERT_EQ(mapped.events().size(), expect.size());
+    ASSERT_EQ(loaded.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
-        TraceEvent streamed;
-        ASSERT_TRUE(streaming.readNext(streamed));
-        EXPECT_EQ(buffered.events()[i].kind, expect[i].kind) << i;
-        EXPECT_EQ(mapped.events()[i].kind, expect[i].kind) << i;
-        EXPECT_EQ(streamed.kind, expect[i].kind) << i;
-        EXPECT_EQ(buffered.events()[i].addr, expect[i].addr) << i;
-        EXPECT_EQ(mapped.events()[i].addr, expect[i].addr) << i;
-        EXPECT_EQ(streamed.thread, expect[i].thread) << i;
+        EXPECT_EQ(loaded.events()[i].kind, expect[i].kind) << i;
+        EXPECT_EQ(loaded.events()[i].addr, expect[i].addr) << i;
+        EXPECT_EQ(loaded.events()[i].thread, expect[i].thread) << i;
     }
 
     EXPECT_STREQ(eventKindName(EventKind::CacheFlush), "clflush");
@@ -355,16 +358,17 @@ TEST(TraceIo, FlushAndFenceKindsRoundTrip)
     std::remove(path.c_str());
 }
 
-// The kind validators accept exactly [0, kMaxEventKind]: the highest
-// legal byte (mfence) reads back, while kMaxEventKind + 1 is rejected
-// by both the streaming and the mmap decoder. Guards against the
-// validator bound lagging behind a future EventKind growth.
+// The kind check accepts exactly [0, kMaxEventKind]: the highest
+// legal byte (mfence) reads back, while kMaxEventKind + 1 is
+// rejected. Guards against the bound lagging behind a future
+// EventKind growth.
 TEST(TraceIo, KindJustBeyondMaxIsRejected)
 {
     test::TraceBuilder builder;
     builder.store(0, paddr(0), 1).mfence(0);
     const std::string path = tempPath("overmax");
     writeTraceFile(path, builder.trace());
+    EXPECT_EQ(readTraceFile(path).events()[1].kind, EventKind::FullFence);
 
     auto bytes = readBytes(path);
     const std::size_t kind_offset = 24 + 32 + 28;
@@ -372,117 +376,154 @@ TEST(TraceIo, KindJustBeyondMaxIsRejected)
     ASSERT_EQ(bytes[kind_offset], kMaxEventKind); // mfence is the max
     bytes[kind_offset] = kMaxEventKind + 1;
     writeBytes(path, bytes);
-
-    TraceFileReader reader(path);
-    TraceEvent event;
-    EXPECT_TRUE(reader.readNext(event));
-    EXPECT_THROW(reader.readNext(event), FatalError);
-    EXPECT_THROW(MmapTraceReader mapped(path), FatalError);
+    EXPECT_THROW(readTraceFile(path), FatalError);
     std::remove(path.c_str());
+}
+
+// The committed golden fixtures pin the on-disk format: loading one
+// and writing it back must reproduce the file byte for byte.
+TEST(TraceIo, GoldenFixturesRewriteByteIdentically)
+{
+    for (const std::string &name : test::goldenFixtureNames()) {
+        const std::string fixture = goldenDir() + "/" + name + ".trc";
+        const std::string path = tempPath(("golden_" + name).c_str());
+        writeTraceFile(path, readTraceFile(fixture));
+        const auto original = readBytes(fixture);
+        ASSERT_GT(original.size(), 24u) << fixture;
+        EXPECT_TRUE(readBytes(path) == original) << name;
+        std::remove(path.c_str());
+    }
+}
+
+// readTraceFile reads records in bursts of 16 Ki events. The
+// MmapTraceIo cases load traces that span several bursts, so record
+// indices, file offsets and the copy into the trace are checked across
+// burst boundaries, not only inside the first one.
+constexpr std::size_t reader_burst = 16384;
+constexpr std::size_t multi_burst_events = 2 * reader_burst + 3;
+
+std::string
+writeMultiBurstTrace(const char *tag, test::TraceBuilder &builder)
+{
+    for (std::size_t i = 0; i < multi_burst_events; ++i)
+        builder.store(static_cast<ThreadId>(i % 3), paddr(i % 64), i);
+    const std::string path = tempPath(tag);
+    writeTraceFile(path, builder.trace());
+    return path;
 }
 
 TEST(MmapTraceIo, RoundTripAndSegmentViews)
 {
-    const std::string path = writeSmallTrace("mmap_roundtrip");
-    MmapTraceReader reader(path);
-    EXPECT_EQ(reader.eventCount(), 2u);
-    EXPECT_EQ(reader.threadCount(), 4u);
-
-    const auto all = reader.events();
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0].value, 1u);
-    EXPECT_EQ(all[1].value, 2u);
-    EXPECT_EQ(all[1].thread, 3u);
-    EXPECT_EQ(all[1].kind, EventKind::Store);
-
-    // The mapped records must read back exactly as the streaming
-    // decoder produces them (layout equivalence, not just field
-    // plausibility).
-    const InMemoryTrace streamed = readTraceFile(path);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        EXPECT_EQ(all[i].seq, streamed.events()[i].seq);
-        EXPECT_EQ(all[i].addr, streamed.events()[i].addr);
-        EXPECT_EQ(all[i].value, streamed.events()[i].value);
-        EXPECT_EQ(all[i].marker, streamed.events()[i].marker);
+    test::TraceBuilder builder;
+    const std::string path = writeMultiBurstTrace("burst_roundtrip", builder);
+    const InMemoryTrace loaded = readTraceFile(path);
+    const auto &expect = builder.trace().events();
+    ASSERT_EQ(loaded.size(), multi_burst_events);
+    EXPECT_EQ(loaded.threadCount(), 3u);
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        const auto &a = expect[i];
+        const auto &b = loaded.events()[i];
+        ASSERT_TRUE(a.seq == b.seq && a.addr == b.addr &&
+                    a.value == b.value && a.thread == b.thread &&
+                    a.kind == b.kind && a.size == b.size &&
+                    a.marker == b.marker)
+            << "event " << i;
     }
-
-    const auto tail = reader.segment(1, 1);
-    ASSERT_EQ(tail.size(), 1u);
-    EXPECT_EQ(tail[0].value, 2u);
-    EXPECT_EQ(reader.segment(2, 0).size(), 0u);
-    EXPECT_THROW(reader.segment(1, 2), FatalError);
-    EXPECT_THROW(reader.segment(3, 0), FatalError);
-
-    InMemoryTrace sunk;
-    reader.readAll(sunk);
-    EXPECT_EQ(sunk.size(), 2u);
     std::remove(path.c_str());
+
+    // An empty trace is a header and nothing else.
+    const std::string empty = tempPath("burst_empty");
+    writeTraceFile(empty, InMemoryTrace{});
+    EXPECT_EQ(readBytes(empty).size(), 24u);
+    const InMemoryTrace none = readTraceFile(empty);
+    EXPECT_TRUE(none.empty());
+    EXPECT_EQ(none.threadCount(), 0u);
+    std::remove(empty.c_str());
 }
 
 TEST(MmapTraceIo, MissingFileIsFatal)
 {
-    EXPECT_THROW(MmapTraceReader("/nonexistent/path/trace.trc"),
-                 FatalError);
+    const std::string what =
+        errorOf([] { readTraceFile("/nonexistent/path/trace.trc"); });
+    EXPECT_NE(what.find("cannot open trace file"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("/nonexistent/path/trace.trc"), std::string::npos)
+        << what;
 }
 
 TEST(MmapTraceIo, BadMagicIsFatal)
 {
-    const std::string path = tempPath("mmap_badmagic");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("NOTATRACEFILE_________________", f);
-    std::fclose(f);
-    EXPECT_THROW(MmapTraceReader reader(path), FatalError);
+    // A well-formed trace with one magic byte flipped: the size and
+    // every record are fine, so only the magic check can catch it.
+    const std::string path = writeSmallTrace("burst_badmagic");
+    auto bytes = readBytes(path);
+    bytes[7] = '2';
+    writeBytes(path, bytes);
+    const std::string what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(what.find("bad trace file magic"), std::string::npos)
+        << what;
+
+    // Shorter than the header: the error says where the file ends.
+    bytes.resize(9);
+    writeBytes(path, bytes);
+    const std::string short_what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(short_what.find("ends at byte 9 inside the 24-byte header"),
+              std::string::npos)
+        << short_what;
     std::remove(path.c_str());
 }
 
 TEST(MmapTraceIo, TruncatedFileIsRejectedAtOpen)
 {
-    const std::string path = writeSmallTrace("mmap_truncated");
+    // Drop exactly one whole record, so the remainder is still a
+    // multiple of the record size: only the header count disagrees.
+    test::TraceBuilder builder;
+    const std::string path = writeMultiBurstTrace("burst_truncated", builder);
     auto bytes = readBytes(path);
-    bytes.resize(bytes.size() - 10);
+    bytes.resize(bytes.size() - 32);
     writeBytes(path, bytes);
-    try {
-        MmapTraceReader reader(path);
-        FAIL() << "expected a size-mismatch error";
-    } catch (const FatalError &error) {
-        EXPECT_NE(std::string(error.what()).find("size mismatch"),
-                  std::string::npos)
-            << error.what();
-    }
+    const std::string what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(what.find("size mismatch"), std::string::npos) << what;
+    EXPECT_NE(what.find("header claims " +
+                        std::to_string(multi_burst_events) + " events"),
+              std::string::npos)
+        << what;
     std::remove(path.c_str());
 }
 
 TEST(MmapTraceIo, OverstatedEventCountIsRejectedAtOpen)
 {
-    const std::string path = writeSmallTrace("mmap_overcount");
+    // A count near 2^63 must be rejected by the size check before the
+    // reader reserves storage for it.
+    const std::string path = writeSmallTrace("burst_overcount");
     auto bytes = readBytes(path);
-    bytes[16] = 200; // event_count LE low byte: claim 200 events.
+    bytes[23] = 0x7f; // event_count LE high byte.
     writeBytes(path, bytes);
-    EXPECT_THROW(MmapTraceReader reader(path), FatalError);
+    const std::string what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(what.find("size mismatch"), std::string::npos) << what;
     std::remove(path.c_str());
 }
 
 TEST(MmapTraceIo, BadEventKindByteIsRejectedAtOpen)
 {
-    // Unlike the streaming reader, the mmap reader validates every
-    // record's kind byte up front: the views it hands out must be
-    // safe to consume without per-event checks, so the poisoned
-    // record fails the OPEN, not some later replay.
-    const std::string path = writeSmallTrace("mmap_badkind");
+    // Poison a record in the second burst: the error must give its
+    // index and offset in the whole file, not within the burst.
+    test::TraceBuilder builder;
+    const std::string path = writeMultiBurstTrace("burst_badkind", builder);
     auto bytes = readBytes(path);
-    const std::size_t kind_offset = 24 + 32 + 28;
+    const std::size_t record = reader_burst + 1;
+    const std::size_t kind_offset = 24 + record * 32 + 28;
     ASSERT_GT(bytes.size(), kind_offset);
     bytes[kind_offset] = 0xee;
     writeBytes(path, bytes);
-    try {
-        MmapTraceReader reader(path);
-        FAIL() << "expected a bad-kind error";
-    } catch (const FatalError &error) {
-        EXPECT_NE(std::string(error.what()).find("kind byte"),
-                  std::string::npos)
-            << error.what();
-    }
+
+    const std::string what = errorOf([&] { readTraceFile(path); });
+    EXPECT_NE(what.find("record " + std::to_string(record) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("file offset " + std::to_string(kind_offset)),
+              std::string::npos)
+        << what;
     std::remove(path.c_str());
 }
 

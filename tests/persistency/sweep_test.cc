@@ -6,10 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <string>
 
-#include "memtrace/trace_io.hh"
 #include "persistency/sweep.hh"
 #include "tests/support/trace_builder.hh"
 
@@ -148,47 +145,6 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
                                          compiled));
         }
     }
-}
-
-TEST(Sweep, StreamingFileSweepMatchesInMemory)
-{
-    // granularitySweepFile replays from disk in batched chunks; per
-    // engine the event order is identical, so results must match the
-    // in-memory sweep exactly — serial and parallel, including a
-    // chunk size that doesn't divide the trace evenly. The compiled
-    // file sweep maps the whole trace instead and must match too.
-    const auto trace = mixedTrace();
-    const std::string path =
-        std::string(::testing::TempDir()) + "persim_sweep_stream.trc";
-    writeTraceFile(path, trace);
-
-    const std::vector<ModelConfig> models{ModelConfig::strict(),
-                                          ModelConfig::epoch()};
-    const std::vector<std::uint64_t> grans{8, 64};
-    const auto serial = granularitySweep(
-        trace, models, grans, GranularityKnob::AtomicPersist);
-
-    for (const std::uint32_t jobs : {1u, 3u}) {
-        for (const bool compiled : {false, true}) {
-            SweepOptions options;
-            options.jobs = jobs;
-            options.chunk_events = 37; // Deliberately uneven.
-            options.compiled = compiled;
-            expectSameResults(
-                serial,
-                granularitySweepFile(path, models, grans,
-                                     GranularityKnob::AtomicPersist,
-                                     options));
-        }
-    }
-
-    SweepOptions bad;
-    bad.chunk_events = 0;
-    EXPECT_THROW(granularitySweepFile(path, models, grans,
-                                      GranularityKnob::AtomicPersist,
-                                      bad),
-                 FatalError);
-    std::remove(path.c_str());
 }
 
 TEST(Sweep, EmptyInputsAreFatal)
