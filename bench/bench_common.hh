@@ -49,14 +49,6 @@ struct BenchOptions
      * benches.
      */
     std::vector<std::string> models;
-
-    /**
-     * Replay through the compiled-trace path: compile each trace once
-     * per compile spec (persistency/compiled_replay.hh) and execute
-     * the micro-op columns directly, skipping decode/split/intern on
-     * every replay. Bit-identical to interpreted replay.
-     */
-    bool compiled = false;
 };
 
 /**
@@ -89,9 +81,9 @@ parseFlagNumber(const char *flag, const std::string &text)
 }
 
 /**
- * Parse the shared bench flags (--jobs=N, --json=PATH, --model=NAME,
- * --compiled); exits 2 with usage on anything unrecognized and with a
- * message on a bad numeric value.
+ * Parse the shared bench flags (--jobs=N, --json=PATH, --model=NAME);
+ * exits 2 with usage on anything unrecognized and with a message on a
+ * bad numeric value.
  */
 inline BenchOptions
 parseBenchOptions(int argc, char **argv)
@@ -111,21 +103,17 @@ parseBenchOptions(int argc, char **argv)
             options.json_path = value("--json");
         } else if (!value("--model").empty()) {
             options.models.push_back(value("--model"));
-        } else if (arg == "--compiled") {
-            options.compiled = true;
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--jobs=N] [--json=PATH]"
-                         " [--model=NAME]... [--compiled]\n"
+                         " [--model=NAME]...\n"
                       << "  --jobs=N    analysis worker threads "
                          "(1 = serial baseline, 0 = hardware)\n"
                       << "  --json=PATH write BENCH_replay.json-style "
                          "replay samples\n"
                       << "  --model=NAME add a persistency model "
                          "(strict|epoch|strand|bpfs|px86) to the "
-                         "analysis set; repeatable\n"
-                      << "  --compiled  replay through the "
-                         "compiled-trace executor (bit-identical)\n";
+                         "analysis set; repeatable\n";
             std::exit(2);
         }
     }
@@ -181,32 +169,17 @@ effectiveJobs(std::uint32_t jobs)
 }
 
 /**
- * Replay @p trace under @p config: serially through one engine, or
- * through compileTrace + compiledReplay under --compiled (bit-identical
- * either way). --jobs only sizes the compile prep and the deferred log
- * materialization on the shared @p pool; benches that fan configs out
- * on the same pool stay deadlock-free because parallelFor
- * help-executes nested batches.
+ * Replay @p trace under @p config through replayTrace: the compiled
+ * fast path for strict/epoch/strand, the engine for everything else
+ * (bit-identical either way). Each replay is serial; @p options and
+ * @p pool are accepted so every bench calls it the same way, and are
+ * not used.
  */
 inline TimingResult
 replayForOptions(const InMemoryTrace &trace, const TimingConfig &config,
-                 const BenchOptions &options, TaskPool &pool)
+                 const BenchOptions & /*options*/, TaskPool & /*pool*/)
 {
-    if (!options.compiled) {
-        PersistTimingEngine engine(config);
-        trace.replay(engine);
-        return engine.result();
-    }
-    // Compiled path: segment-prep this trace once in memory, then
-    // execute the micro-op columns directly.
-    const std::uint32_t jobs = effectiveJobs(options.jobs);
-    CompiledReplayOptions copts;
-    copts.jobs = jobs;
-    copts.pool = &pool;
-    const CompiledTrace compiled =
-        compileTrace(trace.events().data(), trace.events().size(),
-                     config, jobs, &pool);
-    return compiledReplay(compiled.view(), config, copts);
+    return replayTrace(trace, config);
 }
 
 /** Wall-clock stopwatch for per-analysis timing. */

@@ -46,7 +46,6 @@ main(int argc, char **argv)
         models.push_back(model);
     SweepOptions sweep;
     sweep.jobs = options.jobs;
-    sweep.compiled = options.compiled;
 
     // One trace, 12 analyses (2 models x 6 granularities).
     InMemoryTrace trace;

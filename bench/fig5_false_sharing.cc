@@ -45,7 +45,6 @@ main(int argc, char **argv)
         models.push_back(model);
     SweepOptions sweep;
     sweep.jobs = options.jobs;
-    sweep.compiled = options.compiled;
 
     InMemoryTrace trace;
     runQueueWorkload(config, {&trace});

@@ -70,7 +70,6 @@ struct DriverOptions
     std::uint32_t jobs = 0; //!< Replay/audit parallelism (0 = hw).
     std::string json_path;
     bool check = false; //!< CI smoke gate: tiny sizes, hard asserts.
-    bool compiled = false; //!< Replay through the compiled-trace path.
 };
 
 DriverOptions
@@ -115,15 +114,13 @@ parseDriver(int argc, char **argv)
                 parseFlagNumber<std::uint32_t>("--jobs", value("--jobs"));
         } else if (!value("--json").empty()) {
             options.json_path = value("--json");
-        } else if (arg == "--compiled") {
-            options.compiled = true;
         } else {
             std::cerr
                 << "usage: " << argv[0]
                 << " [--clients=N] [--keys=N] [--ops=N(per client)]"
                    " [--txn-ops=N(per thread)] [--theta=F] [--put=F]"
                    " [--get=F] [--seed=N] [--jobs=N] [--json=PATH]"
-                   " [--check] [--compiled]\n";
+                   " [--check]\n";
             std::exit(2);
         }
     }
@@ -327,14 +324,7 @@ main(int argc, char **argv)
     const DriverOptions options = parseDriver(argc, argv);
     const std::uint32_t jobs = effectiveJobs(options.jobs);
     TaskPool pool(jobs);
-    // Replay options for both replay phases. The per-shard phase
-    // already fans shards out over the pool, so its compile prep runs
-    // inline; the single txn trace compiles on the whole pool.
-    BenchOptions txn_replay_options;
-    txn_replay_options.jobs = jobs;
-    txn_replay_options.compiled = options.compiled;
-    BenchOptions shard_replay_options = txn_replay_options;
-    shard_replay_options.jobs = 1;
+    const BenchOptions replay_options{};
     banner("KV-store service under heavy traffic",
            "a persistency model is only as useful as the service on "
            "top of it: this driver measures what each model costs the "
@@ -417,7 +407,7 @@ main(int argc, char **argv)
             Stopwatch replay_watch;
             pool.parallelFor(options.clients, [&](std::size_t shard) {
                 results[shard] = replayForOptions(
-                    traces[shard], timing, shard_replay_options, pool);
+                    traces[shard], timing, replay_options, pool);
             });
             const double replay_wall = replay_watch.seconds();
             double critical_path = 0.0;
@@ -539,7 +529,7 @@ main(int argc, char **argv)
             const TimingConfig timing = levels(model.model);
             Stopwatch txn_replay_watch;
             const TimingResult result =
-                replayForOptions(txn_run.trace, timing, txn_replay_options,
+                replayForOptions(txn_run.trace, timing, replay_options,
                                  pool);
             const double txn_replay_wall = txn_replay_watch.seconds();
             txn_replay.row({strategy.name, model.name,

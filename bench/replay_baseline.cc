@@ -12,12 +12,12 @@
  *  - "cwl1": the Copy While Locked single-thread queue workload the
  *    fig3/fig4/fig5 sweeps analyze.
  *
- * Besides the serial rows ("replay/<trace>/<model>") each model is
- * also executed through the compiled-trace path
- * ("replay/<trace>/<model>/compiled": the trace is compiled outside
- * the timer, the row measures pure column execution), so the
- * committed baseline records the compiled speedup on the baseline
- * machine alongside the serial numbers.
+ * Besides the interpreted engine rows ("replay/<trace>/<model>"),
+ * each model the compiled fast path runs (strict/epoch/strand) is
+ * also executed through it ("replay/<trace>/<model>/compiled": the
+ * trace is compiled outside the timer, the row measures pure column
+ * execution), so the committed baseline records the compiled speedup
+ * on the baseline machine alongside the engine numbers.
  *
  * Each sample is the best of five replays (the minimum wall time is
  * the least noise-polluted estimate of achievable throughput). Run
@@ -136,6 +136,8 @@ main(int argc, char **argv)
                        formatEventsPerSec(count, wall)});
             report.add("replay/" + entry.name + "/" + model.name,
                        count, wall);
+            if (!compiledFastEligible(timing))
+                continue;
             // Compiled path: the trace is compiled once outside the
             // timer, so the row measures pure execution of the columns
             // (compile cost is reported by perfbench's

@@ -53,9 +53,7 @@ analyzeCell(Cell &cell, const AnalysisVariant &variant,
     config.inserts_per_thread = cell.threads == 1 ? 20000 : 2500;
     config.seed = 42;
 
-    // Trace untimed, then time the replay alone (see fig3). Under
-    // --compiled the compile prep fans out on the shared pool,
-    // nested inside the per-cell parallelFor.
+    // Trace untimed, then time the replay alone (see fig3).
     InMemoryTrace trace;
     const auto workload = runQueueWorkload(config, {&trace});
     Stopwatch watch;

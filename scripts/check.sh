@@ -74,9 +74,10 @@ done
 rm -f "$KV_JSON"
 
 # ThreadSanitizer pass: the task pool, the pool-driven parallel sweep
-# (interpreted and compiled),
-# the compiled-trace path (parallel compile prep + deferred log
-# materialization), and the sharded explorer must be race-free.
+# (compiled and engine configs side by side on pool workers),
+# the compiled-trace path (one serial compile pass and the fast
+# executor, driven from the test's thread), and the sharded explorer
+# must be race-free.
 # The simulator itself is no longer concurrent — simulated threads
 # are fibers on the caller's OS thread — so sim_test and replay_test
 # run here to exercise the annotated fiber switches and abort
@@ -163,10 +164,11 @@ PERSIM_GOLDEN_DIR=tests/persistency/golden \
 ./build-asan/tests/kv_router_fuzz_test
 ./build-asan/tests/kv_txn_campaign_test
 
-# Compiled-trace stage: the compiled executors index their column
-# banks by precomputed slots without bounds checks — run the full
-# compiled-vs-interpreted bit-identity suite instrumented (shrunken
-# synthetic trace; the identity must hold at any size).
+# Compiled-trace stage: the fast compiled executor indexes its banks
+# by precomputed slots without bounds checks — run the full
+# compiled-vs-engine bit-identity and replayTrace dispatch suite
+# instrumented (shrunken synthetic trace; the identity must hold at
+# any size).
 PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/compiled_trace_test
 

@@ -6,13 +6,11 @@
  * where persistency-relevant facts are decided: every tracked access
  * piece, every persist (issue and completion), every Px86 cache-line
  * flush, every fence/barrier, and the end-of-trace crash-cut
- * boundary. Plugins compose with every engine feature — record_log,
- * record_deps, deferred log materialization, and compiled replay —
- * because the hooks fire from the engine's own piece handlers, which
- * both the interpreted path and the compiled generic executor run in
- * identical trace order. A plugin attached to a TimingConfig
- * therefore sees a bit-identical event stream whether the trace is
- * replayed interpreted or compiled.
+ * boundary. Plugins compose with every engine feature — record_log
+ * and record_deps included — because the hooks fire from the engine's
+ * own piece handlers in trace order. A config with plugins is never
+ * compiled: replayTrace (persistency/compiled_replay.hh) sends it
+ * through the engine.
  *
  * Scope: plugins observe exactly the accesses the engine tracks.
  * Under ConflictScope::AllAddresses (every built-in model except

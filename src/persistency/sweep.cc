@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "common/error.hh"
 #include "common/task_pool.hh"
@@ -46,45 +45,6 @@ buildConfigs(const std::vector<ModelConfig> &models,
     return configs;
 }
 
-/** The engine bank of one sweep: one engine per config. */
-std::vector<std::unique_ptr<PersistTimingEngine>>
-buildEngines(const std::vector<TimingConfig> &configs)
-{
-    std::vector<std::unique_ptr<PersistTimingEngine>> engines;
-    engines.reserve(configs.size());
-    for (const TimingConfig &config : configs)
-        engines.push_back(std::make_unique<PersistTimingEngine>(config));
-    return engines;
-}
-
-/**
- * Compiled-path sweep body: one compile + execute per config, serial
- * or fanned out on a TaskPool.
- */
-std::vector<TimingResult>
-runCompiled(const InMemoryTrace &trace,
-            const std::vector<TimingConfig> &configs,
-            const SweepOptions &options,
-            std::vector<double> &wall_seconds)
-{
-    std::vector<TimingResult> results(configs.size());
-    auto run = [&](std::size_t i) {
-        const auto start = SteadyClock::now();
-        const CompiledTrace compiled =
-            compileTrace(trace.events().data(), trace.size(), configs[i]);
-        results[i] = compiledReplay(compiled.view(), configs[i]);
-        wall_seconds[i] = secondsSince(start);
-    };
-    if (options.jobs != 1) {
-        TaskPool pool(options.jobs);
-        pool.parallelFor(configs.size(), run);
-    } else {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            run(i);
-    }
-    return results;
-}
-
 /** Gather per-config results back into per-model series. */
 std::vector<SweepSeries>
 collectSeries(const std::vector<TimingResult> &results,
@@ -112,21 +72,6 @@ collectSeries(const std::vector<TimingResult> &results,
     return series;
 }
 
-/** As above, reading the results out of an engine bank. */
-std::vector<SweepSeries>
-collectSeries(const std::vector<std::unique_ptr<PersistTimingEngine>>
-                  &engines,
-              const std::vector<ModelConfig> &models,
-              const std::vector<std::uint64_t> &granularities,
-              const std::vector<double> &wall_seconds)
-{
-    std::vector<TimingResult> results;
-    results.reserve(engines.size());
-    for (const auto &engine : engines)
-        results.push_back(engine->result());
-    return collectSeries(results, models, granularities, wall_seconds);
-}
-
 } // namespace
 
 std::vector<SweepSeries>
@@ -139,40 +84,21 @@ granularitySweep(const InMemoryTrace &trace,
                    "sweep needs at least one model and one value");
 
     const auto configs = buildConfigs(models, granularities, knob);
-
-    if (options.compiled) {
-        std::vector<double> wall_seconds(configs.size(), 0.0);
-        const auto results =
-            runCompiled(trace, configs, options, wall_seconds);
-        return collectSeries(results, models, granularities,
-                             wall_seconds);
-    }
-
-    auto engines = buildEngines(configs);
-    std::vector<double> wall_seconds(engines.size(), 0.0);
-
-    if (options.jobs == 1) {
-        // Serial baseline: one pass through all engines.
-        FanoutSink fanout;
-        for (const auto &engine : engines)
-            fanout.addSink(engine.get());
+    std::vector<TimingResult> results(configs.size());
+    std::vector<double> wall_seconds(configs.size(), 0.0);
+    const auto run = [&](std::size_t i) {
         const auto start = SteadyClock::now();
-        trace.replay(fanout);
-        const double pass = secondsSince(start);
-        for (double &wall : wall_seconds)
-            wall = pass;
+        results[i] = replayTrace(trace, configs[i]);
+        wall_seconds[i] = secondsSince(start);
+    };
+    if (options.jobs == 1) {
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            run(i);
     } else {
-        // One independent replay per config. Engines share only the
-        // read-only trace, so this is a pure fan-out.
         TaskPool pool(options.jobs);
-        pool.parallelFor(engines.size(), [&](std::size_t i) {
-            const auto start = SteadyClock::now();
-            trace.replay(*engines[i]);
-            wall_seconds[i] = secondsSince(start);
-        });
+        pool.parallelFor(configs.size(), run);
     }
-
-    return collectSeries(engines, models, granularities, wall_seconds);
+    return collectSeries(results, models, granularities, wall_seconds);
 }
 
 std::vector<LatencyPoint>

@@ -4,20 +4,17 @@
  *
  * The paper's figures are sweeps over a single knob — persist latency
  * (Figure 3), atomic persist granularity (Figure 4), tracking
- * granularity (Figure 5). These helpers run one trace through a bank
- * of engines, one per knob value (engines are sinks), returning
- * structured series that benches or applications can render or
- * post-process.
+ * granularity (Figure 5). These helpers analyze one trace once per
+ * knob value through replayTrace (persistency/compiled_replay.hh:
+ * the compiled fast path where the config allows it, the engine
+ * otherwise), returning structured series that benches or
+ * applications can render or post-process.
  *
- * Two execution strategies, selected by SweepOptions::jobs:
- *
- *  - jobs == 1 (default): the serial baseline — one FanoutSink pass
- *    replays the trace once through every engine on the caller's
- *    thread.
- *  - jobs != 1: each (model, knob) config replays independently on a
- *    TaskPool. Engines share nothing (the trace is read-only), so the
- *    parallel results are bit-identical to the serial pass — asserted
- *    by tests/persistency/sweep_test.cc.
+ * SweepOptions::jobs picks where the configs run: one after another
+ * on the caller's thread (jobs == 1, the default), or fanned out on a
+ * TaskPool. Replays share nothing but the read-only trace, so the
+ * results are bit-identical either way — asserted by
+ * tests/persistency/sweep_test.cc.
  *
  * Sweeps run over an in-memory trace; a trace on disk is loaded with
  * readTraceFile (memtrace/trace_io.hh) first.
@@ -34,22 +31,15 @@
 
 namespace persim {
 
-/** How a sweep schedules its engine replays. */
+/** How a sweep schedules its replays. */
 struct SweepOptions
 {
     /**
-     * Analysis workers: 1 = serial single-pass FanoutSink baseline on
-     * the calling thread; 0 = one worker per hardware thread; N > 1 =
-     * a TaskPool of N workers, one engine replay per task.
+     * Analysis workers: 1 = every config in turn on the calling
+     * thread; 0 = one worker per hardware thread; N > 1 = a TaskPool
+     * of N workers, one config per task.
      */
     std::uint32_t jobs = 1;
-
-    /**
-     * Run every config through the compiled-trace path
-     * (persistency/compiled_replay.hh) instead of interpreted replay;
-     * bit-identical results.
-     */
-    bool compiled = false;
 };
 
 /** One sweep sample: the knob value and the analysis result. */
@@ -58,11 +48,7 @@ struct SweepPoint
     std::uint64_t value = 0;
     TimingResult result;
 
-    /**
-     * Wall time spent analyzing this config, in seconds. Under the
-     * serial single-pass strategy the engines share one replay, so
-     * every point reports that shared pass time.
-     */
+    /** Wall time spent analyzing this config, in seconds. */
     double wall_seconds = 0.0;
 };
 

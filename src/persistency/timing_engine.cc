@@ -104,6 +104,546 @@ PersistTimingEngine::DepSetPool::unionOf(DepSetRef a, DepSetRef b)
     return static_cast<DepSetRef>(spans_.size() - 1);
 }
 
+/*
+ * Hot-path handler bodies, inline so process() folds them into its
+ * dispatch loop. The plugin loops stay out of line behind the
+ * notify*Plugins helpers, so the no-plugin path pays one
+ * predicted-untaken branch.
+ */
+
+inline std::uint32_t
+PersistTimingEngine::trackSlot(std::uint64_t key)
+{
+    bool inserted = false;
+    const std::uint32_t slot = track_index_.findOrInsert(key, inserted);
+    if (inserted) {
+        track_store_.push_back(Tag{});
+        if (track_loads_)
+            track_load_.push_back(Tag{});
+        if (detect_races_) {
+            track_sc_.push_back(Tag{});
+            track_sc_src_.push_back(invalid_thread);
+        }
+        if (unified_) {
+            // Shared index: the atomic bank grows in step, so a
+            // persist piece never needs a second hash probe.
+            atomic_last_.push_back(Tag{});
+            atomic_group_start_.push_back(invalid_persist);
+            atomic_group_begin_.push_back(0.0);
+            if (px86_) {
+                px86_ctx_.push_back(Tag{});
+                px86_dirty_head_.push_back(no_piece);
+                px86_dirty_tail_.push_back(no_piece);
+                px86_mark_.push_back(invalid_thread);
+            }
+        }
+    }
+    return slot;
+}
+
+inline std::uint32_t
+PersistTimingEngine::atomicSlot(std::uint64_t block)
+{
+    bool inserted = false;
+    const std::uint32_t aslot = atomic_index_.findOrInsert(block, inserted);
+    if (inserted) {
+        atomic_last_.push_back(Tag{});
+        atomic_group_start_.push_back(invalid_persist);
+        atomic_group_begin_.push_back(0.0);
+        if (px86_) {
+            px86_ctx_.push_back(Tag{});
+            px86_dirty_head_.push_back(no_piece);
+            px86_dirty_tail_.push_back(no_piece);
+            px86_mark_.push_back(invalid_thread);
+        }
+    }
+    return aslot;
+}
+
+inline void
+PersistTimingEngine::recordScTag(std::uint32_t track_slot,
+                                 ThreadState &thread, ThreadId tid)
+{
+    // The SC tag carries the latest persist ordered before this
+    // access in volatile memory order: the thread's inherited shadow
+    // or its own latest persist, whichever is later.
+    const Tag &best = thread.own_persist.t > thread.shadow.t
+        ? thread.own_persist : thread.shadow;
+    if (best.src != invalid_persist && best.t > track_sc_[track_slot].t) {
+        track_sc_[track_slot] = best;
+        track_sc_src_[track_slot] = tid;
+    }
+}
+
+inline void
+PersistTimingEngine::persistPieceAt(SeqNum seq, ThreadId tid,
+                                    ThreadState &thread,
+                                    std::uint32_t track_slot,
+                                    std::uint32_t aslot_hint, Addr addr,
+                                    unsigned size, std::uint64_t value,
+                                    const Tag &dep, DepSource dep_source)
+{
+    const std::uint64_t block = addr >> atomic_shift_;
+    std::uint32_t aslot;
+    if (unified_) {
+        // Same granularity: the tracking probe already found (or
+        // created) this block's atomic slot.
+        aslot = track_slot;
+    } else if (aslot_hint != no_slot_hint) {
+        // A flush passes the slot of the line it drains.
+        aslot = aslot_hint;
+    } else {
+        aslot = atomicSlot(block);
+    }
+    // Copy, not reference: the banks never grow below, but a copy of
+    // five hot words also dodges aliasing with the writes at the end.
+    const Tag last = atomic_last_[aslot];
+    const bool valid = last.src != invalid_persist;
+
+    const PersistId id = next_persist_id_++;
+    ++result_.persists;
+
+    // A persist coalesces into its block's pending atomic persist iff
+    // every dependence outside that pending group completes strictly
+    // before it: either the whole dependence summary is earlier, or
+    // its top dependence *is* the pending group and the rest (oth)
+    // is earlier.
+    bool coalesce = valid && !px86_fresh_group_ &&
+        (dep.t < last.t ||
+         (dep.block == block && dep.t == last.t && dep.oth < last.t));
+    if (coalesce && config_.coalesce_window > 0 &&
+        id - atomic_group_start_[aslot] > config_.coalesce_window) {
+        // The pending persist has drained (finite buffering): the new
+        // persist must be issued separately.
+        coalesce = false;
+        ++result_.window_blocked;
+    }
+
+    double time = 0.0;
+    double start = 0.0;
+    double race_bound = 0.0;
+    PersistId binding = invalid_persist;
+    DepSource binding_source = DepSource::None;
+    if (coalesce) {
+        time = last.t;
+        start = atomic_group_begin_[aslot];
+        binding = last.src;
+        binding_source = DepSource::Coalesced;
+        ++result_.coalesced;
+        race_bound = time;
+    } else {
+        double base = dep.t;
+        binding = dep.src;
+        binding_source = dep_source;
+        if (valid && last.t > dep.t) {
+            // Strong persist atomicity: serialize after the previous
+            // persist to this block.
+            base = last.t;
+            binding = last.src;
+            binding_source = DepSource::SameBlockSPA;
+        }
+        time = nextTime(base);
+        start = base;
+        race_bound = base;
+    }
+
+    if (detect_races_) {
+        // Every persist in this persist's constraint cone has a time
+        // no later than race_bound (times are monotone along
+        // constraint edges), so an SC-preceding foreign persist past
+        // that bound is provably unordered with it: a persist-epoch
+        // race. (Races below the bound can go unreported; the check
+        // is sound, not complete.)
+        if (thread.shadow.src != invalid_persist &&
+            thread.shadow.t > race_bound) {
+            ++result_.races;
+            if (race_samples_.size() < 16) {
+                RaceSample sample;
+                sample.seq = seq;
+                sample.thread = tid;
+                sample.persist = id;
+                sample.foreign = thread.shadow.src;
+                race_samples_.push_back(sample);
+            }
+        }
+    }
+
+    DepSetRef record_ref = 0;
+    if (record_deps_) {
+        record_ref = dep.deps;
+        if (!coalesce && valid) {
+            // Strong persist atomicity: the previous group to this
+            // block is a direct predecessor even when it is not the
+            // timing argmax (same-word persists never reorder).
+            record_ref =
+                deps_.unionOf(record_ref, deps_.singleton(last.src));
+        }
+    }
+
+    Tag out;
+    out.t = time;
+    out.oth = 0.0;
+    out.src = id;
+    out.block = block;
+    out.deps = record_deps_ ? deps_.singleton(id) : 0;
+    atomic_last_[aslot] = out;
+    if (!coalesce) {
+        atomic_group_start_[aslot] = id;
+        atomic_group_begin_[aslot] = start;
+    }
+
+    if (detect_races_ && time > thread.own_persist.t) {
+        Tag own;
+        own.t = time;
+        own.src = id;
+        own.block = block;
+        thread.own_persist = own;
+    }
+
+    if (px86_flush_route_ != nullptr) {
+        // Px86 flush persist: durability routes to the flushing
+        // thread's pending-order tag (strong_dep for clflush,
+        // accum_dep for clflushopt/clwb); nothing is published to
+        // readers or to the thread's epoch until a fence orders it.
+        mergeInto(*px86_flush_route_, out);
+    } else {
+        mergeInto(track_store_[track_slot], out);
+        mergeInto(strict_ ? thread.epoch_dep : thread.accum_dep, out);
+    }
+
+    result_.critical_path = std::max(result_.critical_path, time);
+
+    if (has_plugins_)
+        notifyPersist(seq, tid, addr, size, value, time, start,
+                      race_bound, id, binding, binding_source,
+                      thread.op, coalesce, record_ref);
+
+    if (config_.record_log) {
+        if (stage_count_ == stage_capacity)
+            flushStage();
+        StagedRecord &staged = stage_[stage_count_++];
+        staged.id = id;
+        staged.seq = seq;
+        staged.addr = addr;
+        staged.value = value;
+        staged.time = time;
+        staged.start = start;
+        staged.op = thread.op;
+        staged.binding = binding;
+        staged.thread = tid;
+        staged.deps = record_ref;
+        staged.role = thread.role;
+        staged.binding_source = binding_source;
+        staged.size = static_cast<std::uint8_t>(size);
+    }
+}
+
+inline void
+PersistTimingEngine::px86StorePiece(std::uint32_t track_slot,
+                                    ThreadId tid, ThreadState &thread,
+                                    Addr addr, unsigned size,
+                                    std::uint64_t value, const Tag &dep)
+{
+    const std::uint32_t aslot =
+        unified_ ? track_slot : atomicSlot(addr >> atomic_shift_);
+
+    mergeInto(px86_ctx_[aslot], dep);
+
+    const std::uint32_t tail = px86_dirty_tail_[aslot];
+    if (tail != no_piece && px86_pieces_[tail].addr == addr &&
+        px86_pieces_[tail].size == size) {
+        // Same-word overwrite in cache: only the newest value can
+        // ever reach persistent memory from this line.
+        px86_pieces_[tail].value = value;
+    } else {
+        std::uint32_t idx;
+        if (px86_free_ != no_piece) {
+            idx = px86_free_;
+            px86_free_ = px86_pieces_[idx].next;
+        } else {
+            idx = static_cast<std::uint32_t>(px86_pieces_.size());
+            px86_pieces_.push_back(DirtyPiece{});
+        }
+        DirtyPiece &piece = px86_pieces_[idx];
+        piece.addr = addr;
+        piece.value = value;
+        piece.next = no_piece;
+        piece.tslot = track_slot;
+        piece.size = static_cast<std::uint8_t>(size);
+        if (tail == no_piece)
+            px86_dirty_head_[aslot] = idx;
+        else
+            px86_pieces_[tail].next = idx;
+        px86_dirty_tail_[aslot] = idx;
+    }
+
+    // Durable-before-visible: a thread that later conflicts with this
+    // cell inherits the store's persist dependences — they were
+    // durable before the store became visible.
+    mergeInto(track_store_[track_slot], dep);
+
+    if (px86_mark_[aslot] != tid) {
+        px86_mark_[aslot] = tid;
+        thread.dirty_lines.push_back(aslot);
+    }
+}
+
+inline void
+PersistTimingEngine::handlePieceAt(std::uint32_t track_slot,
+                                   SeqNum seq, ThreadId tid, ThreadState &thread,
+                                   Addr addr, unsigned size,
+                                   std::uint64_t value, bool is_write)
+{
+    const std::uint32_t slot = track_slot;
+    const bool persistent = isPersistentAddr(addr);
+    const bool in_scope = all_scope_ || persistent;
+
+    if (has_plugins_)
+        notifyAccessPlugins(seq, addr, value, tid, size, is_write,
+                            persistent);
+
+    if (detect_races_) {
+        // Shadow SC propagation (all addresses, regardless of the
+        // model's conflict scope): inherit the latest foreign persist
+        // SC-ordered before the previous access of this block.
+        const ThreadId sc_src = track_sc_src_[slot];
+        if (sc_src != invalid_thread && sc_src != tid &&
+            track_sc_[slot].t > thread.shadow.t)
+            thread.shadow = track_sc_[slot];
+    }
+
+    if (!in_scope) {
+        // The SC shadow above still records ground truth.
+        recordScTag(slot, thread, tid);
+        return;
+    }
+
+    if (!is_write) {
+        // Load: conflicts with prior stores to the block; persists
+        // ordered before those stores must precede this thread's
+        // post-barrier persists (immediately, under strict — and
+        // under Px86, where the published facts are already durable
+        // before the store was visible, so no fence is needed to
+        // inherit them).
+        mergeInto(strict_ || px86_ ? thread.epoch_dep
+                                   : thread.accum_dep,
+                  track_store_[slot]);
+        // Record the load so later conflicting stores inherit order
+        // (the load-before-store conflicts BPFS cannot detect).
+        if (track_loads_)
+            mergeInto(track_load_[slot], thread.epoch_dep);
+        if (detect_races_)
+            recordScTag(slot, thread, tid);
+        return;
+    }
+
+    // Store or RMW: conflicts with prior loads and stores to the block.
+    Tag dep = thread.epoch_dep;
+    DepSource dep_source = dep.src != invalid_persist
+        ? DepSource::ThreadEpoch : DepSource::None;
+    {
+        const Tag &cand = track_store_[slot];
+        if (cand.src != invalid_persist && cand.t > dep.t)
+            dep_source = DepSource::ConflictStore;
+        mergeInto(dep, cand);
+    }
+    if (track_loads_) {
+        const Tag &cand = track_load_[slot];
+        if (cand.src != invalid_persist && cand.t > dep.t)
+            dep_source = DepSource::ConflictLoad;
+        mergeInto(dep, cand);
+    }
+
+    if (persistent) {
+        if (px86_) {
+            // Px86: the store only dirties its cache line; it becomes
+            // durable when a later flush covers the line. The thread's
+            // completed clflushes are strongly ordered before it, and
+            // so is its fence-folded flush history: a store issued
+            // after an sfence cannot persist ahead of the persists
+            // that sfence ordered, no matter which thread eventually
+            // flushes the line (false sharing flushes foreign pieces).
+            Tag pdep = dep;
+            mergeInto(pdep, thread.strong_dep);
+            mergeInto(pdep, thread.epoch_dep);
+            px86StorePiece(slot, tid, thread, addr, size, value, pdep);
+        } else {
+            persistPieceAt(seq, tid, thread, slot, no_slot_hint, addr,
+                           size, value, dep, dep_source);
+        }
+        if (detect_races_)
+            recordScTag(slot, thread, tid);
+        return;
+    }
+
+    // Volatile store: inherit the conflict order; record that persists
+    // already barrier-ordered before this store precede it. (Under
+    // Px86 the inherited facts are already durable, hence epoch_dep.)
+    mergeInto(strict_ || px86_ ? thread.epoch_dep : thread.accum_dep,
+              dep);
+    mergeInto(track_store_[slot], thread.epoch_dep);
+    if (px86_)
+        mergeInto(track_store_[slot], thread.strong_dep);
+    if (detect_races_)
+        recordScTag(slot, thread, tid);
+}
+
+inline void
+PersistTimingEngine::handleFlushAt(bool strong, SeqNum seq,
+                                   ThreadId tid, ThreadState &thread,
+                                   Addr addr, std::uint32_t aslot_hint)
+{
+    std::uint32_t aslot;
+    if (aslot_hint != no_slot_hint)
+        aslot = aslot_hint;
+    else if (unified_)
+        aslot = trackSlot(addr >> track_shift_);
+    else
+        aslot = atomicSlot(addr >> atomic_shift_);
+
+    std::uint32_t idx = px86_dirty_head_[aslot];
+
+    if (has_plugins_) {
+        Addr line_base = invalid_addr;
+        if (idx != no_piece)
+            // Dirty: the first dirty piece names the line (barrier
+            // legs arrive with addr 0, so the event address cannot).
+            line_base = (px86_pieces_[idx].addr >> atomic_shift_)
+                        << atomic_shift_;
+        else if (addr != 0)
+            line_base = (addr >> atomic_shift_) << atomic_shift_;
+        notifyFlushPlugins(seq, tid, strong, idx != no_piece,
+                           line_base);
+    }
+
+    Tag &pending = strong ? thread.strong_dep : thread.accum_dep;
+    if (idx == no_piece) {
+        // Clean line: nothing to persist. But same-line flushes are
+        // ordered with each other, so flushing a line whose dirty
+        // pieces a FOREIGN thread's flush already took must still
+        // fold that line's in-flight persists into this thread's
+        // pending flush order — the foreign clflushopt may never be
+        // fenced, and without this fold a barrier over a stolen line
+        // would publish later stores ahead of the stolen data
+        // (observed as a flag-ahead-of-data cut under false sharing).
+        mergeInto(pending, px86_ctx_[aslot]);
+        return;
+    }
+
+    // The flush's persist is ordered after everything the line's
+    // dirty stores depended on plus the thread's fence-ordered
+    // history; clflush is additionally ordered after the thread's
+    // earlier clflushes.
+    Tag dep = thread.epoch_dep;
+    mergeInto(dep, px86_ctx_[aslot]);
+    if (strong)
+        mergeInto(dep, thread.strong_dep);
+    const DepSource dep_source = dep.src != invalid_persist
+        ? DepSource::ThreadEpoch : DepSource::None;
+
+    // Collect the persists' out-tags locally: they become the
+    // thread's pending flush order AND the line's persist history
+    // (px86_ctx_ survives the clear so later same-line flushes and
+    // stores order after this one).
+    Tag out_acc;
+    px86_flush_route_ = &out_acc;
+    bool first = true;
+    while (idx != no_piece) {
+        const DirtyPiece piece = px86_pieces_[idx];
+        px86_fresh_group_ = first;
+        first = false;
+        persistPieceAt(seq, tid, thread, piece.tslot, aslot,
+                       piece.addr, piece.size, piece.value, dep,
+                       dep_source);
+        px86_pieces_[idx].next = px86_free_;
+        px86_free_ = idx;
+        idx = piece.next;
+    }
+    px86_fresh_group_ = false;
+    px86_flush_route_ = nullptr;
+    mergeInto(pending, out_acc);
+
+    px86_dirty_head_[aslot] = no_piece;
+    px86_dirty_tail_[aslot] = no_piece;
+    px86_ctx_[aslot] = out_acc;
+    px86_mark_[aslot] = invalid_thread;
+}
+
+inline void
+PersistTimingEngine::px86Fence(ThreadState &thread)
+{
+    if (config_.mutant == EngineMutant::ElideEpochBarrier)
+        return;
+    mergeInto(thread.epoch_dep, thread.accum_dep);
+    mergeInto(thread.epoch_dep, thread.strong_dep);
+}
+
+inline void
+PersistTimingEngine::px86Barrier(SeqNum seq, ThreadId tid,
+                                 ThreadState &thread)
+{
+    // Canonical epoch->x86 compilation: weak-flush every line the
+    // thread dirtied since its last barrier, then sfence. Flushing a
+    // line someone else already flushed is a clean-line no-op.
+    for (const std::uint32_t aslot : thread.dirty_lines)
+        handleFlushAt(false, seq, tid, thread, 0, aslot);
+    thread.dirty_lines.clear();
+    px86Fence(thread);
+}
+
+inline void
+PersistTimingEngine::handleBarrierEvent(SeqNum seq, ThreadId tid,
+                                        ThreadState &thread)
+{
+    ++result_.barriers;
+    if (px86_)
+        px86Barrier(seq, tid, thread);
+    else if (fold_barrier_)
+        mergeInto(thread.epoch_dep, thread.accum_dep);
+    if (has_plugins_)
+        notifyBarrierPlugins(tid);
+}
+
+inline void
+PersistTimingEngine::handleFenceEvent(bool full, ThreadId tid,
+                                      ThreadState &thread)
+{
+    ++result_.fences;
+    if (px86_)
+        px86Fence(thread);
+    else if (fold_barrier_)
+        // Under the SC models an x86 fence acts as the persist
+        // barrier of its canonical epoch counterpart.
+        mergeInto(thread.epoch_dep, thread.accum_dep);
+    if (has_plugins_)
+        notifyFencePlugins(full, tid);
+}
+
+inline void
+PersistTimingEngine::handleFlushEvent(bool strong, SeqNum seq,
+                                      ThreadId tid, ThreadState &thread,
+                                      Addr addr)
+{
+    // Under the SC-persistency models a flush carries no ordering
+    // (persists are implicit in stores); only Px86 acts on it, and
+    // only Px86 reports it to plugins.
+    ++result_.flushes;
+    if (px86_)
+        handleFlushAt(strong, seq, tid, thread, addr, no_slot_hint);
+}
+
+inline void
+PersistTimingEngine::handleStrandEvent(ThreadId tid, ThreadState &thread)
+{
+    ++result_.strands;
+    if (config_.model.kind == ModelKind::Strand) {
+        thread.epoch_dep = Tag{};
+        thread.accum_dep = Tag{};
+    }
+    if (has_plugins_)
+        notifyStrandPlugins(tid);
+}
+
 void
 PersistTimingEngine::onEvent(const TraceEvent &event)
 {
@@ -158,8 +698,7 @@ PersistTimingEngine::process(const TraceEvent &event)
       case EventKind::CacheFlushOpt:
       case EventKind::CacheWriteBack:
         handleFlushEvent(event.kind == EventKind::CacheFlush,
-                         event.seq, event.thread, thread, event.addr,
-                         no_slot_hint);
+                         event.seq, event.thread, thread, event.addr);
         break;
       case EventKind::StoreFence:
       case EventKind::FullFence:
@@ -210,7 +749,7 @@ PersistTimingEngine::handlePiece(const TraceEvent &event,
     }
 
     const std::uint32_t slot = trackSlot(addr >> track_shift_);
-    handlePieceAt(slot, no_slot_hint, event.seq, event.thread, thread,
+    handlePieceAt(slot, event.seq, event.thread, thread,
                   addr, size, value, is_write);
 }
 
@@ -304,61 +843,38 @@ PersistTimingEngine::notifyStrandPlugins(ThreadId tid)
         plugin->onStrand(tid);
 }
 
-PersistRecord
-PersistTimingEngine::materializeRecord(const StagedRecord &staged) const
-{
-    PersistRecord record;
-    record.id = staged.id;
-    record.seq = staged.seq;
-    record.addr = staged.addr;
-    record.size = staged.size;
-    record.value = staged.value;
-    record.time = staged.time;
-    record.start = staged.start;
-    record.thread = staged.thread;
-    record.op = staged.op;
-    record.role = staged.role;
-    record.binding = staged.binding;
-    record.binding_source = staged.binding_source;
-    if (staged.deps != 0)
-        record.deps.assign(deps_.data(staged.deps),
-                           deps_.data(staged.deps) +
-                               deps_.size(staged.deps));
-    return record;
-}
-
 void
 PersistTimingEngine::flushStage() const
 {
     if (stage_count_ == 0)
         return;
-    if (defer_log_) {
-        deferred_.insert(deferred_.end(), stage_.data(),
-                         stage_.data() + stage_count_);
-        stage_count_ = 0;
-        return;
-    }
     // Grow geometrically: reserve(size + batch) on every flush pins
     // capacity to exactly that, reallocating the whole log every 256
     // records — O(persists^2) record moves on big traces.
     if (log_.capacity() < log_.size() + stage_count_)
         log_.reserve(std::max(log_.size() + stage_count_,
                               2 * log_.capacity()));
-    for (std::size_t i = 0; i < stage_count_; ++i)
-        log_.push_back(materializeRecord(stage_[i]));
+    for (std::size_t i = 0; i < stage_count_; ++i) {
+        const StagedRecord &staged = stage_[i];
+        PersistRecord &record = log_.emplace_back();
+        record.id = staged.id;
+        record.seq = staged.seq;
+        record.addr = staged.addr;
+        record.size = staged.size;
+        record.value = staged.value;
+        record.time = staged.time;
+        record.start = staged.start;
+        record.thread = staged.thread;
+        record.op = staged.op;
+        record.role = staged.role;
+        record.binding = staged.binding;
+        record.binding_source = staged.binding_source;
+        if (staged.deps != 0)
+            record.deps.assign(deps_.data(staged.deps),
+                               deps_.data(staged.deps) +
+                                   deps_.size(staged.deps));
+    }
     stage_count_ = 0;
-}
-
-void
-PersistTimingEngine::materializeDeferred() const
-{
-    if (deferred_.empty())
-        return;
-    log_.reserve(log_.size() + deferred_.size());
-    for (const StagedRecord &staged : deferred_)
-        log_.push_back(materializeRecord(staged));
-    deferred_.clear();
-    deferred_.shrink_to_fit();
 }
 
 void

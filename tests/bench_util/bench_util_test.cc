@@ -226,9 +226,8 @@ parseArgs(std::vector<std::string> args)
 TEST(BenchFlags, ParsesNumericValues)
 {
     const bench::BenchOptions options =
-        parseArgs({"--jobs=4", "--compiled"});
+        parseArgs({"--jobs=4"});
     EXPECT_EQ(options.jobs, 4u);
-    EXPECT_TRUE(options.compiled);
     EXPECT_EQ(parseArgs({"--jobs=0"}).jobs, 0u);
     EXPECT_DOUBLE_EQ(bench::parseFlagNumber<double>("--theta", "0.99"),
                      0.99);
@@ -263,6 +262,16 @@ TEST(BenchFlagsDeathTest, RemovedTraceFileFlagsExitTwo)
     EXPECT_EXIT(parseArgs({"--mmap"}), ::testing::ExitedWithCode(2),
                 "usage");
     EXPECT_EXIT(parseArgs({"--chunk-events=4"}),
+                ::testing::ExitedWithCode(2), "usage");
+}
+
+// Replay is compiled wherever the model allows it, so the opt-in flag
+// is gone and rejected like any unknown flag.
+TEST(BenchFlagsDeathTest, RemovedCompiledFlagExitsTwo)
+{
+    EXPECT_EXIT(parseArgs({"--compiled"}), ::testing::ExitedWithCode(2),
+                "usage");
+    EXPECT_EXIT(parseArgs({"--jobs=4", "--compiled"}),
                 ::testing::ExitedWithCode(2), "usage");
 }
 

@@ -3,13 +3,16 @@
  * Compiled-trace replay tests.
  *
  *  - bit-identity: compiledReplay must produce the same TimingResult
- *    (and, where recorded, the same persist-log hash) as interpreted
- *    replay for every golden fixture under the full frozen golden
- *    configuration matrix, and for the 1M synthetic bench trace
- *    under strict/epoch/strand/px86 plus a recorded-log stochastic
- *    epoch config at jobs in {1, 4};
- *  - the spec guard: a trace compiled under one compile spec must
- *    not replay under another.
+ *    as interpreted replay for every golden fixture under every
+ *    fast-eligible frozen golden configuration, and for the 1M
+ *    synthetic bench trace under strict/epoch/strand;
+ *  - dispatch: replayTrace must match a fresh PersistTimingEngine
+ *    exactly on every golden fixture for strict/epoch/strand/bpfs/px86
+ *    at three tracking/atomic granularity pairs, whichever path it
+ *    takes;
+ *  - the guards: a trace compiled under one granularity must not
+ *    replay under another, and a config the fast executor cannot run
+ *    must fail loudly, naming why.
  *
  * The trace reader's truncation diagnostics (byte-offset reporting)
  * are covered here too: a .trc file is the input compileTrace
@@ -28,7 +31,6 @@
 
 #include "bench_util/synthetic_trace.hh"
 #include "common/error.hh"
-#include "common/task_pool.hh"
 #include "memtrace/compiled_trace.hh"
 #include "memtrace/event.hh"
 #include "memtrace/trace_io.hh"
@@ -37,10 +39,6 @@
 
 namespace persim::test {
 namespace {
-
-// The compiled sentinel must match the segment compiler's.
-static_assert(compiled_no_slot == 0xffffffffu,
-              "compiled_no_slot must match the engine's no-slot-hint");
 
 std::string
 goldenDir()
@@ -141,6 +139,42 @@ TEST(CompiledCache, WrongSpecFingerprintIsAHardError)
     other.model.atomic_granularity = 64; // Different compile spec.
     EXPECT_THROW((void)compiledReplay(trace.view(), other),
                  FatalError);
+    // Fast-eligible, but compiled at 8 bytes, not 64.
+    other.model.tracking_granularity = 64;
+    ASSERT_TRUE(compiledFastEligible(other));
+    const std::string what =
+        errorOf([&] { (void)compiledReplay(trace.view(), other); });
+    EXPECT_NE(what.find("different granularity"), std::string::npos)
+        << what;
+}
+
+// The fast executor runs strict/epoch/strand only: anything else
+// handed to it directly must fail loudly and say why, not fall back.
+TEST(CompiledCache, IneligibleConfigFailsNamingTheReason)
+{
+    const std::vector<TraceEvent> events = loadGolden("cwl1");
+    const CompiledTrace trace =
+        compileTrace(events.data(), events.size(), epochConfig());
+
+    TimingConfig px86;
+    px86.model = ModelConfig::px86();
+    px86.model.tracking_granularity = 8; // Same granularity as trace.
+    px86.model.atomic_granularity = 8;
+    ASSERT_EQ(compiledSpecFingerprint(px86), trace.spec_fp);
+    std::string what =
+        errorOf([&] { (void)compiledReplay(trace.view(), px86); });
+    EXPECT_NE(what.find("px86"), std::string::npos) << what;
+    EXPECT_NE(what.find("not fast-eligible"), std::string::npos) << what;
+
+    TimingConfig logged = epochConfig();
+    logged.record_log = true;
+    what = errorOf([&] { (void)compiledReplay(trace.view(), logged); });
+    EXPECT_NE(what.find("record_log"), std::string::npos) << what;
+
+    // compileTrace refuses them up front as well.
+    what = errorOf(
+        [&] { (void)compileTrace(events.data(), events.size(), px86); });
+    EXPECT_NE(what.find("px86"), std::string::npos) << what;
 }
 
 // ---------------------------------------------------------------
@@ -150,18 +184,11 @@ TEST(CompiledCache, WrongSpecFingerprintIsAHardError)
 /** observeReplay's twin through compile -> execute. */
 GoldenObservation
 observeCompiledReplay(const std::vector<TraceEvent> &events,
-                      const TimingConfig &config, std::uint32_t jobs,
-                      TaskPool *pool)
+                      const TimingConfig &config)
 {
     const CompiledTrace trace =
-        compileTrace(events.data(), events.size(), config, jobs, pool);
-    CompiledReplayOptions options;
-    options.jobs = jobs;
-    options.pool = pool;
-    PersistLog log;
-    const TimingResult result =
-        compiledReplay(trace.view(), config, options,
-                       config.record_log ? &log : nullptr);
+        compileTrace(events.data(), events.size(), config);
+    const TimingResult result = compiledReplay(trace.view(), config);
     GoldenObservation seen;
     seen.critical_path = result.critical_path;
     seen.persists = result.persists;
@@ -172,7 +199,7 @@ observeCompiledReplay(const std::vector<TraceEvent> &events,
     seen.strands = result.strands;
     seen.ops = result.ops;
     seen.events = result.events;
-    seen.log_hash = hashPersistLog(log);
+    seen.log_hash = hashPersistLog(PersistLog{});
     return seen;
 }
 
@@ -195,93 +222,105 @@ expectSameObservation(const GoldenObservation &want,
 
 TEST(CompiledReplayBitIdentity, GoldenFixturesFullConfigMatrix)
 {
-    // Every fixture under every frozen golden configuration — the
-    // same surface the golden regression test pins, including the
-    // order-sensitive persist-log hash (record_log forces the
-    // generic path; the log must match record for record).
+    // Every fixture under every frozen golden configuration that the
+    // fast executor runs once its persist log is off — the same
+    // surface the golden regression test pins. The rest replay only
+    // through the engine.
+    std::size_t compared = 0;
     for (const std::string &name : goldenFixtureNames()) {
         const std::vector<TraceEvent> events = loadGolden(name);
         InMemoryTrace trace;
         trace.onBatch(events.data(), events.size());
         trace.onFinish();
         for (const GoldenConfig &config : goldenConfigs()) {
-            const GoldenObservation want =
-                observeReplay(trace, config.timing);
-            const GoldenObservation got = observeCompiledReplay(
-                events, config.timing, 1, nullptr);
+            TimingConfig timing = config.timing;
+            timing.record_log = false;
+            if (!compiledFastEligible(timing))
+                continue;
+            const GoldenObservation want = observeReplay(trace, timing);
+            const GoldenObservation got =
+                observeCompiledReplay(events, timing);
             expectSameObservation(want, got,
                                   name + "/" + config.name);
+            ++compared;
         }
     }
+    EXPECT_GT(compared, 0u);
 }
 
-TEST(CompiledReplayBitIdentity, SyntheticAllModelsSerialAndJobs)
+/** Every TimingResult field equal, the critical path bit-exactly. */
+void
+expectSameResult(const TimingResult &want, const TimingResult &got,
+                 const std::string &label)
+{
+    EXPECT_EQ(want.critical_path, got.critical_path) << label;
+    EXPECT_EQ(want.persists, got.persists) << label;
+    EXPECT_EQ(want.coalesced, got.coalesced) << label;
+    EXPECT_EQ(want.window_blocked, got.window_blocked) << label;
+    EXPECT_EQ(want.races, got.races) << label;
+    EXPECT_EQ(want.ops, got.ops) << label;
+    EXPECT_EQ(want.events, got.events) << label;
+    EXPECT_EQ(want.barriers, got.barriers) << label;
+    EXPECT_EQ(want.strands, got.strands) << label;
+    EXPECT_EQ(want.flushes, got.flushes) << label;
+    EXPECT_EQ(want.fences, got.fences) << label;
+    EXPECT_EQ(want.unflushed, got.unflushed) << label;
+}
+
+// The dispatch oracle: whichever path replayTrace picks (compiled for
+// strict/epoch/strand at unified granularity, the engine otherwise),
+// its answer is a fresh engine's, field for field.
+TEST(ReplayTrace, MatchesEngineOnGoldenFixtures)
+{
+    const std::pair<std::uint64_t, std::uint64_t> grans[] = {
+        {8, 8}, {64, 64}, {8, 64}}; // {tracking, atomic}
+    std::size_t fast = 0;
+    for (const std::string &name : goldenFixtureNames()) {
+        const InMemoryTrace trace =
+            readTraceFile(goldenDir() + "/" + name + ".trc");
+        for (const ModelConfig &model :
+             {ModelConfig::strict(), ModelConfig::epoch(),
+              ModelConfig::strand(), ModelConfig::bpfs(),
+              ModelConfig::px86()}) {
+            for (const auto &[tracking, atomic] : grans) {
+                TimingConfig config;
+                config.model = model;
+                config.model.tracking_granularity = tracking;
+                config.model.atomic_granularity = atomic;
+                PersistTimingEngine engine(config);
+                trace.replay(engine);
+                expectSameResult(engine.result(),
+                                 replayTrace(trace, config),
+                                 name + "/" + model.name() + "/t" +
+                                     std::to_string(tracking) + "a" +
+                                     std::to_string(atomic));
+                fast += compiledFastEligible(config) ? 1 : 0;
+            }
+        }
+    }
+    // strict/epoch/strand at 8/8 and 64/64 on every fixture.
+    EXPECT_EQ(fast, goldenFixtureNames().size() * 3 * 2);
+}
+
+TEST(CompiledReplayBitIdentity, SyntheticFastModels)
 {
     SyntheticTraceConfig synth;
     synth.events = syntheticEvents();
     const InMemoryTrace trace = buildSyntheticTrace(synth);
-    const std::vector<TraceEvent> events(trace.events().begin(),
-                                         trace.events().end());
-
-    struct Input
-    {
-        std::string name;
-        TimingConfig config;
-        std::size_t count; //!< Events replayed, from the front.
-    };
-    std::vector<Input> inputs;
+    const std::vector<TraceEvent> &events = trace.events();
     for (const ModelConfig &model :
          {ModelConfig::strict(), ModelConfig::epoch(),
-          ModelConfig::strand(), ModelConfig::px86()}) {
+          ModelConfig::strand()}) {
         TimingConfig config;
         config.model = model;
-        inputs.push_back({model.name(), config, events.size()});
-    }
-    // A recorded log under the stochastic clock: at jobs=4 this is
-    // what exercises compiledReplay's parallel deferred-log
-    // materialization, pinned by the order-sensitive log hash. Full
-    // dependence sets grow quadratically with the trace, so this
-    // input replays a prefix.
-    TimingConfig logged;
-    logged.model = ModelConfig::epoch();
-    logged.clock = ClockMode::Stochastic;
-    logged.seed = 42;
-    logged.record_log = true;
-    logged.record_deps = true;
-    inputs.push_back({"epoch_stoch_deps", logged,
-                      std::min<std::size_t>(events.size(), 2048)});
-
-    TaskPool pool(4);
-    for (const auto &[name, config, count] : inputs) {
         PersistTimingEngine engine(config);
-        engine.onBatch(events.data(), count);
+        engine.onBatch(events.data(), events.size());
         engine.onFinish();
-        const TimingResult want = engine.result();
-        const std::uint64_t want_log = hashPersistLog(engine.takeLog());
-        for (const std::uint32_t jobs : {1u, 4u}) {
-            const CompiledTrace compiled = compileTrace(
-                events.data(), count, config, jobs,
-                jobs > 1 ? &pool : nullptr);
-            CompiledReplayOptions options;
-            options.jobs = jobs;
-            options.pool = jobs > 1 ? &pool : nullptr;
-            PersistLog log;
-            const TimingResult got = compiledReplay(
-                compiled.view(), config, options,
-                config.record_log ? &log : nullptr);
-            const std::string label = name + "/jobs" + std::to_string(jobs);
-            EXPECT_EQ(want.critical_path, got.critical_path) << label;
-            EXPECT_EQ(want.persists, got.persists) << label;
-            EXPECT_EQ(want.coalesced, got.coalesced) << label;
-            EXPECT_EQ(want.ops, got.ops) << label;
-            EXPECT_EQ(want.events, got.events) << label;
-            EXPECT_EQ(want.barriers, got.barriers) << label;
-            EXPECT_EQ(want.strands, got.strands) << label;
-            EXPECT_EQ(want.flushes, got.flushes) << label;
-            EXPECT_EQ(want.fences, got.fences) << label;
-            EXPECT_EQ(want.unflushed, got.unflushed) << label;
-            EXPECT_EQ(want_log, hashPersistLog(log)) << label;
-        }
+        const CompiledTrace compiled =
+            compileTrace(events.data(), events.size(), config);
+        expectSameResult(engine.result(),
+                         compiledReplay(compiled.view(), config),
+                         model.name());
     }
 }
 

@@ -21,13 +21,10 @@
  *    program's publish invariant (flag[t] <= data[t]).
  *
  * Odd seeds also compile every trace (persistency/compiled_replay.hh)
- * at a seed-varied jobs count and replay it through both compiled
- * executors, asserted bit-identical to serial replay before the
- * invariants run: the generic executor under the record_log +
- * record_deps config the invariants consume, and the fast executor
- * under the plain Levels config. The invariants then run on the
- * compiled logs, so the fuzzer holds the compiled path to the same
- * refinement and recovery-image checks as the interpreted engine.
+ * and run the fast compiled executor under the plain Levels config,
+ * asserted bit-identical to the engine on every TimingResult field,
+ * so the fuzzer holds the compiled path to the engine oracle on
+ * random programs, not only on fixtures.
  *
  * Iteration count comes from PERSIM_FUZZ_ITERS (default 25; the
  * check.sh fuzz stage runs 500). Any failure prints a one-line repro:
@@ -115,25 +112,15 @@ expectSameResult(const TimingResult &want, const TimingResult &got,
     EXPECT_EQ(want.unflushed, got.unflushed) << leg;
 }
 
-/** Seed-varied compile/materialization workers, 2..4. */
-std::uint32_t
-jobsFor(std::uint64_t seed)
-{
-    return 2 + static_cast<std::uint32_t>(seed % 3);
-}
-
 /**
- * Replay @p trace serially; when @p compiled_seed is nonzero, ALSO
- * compile it at seed-varied jobs and assert compiled replay
- * bit-identical to serial under two configs: the record_log +
- * record_deps one (generic executor, returned so every downstream
- * invariant in checkSeed runs on the compiled log) and the plain
- * Levels one (fast executor for strict/epoch/strand).
+ * Replay @p trace through the engine with a full persist log; when
+ * @p compiled is set, ALSO compile it and assert the fast executor
+ * bit-identical to the engine under the plain Levels config.
  */
 Replay
-replayTrace(const InMemoryTrace &trace, const ModelConfig &model,
+replayModel(const InMemoryTrace &trace, const ModelConfig &model,
             EngineMutant mutant = EngineMutant::None,
-            std::uint64_t compiled_seed = 0)
+            bool compiled = false)
 {
     TimingConfig config;
     config.model = model;
@@ -143,33 +130,20 @@ replayTrace(const InMemoryTrace &trace, const ModelConfig &model,
     PersistTimingEngine engine(config);
     trace.replay(engine);
     Replay serial{engine.result(), engine.takeLog()};
-    if (compiled_seed == 0)
+    if (!compiled)
         return serial;
-
-    // Logging is outside the compile spec: one compiled trace serves both.
-    CompiledReplayOptions options;
-    options.jobs = jobsFor(compiled_seed);
-    const CompiledTrace compiled = compileTrace(
-        trace.events().data(), trace.size(), config, options.jobs);
-    Replay generic;
-    generic.result =
-        compiledReplay(compiled.view(), config, options, &generic.log);
-    EXPECT_EQ(compareLogs(serial.log, generic.log), "")
-        << "compiled generic replay diverged from serial";
-    expectSameResult(serial.result, generic.result, "generic");
 
     TimingConfig plain;
     plain.model = model;
+    EXPECT_TRUE(compiledFastEligible(plain))
+        << "plain " << model.name() << " config left the fast executor";
     PersistTimingEngine plain_engine(plain);
     trace.replay(plain_engine);
-    CompiledReplayStats fast;
+    const CompiledTrace program =
+        compileTrace(trace.events().data(), trace.size(), plain);
     expectSameResult(plain_engine.result(),
-                     compiledReplay(compiled.view(), plain, options,
-                                    nullptr, &fast),
-                     "fast");
-    EXPECT_EQ(fast.fast_path, model.kind != ModelKind::Px86)
-        << "plain " << model.name() << " config left the fast executor";
-    return generic;
+                     compiledReplay(program.view(), plain), "fast");
+    return serial;
 }
 
 std::string
@@ -220,21 +194,17 @@ checkSeed(std::uint64_t seed, FuzzStats &stats)
     sim.runSetup(program.setup);
     sim.run(program.workers);
 
-    // Odd seeds route the replays through compiled replay (asserted
-    // bit-identical to serial inside replayTrace), so the refinement/
-    // recovery invariants below also fuzz the compiled executors.
-    const std::uint64_t pseed = seed % 2 == 1 ? seed : 0;
-    if (pseed != 0)
+    // Odd seeds also run the fast compiled executor (asserted
+    // bit-identical to the engine inside replayModel).
+    const bool compiled = seed % 2 == 1;
+    if (compiled)
         ++stats.compiled_replays;
-    const Replay strict =
-        replayTrace(trace, ModelConfig::strict(), EngineMutant::None,
-                    pseed);
-    const Replay epoch =
-        replayTrace(trace, ModelConfig::epoch(), EngineMutant::None,
-                    pseed);
-    const Replay strand =
-        replayTrace(trace, ModelConfig::strand(), EngineMutant::None,
-                    pseed);
+    const Replay strict = replayModel(trace, ModelConfig::strict(),
+                                      EngineMutant::None, compiled);
+    const Replay epoch = replayModel(trace, ModelConfig::epoch(),
+                                     EngineMutant::None, compiled);
+    const Replay strand = replayModel(trace, ModelConfig::strand(),
+                                      EngineMutant::None, compiled);
 
     // Refinement: each relaxation may only shorten the critical path.
     EXPECT_GE(strict.result.critical_path, epoch.result.critical_path);
@@ -317,9 +287,6 @@ TEST(DifferentialFuzz, RandomPrograms)
  * flushed line may be re-dirtied later without a covering flush, so
  * the final image may lag simulated memory. What must still hold:
  *
- *  - serial and compiled Px86 replay are bit-identical (asserted
- *    inside replayTrace, including the flush/fence/unflushed
- *    counters);
  *  - the Px86 persist log passes verifyLogConsistency;
  *  - persists + unflushed never exceeds the piece count strict
  *    persists (flush coalescing in the dirty bank may only shrink
@@ -356,12 +323,8 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
         sim.runSetup(program.setup);
         sim.run(program.workers);
 
-        const std::uint64_t pseed = seed % 2 == 1 ? seed : 0;
-        if (pseed != 0)
-            ++stats.compiled_replays;
-        const Replay px86 = replayTrace(trace, ModelConfig::px86(),
-                                        EngineMutant::None, pseed);
-        const Replay strict = replayTrace(trace, ModelConfig::strict());
+        const Replay px86 = replayModel(trace, ModelConfig::px86());
+        const Replay strict = replayModel(trace, ModelConfig::strict());
 
         EXPECT_EQ(verifyLogConsistency(px86.log), "");
         EXPECT_EQ(px86.result.events, strict.result.events);
@@ -389,9 +352,8 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
     EXPECT_GT(stats.persists, 0U);
     EXPECT_GT(unflushed, 0U);
     EXPECT_GT(flushes, 0U);
-    std::cout << "fuzz(px86): " << stats.programs << " programs ("
-              << stats.compiled_replays
-              << " via compiled replay), " << stats.events
+    std::cout << "fuzz(px86): " << stats.programs << " programs, "
+              << stats.events
               << " events, " << stats.persists << " persists, "
               << unflushed << " unflushed, " << flushes
               << " flushes, " << stats.cuts_checked
@@ -405,9 +367,7 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
  * truth. Rule 1 (UnorderedPersist) independently re-derives the
  * engine's detect_races analysis from the plugin hook stream alone,
  * so plugin count == TimingResult::races must hold EXACTLY on every
- * (program, model) pair — interpreted and compiled replay alike (odd
- * seeds take the compiled generic executor, which plugins force).
- * The flush-enabled px86 corpus must additionally produce DirtyRead
+ * (program, model) pair. The flush-enabled px86 corpus must additionally produce DirtyRead
  * reports (rule 2 has teeth on random flush programs), and the
  * combined corpus must produce unordered races at all (rule 1 is not
  * vacuous).
@@ -449,19 +409,7 @@ TEST(DifferentialFuzz, PersistRaceDetectorAgreesWithEngine)
                 config.detect_races = true;
                 config.plugins.push_back(&detector);
 
-                TimingResult result;
-                if (seed % 2 == 1) {
-                    CompiledReplayOptions copts;
-                    copts.jobs = jobsFor(seed);
-                    const CompiledTrace compiled =
-                        compileTrace(trace.events().data(), trace.size(),
-                                     config, copts.jobs);
-                    result = compiledReplay(compiled.view(), config, copts);
-                } else {
-                    PersistTimingEngine engine(config);
-                    trace.replay(engine);
-                    result = engine.result();
-                }
+                const TimingResult result = replayTrace(trace, config);
                 EXPECT_EQ(detector.unorderedPersists(), result.races)
                     << "plugin diverged from engine ground truth";
                 unordered += detector.unorderedPersists();
@@ -508,9 +456,9 @@ TEST(DifferentialFuzz, CatchesElideEpochBarrierMutant)
         sim.runSetup(program.setup);
         sim.run(program.workers);
 
-        const Replay strand = replayTrace(trace, ModelConfig::strand());
+        const Replay strand = replayModel(trace, ModelConfig::strand());
         const Replay mutant =
-            replayTrace(trace, ModelConfig::epoch(),
+            replayModel(trace, ModelConfig::epoch(),
                         EngineMutant::ElideEpochBarrier);
 
         if (!compareLogs(mutant.log, strand.log).empty())

@@ -8,8 +8,7 @@
  * TimingResult::races — on hand litmus traces, on every golden
  * fixture under every frozen config (the zero-false-positive pin:
  * the engine's count is ground truth, so equality means no invented
- * races), and under interpreted vs compiled replay. The DirtyRead
- * rule is px86-only and pinned directly on hand traces.
+ * races). The DirtyRead rule is px86-only and pinned directly on hand traces.
  */
 
 #include <cstdlib>
@@ -18,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "memtrace/trace_io.hh"
-#include "persistency/compiled_replay.hh"
 #include "persistency/persist_race.hh"
 #include "persistency/timing_engine.hh"
 #include "tests/persistency/golden_support.hh"
@@ -277,44 +275,6 @@ TEST(PersistRace, NoFalsePositivesOnCleanFixtures)
         EXPECT_EQ(seen.unordered, seen.engine_races) << name;
         if (seen.engine_races == 0)
             EXPECT_EQ(seen.unordered, 0u) << name;
-    }
-}
-
-// Hook-stream identity: the detector must see the same event stream
-// (and so produce identical counts) under interpreted and compiled
-// replay, for every fixture, across jobs values. Plugins force the
-// compiled generic executor, which drives the engine's own handlers.
-TEST(PersistRace, SerialAndCompiledReplayAgree)
-{
-    for (const std::string &name : goldenFixtureNames()) {
-        const InMemoryTrace trace =
-            readTraceFile(goldenDir() + "/" + name + ".trc");
-        for (const ModelConfig &model :
-             {ModelConfig::epoch(), ModelConfig::px86()}) {
-            TimingConfig config;
-            config.model = model;
-
-            PersistRaceDetector serial;
-            config.plugins.assign(1, &serial);
-            PersistTimingEngine engine(config);
-            trace.replay(engine);
-
-            for (std::uint32_t jobs : {2u, 7u}) {
-                PersistRaceDetector compiled;
-                config.plugins.assign(1, &compiled);
-                const CompiledTrace artifact =
-                    compileTrace(trace.events().data(), trace.size(),
-                                 config, jobs);
-                CompiledReplayOptions options;
-                options.jobs = jobs;
-                compiledReplay(artifact.view(), config, options);
-                EXPECT_EQ(compiled.unorderedPersists(),
-                          serial.unorderedPersists())
-                    << name << "/" << model.name() << " jobs=" << jobs;
-                EXPECT_EQ(compiled.dirtyReads(), serial.dirtyReads())
-                    << name << "/" << model.name() << " jobs=" << jobs;
-            }
-        }
     }
 }
 

@@ -75,6 +75,33 @@ expectSameResults(const std::vector<SweepSeries> &a,
     }
 }
 
+/** The sweep's answer from one fresh engine per config. */
+std::vector<SweepSeries>
+engineSweep(const InMemoryTrace &trace,
+            const std::vector<ModelConfig> &models,
+            const std::vector<std::uint64_t> &grans,
+            GranularityKnob knob)
+{
+    std::vector<SweepSeries> series;
+    for (const ModelConfig &base : models) {
+        SweepSeries entry;
+        entry.model = base;
+        for (const std::uint64_t gran : grans) {
+            TimingConfig config;
+            config.model = base;
+            if (knob == GranularityKnob::AtomicPersist)
+                config.model.atomic_granularity = gran;
+            else
+                config.model.tracking_granularity = gran;
+            PersistTimingEngine engine(config);
+            trace.replay(engine);
+            entry.points.push_back({gran, engine.result(), 0.0});
+        }
+        series.push_back(entry);
+    }
+    return series;
+}
+
 TEST(Sweep, GranularitySweepMatchesIndividualRuns)
 {
     const auto trace = contiguousTrace();
@@ -112,10 +139,9 @@ TEST(Sweep, TrackingKnobSweeps)
 TEST(Sweep, ParallelMatchesSerialBitForBit)
 {
     // The acceptance oracle for the task-pool runtime: the parallel
-    // sweep (one engine replay per task) must reproduce the serial
-    // single-pass FanoutSink results exactly, for every config. So
-    // must the compiled sweep (one compile + execute per config),
-    // serial and pooled.
+    // sweep (one replay per task) must reproduce the serial sweep
+    // exactly, for every config — and both must be the engine's
+    // answer, whether a config took the compiled path or not.
     const auto trace = mixedTrace();
     const std::vector<ModelConfig> models{
         ModelConfig::strict(), ModelConfig::epoch(),
@@ -126,6 +152,8 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
          {GranularityKnob::AtomicPersist, GranularityKnob::Tracking}) {
         const auto serial =
             granularitySweep(trace, models, grans, knob);
+        expectSameResults(engineSweep(trace, models, grans, knob),
+                          serial);
         SweepOptions parallel;
         parallel.jobs = 4;
         const auto pooled =
@@ -136,14 +164,6 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
         expectSameResults(
             serial, granularitySweep(trace, models, grans, knob,
                                      hardware));
-        for (const std::uint32_t jobs : {1u, 4u}) {
-            SweepOptions compiled;
-            compiled.jobs = jobs;
-            compiled.compiled = true;
-            expectSameResults(
-                serial, granularitySweep(trace, models, grans, knob,
-                                         compiled));
-        }
     }
 }
 
