@@ -130,7 +130,7 @@ cmake --build build-asan -j \
     persist_race_test pruned_cuts_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
-    compiled_trace_test sim_test replay_test
+    compiled_trace_test sim_test replay_test common_test
 # Fiber stacks are mmap'd and switched by hand: run the engine suites
 # (worker errors and max_events aborts unwind suspended fibers)
 # instrumented, with the ASan fiber-switch annotations live.
@@ -142,9 +142,11 @@ cmake --build build-asan -j \
 ./build-asan/tests/log_test
 ./build-asan/tests/queue_test
 ./build-asan/tests/queue_negative_test
-# The race detector and crash-state pruner index raw addresses into
-# flat maps and arena spans on the hook hot path: run both
-# instrumented too.
+# The paged index behind the timing engine and compileTrace indexes
+# raw page arrays unchecked on the hot path, and the race detector
+# and crash-state pruner index raw addresses into flat maps and arena
+# spans on the hook hot path: run all three instrumented too.
+./build-asan/tests/common_test
 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/persist_race_test
 ./build-asan/tests/pruned_cuts_test

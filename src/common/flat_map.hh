@@ -1,22 +1,25 @@
 /**
  * @file
- * Open-addressing hash index from u64 keys to dense slot numbers.
+ * Indexes from u64 keys to dense slot numbers.
  *
  * The timing engine's per-block state is keyed by block index; the
  * generic std::unordered_map<u64, State> costs a node allocation per
- * block and a pointer chase per event. FlatIndexMap separates the two
- * concerns: it maps keys to dense u32 slots via linear probing over a
- * flat power-of-two table (splitmix64-finalizer hash, ~0.7 max load),
- * and the caller keeps the actual state in parallel struct-of-arrays
- * banks indexed by slot. Slots are handed out in insertion order, so
- * iteration order of the banks is deterministic.
+ * block and a pointer chase per event. These indexes separate the two
+ * concerns: they map keys to dense u32 slots, and the caller keeps
+ * the actual state in parallel struct-of-arrays banks indexed by
+ * slot. Slots are handed out in insertion order, so iteration order
+ * of the banks is deterministic. FlatIndexMap hashes keys into a flat
+ * open-addressing table and suits small or scattered key sets;
+ * PagedIndexMap pages the key space and suits the dense block keys
+ * of whole-trace replay.
  */
 
 #ifndef PERSIM_COMMON_FLAT_MAP_HH
 #define PERSIM_COMMON_FLAT_MAP_HH
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/error.hh"
@@ -47,6 +50,13 @@ class FlatIndexMap
 
     /** Number of distinct keys inserted. */
     std::uint32_t size() const { return count_; }
+
+    /** Heap bytes held by the bucket table. */
+    std::size_t
+    bytes() const
+    {
+        return buckets_.capacity() * sizeof(Bucket);
+    }
 
     /**
      * Slot of @p key, inserting the next dense slot if absent; sets
@@ -157,38 +167,50 @@ class FlatIndexMap
 };
 
 /**
- * FlatIndexMap sharded by the high bits of the key hash.
+ * Paged first-touch index from u64 keys to dense u32 slots.
  *
- * Same contract as FlatIndexMap — u64 keys to dense u32 slots handed
- * out in global insertion order (the dense counter is shared across
- * shards, so slot numbering is exactly what an unsharded map would
- * produce and bank iteration order stays deterministic). The table is
- * split into 2^shard_bits independent probe arrays selected by the
- * top hash bits (the probe offset uses the low bits, so the selector
- * and the probe are independent). Two wins over one big table for the
- * multi-million-block address sets the compiled-trace path interns:
- * rehashes move 1/16th of the keys at a time instead of stalling on
- * one full-table copy, and a shard's probe array stays small enough
- * to live in cache while a run of nearby addresses hammers it.
+ * Same contract as FlatIndexMap — dense slots handed out in insertion
+ * order, the ~0 key rejected, a hard error at max_slots — but laid
+ * out for the block keys the timing engine and compileTrace intern,
+ * which cluster into dense runs (heap and journal addresses). A key
+ * splits into a page number (key >> page_bits) and an offset; a
+ * small FlatIndexMap directory maps page numbers to pages of
+ * page_keys u32 slots, each initialised to no_slot. Neighbouring keys
+ * share a page, so a run of nearby addresses touches one 256-byte
+ * page instead of scattered hash buckets, and a one-entry last-page
+ * cache skips the directory entirely on repeat hits.
+ *
+ * Memory: under 5 B per key when keys are dense; one page plus a
+ * directory bucket (at most page_bytes + 64 B) per key in the worst
+ * case of one key per page. bytes() reports the live footprint.
  */
-class ShardedIndexMap
+class PagedIndexMap
 {
   public:
     static constexpr std::uint64_t empty_key = FlatIndexMap::empty_key;
     static constexpr std::uint32_t no_slot = FlatIndexMap::no_slot;
-    static constexpr unsigned shard_bits = 4;
-    static constexpr std::size_t shard_count =
-        std::size_t{1} << shard_bits;
+    /** 64 keys per page: measured no slower than 512 or 4096 on the
+        kv_shards trace (DESIGN.md §11), and it bounds sparse use. */
+    static constexpr unsigned page_bits = 6;
+    static constexpr std::size_t page_keys = std::size_t{1} << page_bits;
+    static constexpr std::size_t page_bytes =
+        page_keys * sizeof(std::uint32_t);
 
-    explicit ShardedIndexMap(std::uint32_t max_slots = no_slot)
+    explicit PagedIndexMap(std::uint32_t max_slots = no_slot)
         : max_slots_(max_slots)
     {
-        for (Shard &shard : shards_)
-            shard.rehash(initial_buckets);
     }
 
-    /** Number of distinct keys inserted (across all shards). */
+    /** Number of distinct keys inserted. */
     std::uint32_t size() const { return count_; }
+
+    /** Heap bytes held: pages, page table and directory. */
+    std::size_t
+    bytes() const
+    {
+        return pages_.size() * page_bytes +
+            pages_.capacity() * sizeof(pages_[0]) + directory_.bytes();
+    }
 
     /**
      * Slot of @p key, inserting the next dense slot if absent; sets
@@ -197,108 +219,79 @@ class ShardedIndexMap
     std::uint32_t
     findOrInsert(std::uint64_t key, bool &inserted)
     {
+        // ~0 stays reserved so the two indexes accept the same keys.
         PERSIM_REQUIRE(key != empty_key,
-                       "ShardedIndexMap: key ~0 is reserved as the "
+                       "PagedIndexMap: key ~0 is reserved as the "
                        "empty-bucket sentinel");
-        const std::uint64_t hash = mix(key);
-        Shard &shard = shards_[hash >> (64 - shard_bits)];
-        std::size_t at = static_cast<std::size_t>(hash) & shard.mask;
-        while (true) {
-            Bucket &bucket = shard.buckets[at];
-            if (bucket.key == key) {
-                inserted = false;
-                return bucket.slot;
-            }
-            if (bucket.key == empty_key) {
-                if (count_ >= max_slots_)
-                    PERSIM_FATAL("ShardedIndexMap: slot capacity "
-                                 "exhausted (max_slots reached)");
-                inserted = true;
-                const std::uint32_t slot = count_++;
-                bucket.key = key;
-                bucket.slot = slot;
-                if (++shard.count * 10 >= (shard.mask + 1) * 7) {
-                    shard.rehash((shard.mask + 1) * 2);
-                }
-                return slot;
-            }
-            at = (at + 1) & shard.mask;
+        const std::uint64_t page_no = key >> page_bits;
+        std::uint32_t *page =
+            page_no == last_page_no_ ? last_page_ : pageFor(page_no);
+        std::uint32_t &slot = page[key & page_mask];
+        if (slot != no_slot) {
+            inserted = false;
+            return slot;
         }
+        if (count_ >= max_slots_)
+            PERSIM_FATAL("PagedIndexMap: slot capacity "
+                         "exhausted (max_slots reached)");
+        inserted = true;
+        slot = count_++;
+        return slot;
     }
 
     /** Slot of @p key, or no_slot when absent. */
     std::uint32_t
     find(std::uint64_t key) const
     {
-        const std::uint64_t hash = mix(key);
-        const Shard &shard = shards_[hash >> (64 - shard_bits)];
-        std::size_t at = static_cast<std::size_t>(hash) & shard.mask;
-        while (true) {
-            const Bucket &bucket = shard.buckets[at];
-            if (bucket.key == key)
-                return bucket.slot;
-            if (bucket.key == empty_key)
-                return no_slot;
-            at = (at + 1) & shard.mask;
-        }
+        const std::uint64_t page_no = key >> page_bits;
+        if (page_no == last_page_no_)
+            return last_page_[key & page_mask];
+        const std::uint32_t at = directory_.find(page_no);
+        return at == no_slot ? no_slot
+                             : pages_[at][key & page_mask];
     }
 
-    /** Drop every key; keeps the table storage. */
+    /** Drop every key; keeps the page storage for reuse. */
     void
     clear()
     {
-        for (Shard &shard : shards_) {
-            shard.buckets.assign(shard.buckets.size(), Bucket{});
-            shard.count = 0;
-        }
+        for (std::size_t at = 0; at < directory_.size(); ++at)
+            std::fill_n(pages_[at].get(), page_keys, no_slot);
+        directory_.clear();
+        last_page_no_ = no_page;
+        last_page_ = nullptr;
         count_ = 0;
     }
 
   private:
-    static constexpr std::size_t initial_buckets = 16;
+    static constexpr std::uint64_t page_mask = page_keys - 1;
+    /** Never a page number: those are at most ~0 >> page_bits. */
+    static constexpr std::uint64_t no_page = ~0ULL;
 
-    struct Bucket
+    /** Page holding @p page_no, created on first touch; caches it. */
+    std::uint32_t *
+    pageFor(std::uint64_t page_no)
     {
-        std::uint64_t key = empty_key;
-        std::uint32_t slot = no_slot;
-    };
-
-    struct Shard
-    {
-        std::vector<Bucket> buckets;
-        std::size_t mask = 0;
-        std::size_t count = 0;
-
-        void
-        rehash(std::size_t size)
-        {
-            std::vector<Bucket> old = std::move(buckets);
-            buckets.assign(size, Bucket{});
-            mask = size - 1;
-            for (const Bucket &bucket : old) {
-                if (bucket.key == empty_key)
-                    continue;
-                std::size_t at = static_cast<std::size_t>(
-                                     mix(bucket.key)) &
-                    mask;
-                while (buckets[at].key != empty_key)
-                    at = (at + 1) & mask;
-                buckets[at] = bucket;
-            }
+        bool created = false;
+        const std::uint32_t at =
+            directory_.findOrInsert(page_no, created);
+        if (at == pages_.size()) {
+            // Only after clear() do directory slots reuse old pages.
+            pages_.push_back(
+                std::make_unique_for_overwrite<std::uint32_t[]>(
+                    page_keys));
+            std::fill_n(pages_.back().get(), page_keys, no_slot);
         }
-    };
-
-    /** splitmix64 finalizer, identical to FlatIndexMap's. */
-    static std::uint64_t
-    mix(std::uint64_t x)
-    {
-        x += 0x9e3779b97f4a7c15ULL;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-        return x ^ (x >> 31);
+        last_page_no_ = page_no;
+        last_page_ = pages_[at].get();
+        return last_page_;
     }
 
-    std::array<Shard, shard_count> shards_;
+    FlatIndexMap directory_;
+    /** Page storage, indexed by directory slot; never shrinks. */
+    std::vector<std::unique_ptr<std::uint32_t[]>> pages_;
+    std::uint64_t last_page_no_ = no_page;
+    std::uint32_t *last_page_ = nullptr;
     std::uint32_t count_ = 0;
     std::uint32_t max_slots_ = no_slot;
 };

@@ -311,11 +311,9 @@ compileTrace(const TraceEvent *events, std::size_t count,
     out.thread.reserve(count);
     out.tslot.reserve(count);
 
-    // Sharded, like the engine's own tracking index: whole-trace
-    // interning sees every distinct block of the trace (millions for
-    // the big sweeps), where the sharded rehash/locality behavior
-    // pays.
-    ShardedIndexMap index;
+    // The engine's own tracking index type, so both number slots in
+    // the same first-touch order.
+    PagedIndexMap index;
     for (std::size_t i = 0; i < count; ++i) {
         const TraceEvent &event = events[i];
         switch (event.kind) {

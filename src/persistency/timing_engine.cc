@@ -126,7 +126,7 @@ PersistTimingEngine::trackSlot(std::uint64_t key)
         }
         if (unified_) {
             // Shared index: the atomic bank grows in step, so a
-            // persist piece never needs a second hash probe.
+            // persist piece never needs a second index lookup.
             atomic_last_.push_back(Tag{});
             atomic_group_start_.push_back(invalid_persist);
             atomic_group_begin_.push_back(0.0);

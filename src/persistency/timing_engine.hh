@@ -34,11 +34,11 @@
  *
  * Hot-path layout (DESIGN.md Section 11): tags are 40-byte PODs, and
  * per-block state lives in struct-of-arrays banks backed by a common
- * Arena and indexed through ShardedIndexMap, so steady-state replay
+ * Arena and indexed through PagedIndexMap, so steady-state replay
  * performs no per-event heap allocation and no node-based hash
  * walks. When tracking and atomic granularity coincide (the default)
  * the two banks share one index and each persist piece costs a
- * single hash probe. Dependence-id sets (record_deps only) live in
+ * single index lookup. Dependence-id sets (record_deps only) live in
  * an arena-backed DepSetPool referenced by 32-bit handles instead of
  * shared_ptr-counted vectors. Log records are staged in a fixed POD
  * buffer and appended to the PersistLog in batches. All of this is
@@ -587,7 +587,7 @@ class PersistTimingEngine : public TraceSink
 
     /** @name Tracking-block bank (SoA, indexed by track slot) */
     ///@{
-    ShardedIndexMap track_index_;
+    PagedIndexMap track_index_;
     ArenaVector<Tag> track_store_;
     ArenaVector<Tag> track_load_;     //!< only with track_loads_
     ArenaVector<Tag> track_sc_;       //!< only with detect_races_
@@ -601,7 +601,7 @@ class PersistTimingEngine : public TraceSink
      * not invalid_persist.
      */
     ///@{
-    ShardedIndexMap atomic_index_;
+    PagedIndexMap atomic_index_;
     ArenaVector<Tag> atomic_last_;
     ArenaVector<PersistId> atomic_group_start_;
     ArenaVector<double> atomic_group_begin_;

@@ -27,13 +27,17 @@ struct RealizationResult
     std::uint64_t samples = 0;
     std::uint64_t violations = 0;
     std::vector<ViolationRecord> recorded;
+    /** The log held at most one persist; nothing was sampled. */
+    bool degenerate = false;
 };
 
 /**
  * Evaluate every crash time of one realization. @p crash_times must
  * already contain the boundary samples; index c's fault stream is
  * mixSeed(realization_seed, c), so outcomes do not depend on how the
- * schedule was partitioned across workers.
+ * schedule was partitioned across workers. A log of at most one
+ * persist is left to the campaign's closed-form evaluation: the
+ * result is only marked degenerate.
  */
 RealizationResult
 runRealization(const InMemoryTrace &trace,
@@ -46,6 +50,11 @@ runRealization(const InMemoryTrace &trace,
     const PersistLog log =
         stochasticLog(trace, config.injection.model, realization_seed,
                       config.injection.mean_latency);
+    RealizationResult out;
+    if (log.size() <= 1) {
+        out.degenerate = true;
+        return out;
+    }
     double span = 0.0;
     for (const auto &record : log)
         span = std::max(span, record.time);
@@ -57,7 +66,6 @@ runRealization(const InMemoryTrace &trace,
     for (const double fraction : crash_fractions)
         crash_times.push_back(fraction * span);
 
-    RealizationResult out;
     const bool faulty = config.faults.enabled();
     for (std::size_t c = 0; c < crash_times.size(); ++c) {
         const double t = crash_times[c];
@@ -111,6 +119,49 @@ mergeRealization(InjectionResult &result, const RealizationResult &part,
     }
 }
 
+/**
+ * Degenerate traces have a closed-form crash-state set; evaluate it
+ * directly instead of sampling a zero-width time span. Zero persists
+ * (including the empty trace) expose only the empty image; one
+ * persist exposes exactly {empty, that persist}. The log is the one
+ * the campaign seed itself realizes, as it always was.
+ */
+InjectionResult
+runDegenerate(const FaultCampaignConfig &config, const FaultModel &model,
+              const RecoveryInvariant &invariant, const PersistLog &log)
+{
+    std::vector<double> crash_times{-1.0};
+    if (log.size() == 1)
+        crash_times.push_back(log[0].time + 1.0);
+    RealizationResult part;
+    const bool faulty = config.faults.enabled();
+    for (std::size_t c = 0; c < crash_times.size(); ++c) {
+        const double t = crash_times[c];
+        const std::uint64_t fault_seed = mixSeed(config.injection.seed, c);
+        ++part.samples;
+        FaultOutcome outcome;
+        const MemoryImage image = sampleImage(
+            model, log, t, fault_seed, faulty ? &outcome : nullptr);
+        const std::string verdict = invariant(image);
+        if (verdict.empty())
+            continue;
+        ++part.violations;
+        ViolationRecord violation;
+        violation.realization = 0;
+        violation.realization_seed = config.injection.seed;
+        violation.crash_time = t;
+        violation.fault_seed = fault_seed;
+        violation.verdict = verdict;
+        if (faulty && outcome.total() > 0)
+            violation.fault_summary = outcome.summary();
+        part.recorded.push_back(std::move(violation));
+    }
+    InjectionResult result;
+    mergeRealization(result, part,
+                     config.injection.max_recorded_violations, true);
+    return result;
+}
+
 } // namespace
 
 InjectionResult
@@ -124,49 +175,6 @@ runFaultCampaign(const InMemoryTrace &trace,
     const FaultModel model(config.faults, trace);
     const std::uint64_t record_cap =
         config.injection.max_recorded_violations;
-
-    // Degenerate traces have a closed-form crash-state set; evaluate
-    // it directly instead of sampling a zero-width time span. Zero
-    // persists (including the empty trace) expose only the empty
-    // image; one persist exposes exactly {empty, that persist}.
-    {
-        const PersistLog log =
-            stochasticLog(trace, config.injection.model,
-                          config.injection.seed,
-                          config.injection.mean_latency);
-        if (log.size() <= 1) {
-            std::vector<double> crash_times{-1.0};
-            if (log.size() == 1)
-                crash_times.push_back(log[0].time + 1.0);
-            RealizationResult part;
-            const bool faulty = config.faults.enabled();
-            for (std::size_t c = 0; c < crash_times.size(); ++c) {
-                const double t = crash_times[c];
-                const std::uint64_t fault_seed =
-                    mixSeed(config.injection.seed, c);
-                ++part.samples;
-                FaultOutcome outcome;
-                const MemoryImage image = sampleImage(
-                    model, log, t, fault_seed,
-                    faulty ? &outcome : nullptr);
-                const std::string verdict = invariant(image);
-                if (verdict.empty())
-                    continue;
-                ++part.violations;
-                ViolationRecord violation;
-                violation.realization = 0;
-                violation.realization_seed = config.injection.seed;
-                violation.crash_time = t;
-                violation.fault_seed = fault_seed;
-                violation.verdict = verdict;
-                if (faulty && outcome.total() > 0)
-                    violation.fault_summary = outcome.summary();
-                part.recorded.push_back(std::move(violation));
-            }
-            mergeRealization(result, part, record_cap, true);
-            return result;
-        }
-    }
 
     // Draw the whole sampling schedule up front, in exactly the order
     // the serial loop always drew it (per realization: the timing
@@ -199,8 +207,28 @@ runFaultCampaign(const InMemoryTrace &trace,
         pool.parallelFor(realizations, body);
     }
 
-    for (std::uint64_t r = 0; r < realizations; ++r)
+    // Persist-log length does not depend on the stochastic seed
+    // (fault_campaign_test pins it for every model), so the first
+    // realization's log decides degeneracy and no separate probe
+    // replay runs ahead of the fan-out.
+    if (realizations == 0 || parts[0].degenerate) {
+        const PersistLog log =
+            stochasticLog(trace, config.injection.model,
+                          config.injection.seed,
+                          config.injection.mean_latency);
+        if (log.size() <= 1)
+            return runDegenerate(config, model, invariant, log);
+        PERSIM_ASSERT(realizations == 0,
+                      "persist-log length changed with the "
+                      "stochastic seed");
+        return result;
+    }
+    for (std::uint64_t r = 0; r < realizations; ++r) {
+        PERSIM_ASSERT(!parts[r].degenerate,
+                      "persist-log length changed with the "
+                      "stochastic seed");
         mergeRealization(result, parts[r], record_cap, false);
+    }
     return result;
 }
 

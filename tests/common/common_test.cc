@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for src/common: bit utilities, RNG, errors, flat maps.
+ * Unit tests for src/common: bit utilities, RNG, errors, index maps.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "common/error.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
+#include "memtrace/event.hh"
 
 namespace persim {
 namespace {
@@ -234,14 +235,18 @@ TEST(FlatIndexMap, CapacityBoundIsAHardError)
     EXPECT_TRUE(inserted);
 }
 
+// The ShardedIndexMap.* tests predate the paged index; they keep
+// their names and now pin PagedIndexMap, which replaced the sharded
+// hash table in the timing engine and compileTrace.
+
 TEST(ShardedIndexMap, MatchesFlatIndexMapSlotNumbering)
 {
-    // The sharded map must hand out the same dense insertion-order
-    // slots as the unsharded map — the timing engine's slot numbers
-    // are part of the bit-identity surface (compiled traces bake
-    // them in).
+    // The paged index must hand out the same dense insertion-order
+    // slots as the hashed map — the timing engine's slot numbers are
+    // part of the bit-identity surface (compiled traces bake them
+    // in).
     FlatIndexMap flat;
-    ShardedIndexMap sharded;
+    PagedIndexMap paged;
     Rng rng(7);
     std::vector<std::uint64_t> keys;
     for (int i = 0; i < 5000; ++i)
@@ -249,22 +254,22 @@ TEST(ShardedIndexMap, MatchesFlatIndexMapSlotNumbering)
     bool fi = false, si = false;
     for (const std::uint64_t key : keys) {
         EXPECT_EQ(flat.findOrInsert(key, fi),
-                  sharded.findOrInsert(key, si));
+                  paged.findOrInsert(key, si));
         EXPECT_EQ(fi, si);
     }
-    EXPECT_EQ(flat.size(), sharded.size());
+    EXPECT_EQ(flat.size(), paged.size());
     for (std::uint64_t key = 0; key < 1100; ++key)
-        EXPECT_EQ(flat.find(key), sharded.find(key));
+        EXPECT_EQ(flat.find(key), paged.find(key));
 }
 
 TEST(ShardedIndexMap, SentinelAndCapacityMirrorFlatMap)
 {
-    ShardedIndexMap map(4);
+    PagedIndexMap map(4);
     bool inserted = false;
-    EXPECT_THROW(map.findOrInsert(ShardedIndexMap::empty_key, inserted),
+    EXPECT_THROW(map.findOrInsert(PagedIndexMap::empty_key, inserted),
                  FatalError);
-    EXPECT_EQ(map.find(ShardedIndexMap::empty_key),
-              ShardedIndexMap::no_slot);
+    EXPECT_EQ(map.find(PagedIndexMap::empty_key),
+              PagedIndexMap::no_slot);
     for (std::uint64_t key = 0; key < 4; ++key)
         map.findOrInsert(key, inserted);
     EXPECT_THROW(map.findOrInsert(99, inserted), FatalError);
@@ -276,9 +281,10 @@ TEST(ShardedIndexMap, SentinelAndCapacityMirrorFlatMap)
 
 TEST(ShardedIndexMap, SurvivesPerShardRehash)
 {
-    // Far past the initial per-shard bucket count: every shard
-    // rehashes several times and lookups still resolve.
-    ShardedIndexMap map;
+    // Far past the directory's initial bucket count: one key per
+    // page, so the directory rehashes many times and every lookup
+    // still resolves.
+    PagedIndexMap map;
     bool inserted = false;
     constexpr std::uint64_t n = 100000;
     for (std::uint64_t key = 0; key < n; ++key)
@@ -288,7 +294,110 @@ TEST(ShardedIndexMap, SurvivesPerShardRehash)
     for (std::uint64_t key = 0; key < n; ++key)
         EXPECT_EQ(map.find(key * 64 + 1),
                   static_cast<std::uint32_t>(key));
-    EXPECT_EQ(map.find(3), ShardedIndexMap::no_slot);
+    EXPECT_EQ(map.find(3), PagedIndexMap::no_slot);
+}
+
+TEST(PagedIndexMap, MatchesFlatIndexMapAcrossPagesAndRegions)
+{
+    // Block keys (8-byte blocks) near the volatile and persistent
+    // bases, walked in short runs that cross page boundaries and
+    // jump between the two regions, plus the extreme keys 0 and
+    // ~0 - 1: slots and inserted flags must equal FlatIndexMap's.
+    const std::uint64_t bases[] = {
+        0, volatile_base >> 3, persistent_base >> 3,
+        (persistent_base >> 3) + (std::uint64_t{1} << 30),
+        PagedIndexMap::empty_key - (std::uint64_t{1} << 14)};
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        FlatIndexMap flat;
+        PagedIndexMap paged;
+        Rng rng(seed);
+        std::vector<std::uint64_t> keys{0, PagedIndexMap::empty_key - 1};
+        for (int run = 0; run < 400; ++run) {
+            const std::uint64_t base = bases[rng.next() % 5];
+            std::uint64_t key = base + rng.next() % 4096;
+            const std::uint64_t len = 1 + rng.next() % 200;
+            for (std::uint64_t i = 0; i < len; ++i) {
+                keys.push_back(key);
+                key += 1 + rng.next() % 3;
+            }
+        }
+        keys.push_back(0);
+        keys.push_back(PagedIndexMap::empty_key - 1);
+        bool fi = false, pi = false;
+        for (const std::uint64_t key : keys) {
+            ASSERT_EQ(flat.findOrInsert(key, fi),
+                      paged.findOrInsert(key, pi))
+                << "seed " << seed << " key " << key;
+            ASSERT_EQ(fi, pi);
+        }
+        EXPECT_EQ(flat.size(), paged.size());
+        for (const std::uint64_t key : keys)
+            EXPECT_EQ(flat.find(key), paged.find(key));
+    }
+}
+
+TEST(PagedIndexMap, FindOfAbsentKeys)
+{
+    PagedIndexMap map;
+    bool inserted = false;
+    const std::uint64_t base = persistent_base >> 3;
+    map.findOrInsert(base + 5, inserted);
+    map.findOrInsert(7, inserted); // Moves the last-page cache away.
+    // Absent keys on a page that exists, hit through the directory
+    // and through the last-page cache.
+    EXPECT_EQ(map.find(base + 6), PagedIndexMap::no_slot);
+    EXPECT_EQ(map.find(base), PagedIndexMap::no_slot);
+    EXPECT_EQ(map.find(6), PagedIndexMap::no_slot);
+    // Absent keys on pages that do not exist.
+    EXPECT_EQ(map.find(base + PagedIndexMap::page_keys),
+              PagedIndexMap::no_slot);
+    EXPECT_EQ(map.find(PagedIndexMap::empty_key - 1),
+              PagedIndexMap::no_slot);
+    // find() creates nothing.
+    EXPECT_EQ(map.size(), 2u);
+    EXPECT_EQ(map.find(base + 5), 0u);
+    EXPECT_EQ(map.find(7), 1u);
+}
+
+TEST(PagedIndexMap, ClearThenReuse)
+{
+    PagedIndexMap map;
+    bool inserted = false;
+    for (std::uint64_t key = 0; key < 1000; ++key)
+        map.findOrInsert(key * 3, inserted);
+    const std::size_t bytes = map.bytes();
+    map.clear();
+    EXPECT_EQ(map.size(), 0u);
+    for (std::uint64_t key = 0; key < 1000; ++key)
+        EXPECT_EQ(map.find(key * 3), PagedIndexMap::no_slot);
+    // Fresh first-touch numbering, in a different order, on the kept
+    // pages.
+    for (std::uint64_t key = 1000; key-- > 0;) {
+        EXPECT_EQ(map.findOrInsert(key * 3, inserted),
+                  static_cast<std::uint32_t>(999 - key));
+        EXPECT_TRUE(inserted);
+    }
+    EXPECT_EQ(map.size(), 1000u);
+    EXPECT_EQ(map.bytes(), bytes);
+}
+
+TEST(PagedIndexMap, SparseAndDenseBytesPerKey)
+{
+    // The worst case, one key per page, costs one page plus its share
+    // of the page table and directory: at most page_bytes + 64 bytes
+    // per key (256 + 64 = 320 with 64-key pages). Dense keys cost
+    // about one u32 slot each: at most 8 bytes per key.
+    constexpr std::uint64_t n = 20000;
+    bool inserted = false;
+    PagedIndexMap sparse;
+    for (std::uint64_t i = 0; i < n; ++i)
+        sparse.findOrInsert(i * PagedIndexMap::page_keys * 97, inserted);
+    EXPECT_EQ(sparse.size(), n);
+    EXPECT_LE(sparse.bytes(), n * (PagedIndexMap::page_bytes + 64));
+    PagedIndexMap dense;
+    for (std::uint64_t i = 0; i < n * 64; ++i)
+        dense.findOrInsert(persistent_base + i, inserted);
+    EXPECT_LE(dense.bytes(), n * 64 * 8);
 }
 
 } // namespace

@@ -3,8 +3,10 @@
  * Device-fault campaign tests: the zero-fault campaign reproduces
  * injectFailures bit-identically, parallel fan-out equals the serial
  * baseline, every recorded violation replays to the same verdict from
- * its repro line, and tearing distinguishes correctly-annotated
- * durability protocols from their barrier-elision mutants.
+ * its repro line, tearing distinguishes correctly-annotated
+ * durability protocols from their barrier-elision mutants, and the
+ * persist-log length the degenerate-trace check reads does not depend
+ * on the stochastic seed.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +15,11 @@
 #include <vector>
 
 #include "bench_util/queue_workload.hh"
+#include "explore/programs.hh"
 #include "pstruct/log.hh"
 #include "queue/queue.hh"
 #include "recovery/fault_campaign.hh"
+#include "sim/engine.hh"
 #include "tests/support/trace_builder.hh"
 
 namespace persim {
@@ -320,6 +324,54 @@ TEST(FaultCampaign, ReproParsingIgnoresLeadingTextAndRejectsGarbage)
 
     EXPECT_FALSE(parseFaultRepro("no repro here", parsed));
     EXPECT_FALSE(parseFaultRepro("seed=0x12 crash=zzz", parsed));
+}
+
+TEST(FaultCampaign, PersistLogLengthDoesNotDependOnTheSeed)
+{
+    // runFaultCampaign decides whether a trace is degenerate (at most
+    // one persist) from its first realization's log, not from a
+    // separate replay under the campaign seed. That is sound only if
+    // the stochastic clock moves persist times, never the number of
+    // persists: pin it on the differential fuzzer's random programs,
+    // under SC and TSO, for every model.
+    const ModelConfig sc_models[] = {
+        ModelConfig::strict(), ModelConfig::epoch(),
+        ModelConfig::strand(), ModelConfig::bpfs()};
+    std::uint64_t persists = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        SCOPED_TRACE("program seed " + std::to_string(seed));
+        RandomProgramOptions options;
+        options.threads = 2 + static_cast<std::uint32_t>(seed % 2);
+        // x86 programs carry no NewStrand; they run under px86 too.
+        const bool x86 = seed % 2 == 0;
+        options.allow_strands = !x86;
+        options.allow_flushes = x86;
+        ExploreProgram program = randomProgram(seed, options)();
+        EngineConfig engine_config = program.engine;
+        engine_config.seed = seed;
+        if (seed % 4 < 2)
+            engine_config.consistency = ConsistencyModel::TSO;
+        InMemoryTrace trace;
+        ExecutionEngine sim(engine_config, &trace);
+        sim.runSetup(program.setup);
+        sim.run(program.workers);
+
+        std::vector<ModelConfig> models(std::begin(sc_models),
+                                        std::end(sc_models));
+        if (x86)
+            models.push_back(ModelConfig::px86());
+        for (const ModelConfig &model : models) {
+            const std::size_t want = stochasticLog(trace, model, 1).size();
+            persists += want;
+            for (const std::uint64_t stochastic_seed : {2, 9, 77, 1234})
+                EXPECT_EQ(stochasticLog(trace, model, stochastic_seed)
+                              .size(),
+                          want)
+                    << model.name() << " stochastic seed "
+                    << stochastic_seed;
+        }
+    }
+    EXPECT_GT(persists, 40u * 5u); // The programs do persist.
 }
 
 } // namespace
