@@ -130,7 +130,8 @@ cmake --build build-asan -j \
     persist_race_test pruned_cuts_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
-    compiled_trace_test sim_test replay_test common_test
+    compiled_trace_test sim_test replay_test common_test \
+    timing_engine_test px86_test golden_replay_test explore_test
 # Fiber stacks are mmap'd and switched by hand: run the engine suites
 # (worker errors and max_events aborts unwind suspended fibers)
 # instrumented, with the ASan fiber-switch annotations live.
@@ -144,12 +145,23 @@ cmake --build build-asan -j \
 ./build-asan/tests/queue_negative_test
 # The paged index behind the timing engine and compileTrace indexes
 # raw page arrays unchecked on the hot path, and the race detector
-# and crash-state pruner index raw addresses into flat maps and arena
-# spans on the hook hot path: run all three instrumented too.
+# and crash-state pruner index raw addresses into flat maps and the
+# engine's dep-set pool on the hook hot path: run all three
+# instrumented too.
 ./build-asan/tests/common_test
 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/persist_race_test
 ./build-asan/tests/pruned_cuts_test
+# The timing engine's banks are std::vectors that free their old
+# storage when they grow, so a bank reference held across a slot
+# insert is a use-after-free: run the engine suites instrumented —
+# unified and separate line banks, px86 dirty lists and flushes, the
+# frozen golden outputs, and the explorer's record_deps dep-set pool.
+./build-asan/tests/timing_engine_test
+./build-asan/tests/px86_test
+PERSIM_GOLDEN_DIR=tests/persistency/golden \
+    ./build-asan/tests/golden_replay_test
+./build-asan/tests/explore_test
 # The KV recovery ladder parses checksummed buckets, journal records,
 # and deliberately bit-flipped images (the corruption fuzzer lives in
 # kv_recovery_test): run all three KV suites instrumented.

@@ -9,6 +9,17 @@
 
 namespace persim {
 
+namespace {
+
+template <typename T>
+std::size_t
+capacityBytes(const std::vector<T> &column)
+{
+    return column.capacity() * sizeof(T);
+}
+
+} // namespace
+
 const char *
 depSourceName(DepSource source)
 {
@@ -37,12 +48,7 @@ TimingResult::criticalPathPerOp() const
 }
 
 PersistTimingEngine::PersistTimingEngine(const TimingConfig &config)
-    : config_(config), rng_(config.seed), track_store_(arena_),
-      track_load_(arena_), track_sc_(arena_), track_sc_src_(arena_),
-      atomic_last_(arena_), atomic_group_start_(arena_),
-      atomic_group_begin_(arena_), px86_ctx_(arena_),
-      px86_dirty_head_(arena_), px86_dirty_tail_(arena_),
-      px86_mark_(arena_), deps_(arena_)
+    : config_(config), rng_(config.seed)
 {
     config_.model.validate();
     PERSIM_REQUIRE(config_.mean_latency > 0.0,
@@ -97,11 +103,29 @@ PersistTimingEngine::DepSetPool::unionOf(DepSetRef a, DepSetRef b)
         return a;
     if (scratch_.size() == size(b))
         return b;
-    const std::uint64_t off =
-        ids_.appendSpan(scratch_.data(), scratch_.size());
     spans_.push_back(
-        Span{off, static_cast<std::uint32_t>(scratch_.size())});
+        Span{ids_.size(), static_cast<std::uint32_t>(scratch_.size())});
+    ids_.insert(ids_.end(), scratch_.begin(), scratch_.end());
     return static_cast<DepSetRef>(spans_.size() - 1);
+}
+
+std::size_t
+PersistTimingEngine::DepSetPool::bytes() const
+{
+    return capacityBytes(ids_) + capacityBytes(spans_) +
+        capacityBytes(scratch_);
+}
+
+std::size_t
+PersistTimingEngine::stateBytes() const
+{
+    return capacityBytes(track_store_) + capacityBytes(track_load_) +
+        capacityBytes(track_sc_) + capacityBytes(track_sc_src_) +
+        capacityBytes(atomic_last_) + capacityBytes(atomic_group_start_) +
+        capacityBytes(atomic_group_begin_) + capacityBytes(px86_ctx_) +
+        capacityBytes(px86_dirty_head_) + capacityBytes(px86_dirty_tail_) +
+        capacityBytes(px86_mark_) + capacityBytes(px86_pieces_) +
+        deps_.bytes() + track_index_.bytes() + atomic_index_.bytes();
 }
 
 /*

@@ -33,13 +33,16 @@
  * completion times used for failure injection in src/recovery/.
  *
  * Hot-path layout (DESIGN.md Section 11): tags are 40-byte PODs, and
- * per-block state lives in struct-of-arrays banks backed by a common
- * Arena and indexed through PagedIndexMap, so steady-state replay
- * performs no per-event heap allocation and no node-based hash
- * walks. When tracking and atomic granularity coincide (the default)
- * the two banks share one index and each persist piece costs a
- * single index lookup. Dependence-id sets (record_deps only) live in
- * an arena-backed DepSetPool referenced by 32-bit handles instead of
+ * per-block state lives in struct-of-arrays banks (plain
+ * std::vector columns, one row per slot) indexed through
+ * PagedIndexMap, so steady-state replay performs no per-event heap
+ * allocation (growth is amortized) and no node-based hash walks.
+ * Growth reallocates a bank, so code holds slot numbers, never bank
+ * references, across anything that can add a slot. When tracking and
+ * atomic granularity coincide (the default) the two banks share one
+ * index and each persist piece costs a single index lookup.
+ * Dependence-id sets (record_deps only) live in a DepSetPool of
+ * offset-addressed spans referenced by 32-bit handles instead of
  * shared_ptr-counted vectors. Log records are staged in a fixed POD
  * buffer and appended to the PersistLog in batches. All of this is
  * bit-identical to the original scalar formulation — asserted by
@@ -55,7 +58,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "memtrace/sink.hh"
@@ -247,6 +249,15 @@ class PersistTimingEngine : public TraceSink
         return std::move(log_);
     }
 
+    /**
+     * Bytes held by the per-block state: every SoA bank, the
+     * dependence-set pool and the px86 dirty-piece pool (capacity,
+     * not size, times element size) plus both address indexes'
+     * PagedIndexMap::bytes(). DESIGN.md Section 11 states its
+     * ceiling.
+     */
+    std::size_t stateBytes() const;
+
   private:
     /** Handle into the DepSetPool; 0 is the empty set. */
     using DepSetRef = std::uint32_t;
@@ -284,8 +295,9 @@ class PersistTimingEngine : public TraceSink
     };
 
     /**
-     * Immutable sorted persist-id sets, stored as spans in one
-     * arena-backed id array and referenced by dense handles. Sets are
+     * Immutable sorted persist-id sets, stored as (offset, length)
+     * spans of one id vector and referenced by dense handles, so a
+     * handle survives the vector's reallocation. Sets are
      * never freed individually (the pool lives exactly as long as one
      * analysis), matching the shared immutable-vector semantics of
      * the original formulation without per-merge refcount traffic.
@@ -293,15 +305,15 @@ class PersistTimingEngine : public TraceSink
     class DepSetPool
     {
       public:
-        explicit DepSetPool(Arena &arena) : ids_(arena)
+        DepSetPool()
         {
             spans_.push_back(Span{0, 0}); // ref 0 = the empty set
         }
 
         DepSetRef singleton(PersistId id)
         {
-            const std::uint64_t off = ids_.appendSpan(&id, 1);
-            spans_.push_back(Span{off, 1});
+            spans_.push_back(Span{ids_.size(), 1});
+            ids_.push_back(id);
             return static_cast<DepSetRef>(spans_.size() - 1);
         }
 
@@ -318,6 +330,9 @@ class PersistTimingEngine : public TraceSink
             return spans_[ref].len;
         }
 
+        /** Capacity bytes of the id, span and scratch vectors. */
+        std::size_t bytes() const;
+
       private:
         struct Span
         {
@@ -325,7 +340,7 @@ class PersistTimingEngine : public TraceSink
             std::uint32_t len;
         };
 
-        ArenaVector<PersistId> ids_;
+        std::vector<PersistId> ids_;
         std::vector<Span> spans_;
         std::vector<PersistId> scratch_;
     };
@@ -583,15 +598,13 @@ class PersistTimingEngine : public TraceSink
     unsigned atomic_shift_ = 3;
     ///@}
 
-    Arena arena_;
-
     /** @name Tracking-block bank (SoA, indexed by track slot) */
     ///@{
     PagedIndexMap track_index_;
-    ArenaVector<Tag> track_store_;
-    ArenaVector<Tag> track_load_;     //!< only with track_loads_
-    ArenaVector<Tag> track_sc_;       //!< only with detect_races_
-    ArenaVector<ThreadId> track_sc_src_;
+    std::vector<Tag> track_store_;
+    std::vector<Tag> track_load_;     //!< only with track_loads_
+    std::vector<Tag> track_sc_;       //!< only with detect_races_
+    std::vector<ThreadId> track_sc_src_;
     ///@}
 
     /**
@@ -602,9 +615,9 @@ class PersistTimingEngine : public TraceSink
      */
     ///@{
     PagedIndexMap atomic_index_;
-    ArenaVector<Tag> atomic_last_;
-    ArenaVector<PersistId> atomic_group_start_;
-    ArenaVector<double> atomic_group_begin_;
+    std::vector<Tag> atomic_last_;
+    std::vector<PersistId> atomic_group_start_;
+    std::vector<double> atomic_group_begin_;
     ///@}
 
     /**
@@ -630,10 +643,10 @@ class PersistTimingEngine : public TraceSink
 
     static constexpr std::uint32_t no_piece = ~0u;
 
-    ArenaVector<Tag> px86_ctx_;
-    ArenaVector<std::uint32_t> px86_dirty_head_;
-    ArenaVector<std::uint32_t> px86_dirty_tail_;
-    ArenaVector<ThreadId> px86_mark_;
+    std::vector<Tag> px86_ctx_;
+    std::vector<std::uint32_t> px86_dirty_head_;
+    std::vector<std::uint32_t> px86_dirty_tail_;
+    std::vector<ThreadId> px86_mark_;
     std::vector<DirtyPiece> px86_pieces_;
     std::uint32_t px86_free_ = no_piece;
 

@@ -26,6 +26,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "bench/bench_common.hh"
 #include "bench_util/bench_report.hh"
@@ -37,24 +38,71 @@ using namespace persim;
 
 namespace {
 
-/** Best-of-N replay, mirroring bench/replay_baseline.cc. */
+/**
+ * Seconds of one interpreted replay; engine set-up and teardown stay
+ * outside the timer, as in bench/replay_baseline.cc.
+ */
 double
-bestReplaySeconds(const InMemoryTrace &trace, const ModelConfig &model)
+replaySeconds(const InMemoryTrace &trace, const ModelConfig &model)
 {
-    constexpr int reps = 5;
+    TimingConfig config;
+    config.model = model;
+    PersistTimingEngine engine(config);
+    bench::Stopwatch watch;
+    trace.replay(engine);
+    return watch.seconds();
+}
+
+/** Seconds of one compiled-path execution (compiled outside it). */
+double
+compiledSeconds(const CompiledTraceView &view, const TimingConfig &config)
+{
+    bench::Stopwatch watch;
+    (void)compiledReplay(view, config);
+    return watch.seconds();
+}
+
+/** Best of @p reps calls of @p seconds, each returning its time. */
+template <typename Seconds>
+double
+bestOf(int reps, Seconds &&seconds)
+{
     double best = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-        TimingConfig config;
-        config.model = model;
-        PersistTimingEngine engine(config);
-        bench::Stopwatch watch;
-        trace.replay(engine);
-        const double wall = watch.seconds();
+        const double wall = seconds();
         if (rep == 0 || wall < best)
             best = wall;
     }
     return best;
 }
+
+/**
+ * Best of @p reps calls of each of two timed calls, alternated rep by
+ * rep: a burst of host load then slows both sides of a ratio, where
+ * timing all of one side before the other lets it slow only one.
+ */
+template <typename SecondsA, typename SecondsB>
+std::pair<double, double>
+interleavedBest(int reps, SecondsA &&seconds_a, SecondsB &&seconds_b)
+{
+    double best_a = 0.0;
+    double best_b = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+        const double wall_a = seconds_a();
+        const double wall_b = seconds_b();
+        if (rep == 0 || wall_a < best_a)
+            best_a = wall_a;
+        if (rep == 0 || wall_b < best_b)
+            best_b = wall_b;
+    }
+    return {best_a, best_b};
+}
+
+/** Reps of the absolute-throughput gates, as in bench/replay_baseline. */
+constexpr int baseline_reps = 5;
+
+/** Reps of each side of a paired ratio gate. */
+constexpr int paired_reps = 9;
 
 } // namespace
 
@@ -90,7 +138,9 @@ TEST(PerfReplay, SyntheticTraceHoldsBaselineThroughput)
             << "baseline trace shape changed; regenerate "
             << baseline_path;
 
-        const double wall = bestReplaySeconds(trace, entry.model);
+        const double wall = bestOf(baseline_reps, [&] {
+            return replaySeconds(trace, entry.model);
+        });
         const double rate = static_cast<double>(trace.size()) / wall;
         const double floor = 0.5 * it->second.events_per_sec;
         std::cout << entry.name << ": " << rate / 1e6
@@ -104,34 +154,14 @@ TEST(PerfReplay, SyntheticTraceHoldsBaselineThroughput)
     }
 }
 
-namespace {
-
-/** Best-of-5 compiled-path execution (compiled outside the timer). */
-double
-bestCompiledSeconds(const CompiledTraceView &view,
-                    const TimingConfig &config)
-{
-    constexpr int reps = 5;
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        bench::Stopwatch watch;
-        (void)compiledReplay(view, config);
-        const double wall = watch.seconds();
-        if (rep == 0 || wall < best)
-            best = wall;
-    }
-    return best;
-}
-
-} // namespace
-
 /**
  * Compiled-replay speedup gate: executing the persisted micro-op
  * columns must beat interpreted serial replay of the same trace by a
  * wide margin, or the compiled path has lost its reason to exist.
- * Interpreted and compiled are measured back-to-back in this process
- * (paired best-of-5), so the ratio cancels most machine noise. Each
- * floor is 0.8x the median ratio of 9 runs on a 4-vCPU x86-64 host
+ * Interpreted and compiled are measured in this process, alternating
+ * rep by rep (best of 9 each), so the ratio cancels most machine
+ * noise, host-load bursts included. Each floor is 0.8x the median
+ * ratio of 9 runs on a 4-vCPU x86-64 host
  * (RelWithDebInfo), taken after the paged address index sped up the
  * engine but not the compiled executor (medians strict 4.17x, epoch
  * 3.64x, strand 3.17x — see EXPERIMENTS.md):
@@ -159,11 +189,12 @@ TEST(PerfReplay, CompiledReplayBeatsInterpretedSerial)
     for (const Gate &gate : gates) {
         TimingConfig config;
         config.model = gate.model;
-        const double serial = bestReplaySeconds(trace, gate.model);
         const CompiledTrace compiled = compileTrace(
             trace.events().data(), trace.events().size(), config);
-        const double fast =
-            bestCompiledSeconds(compiled.view(), config);
+        const auto [serial, fast] = interleavedBest(
+            paired_reps,
+            [&] { return replaySeconds(trace, gate.model); },
+            [&] { return compiledSeconds(compiled.view(), config); });
         const double speedup = serial / fast;
         std::cout << gate.name << ": interpreted " << serial
                   << " s, compiled " << fast << " s, speedup "
@@ -204,8 +235,9 @@ TEST(PerfReplay, CompiledThroughputHoldsBaseline)
         config.model = model;
         const CompiledTrace compiled = compileTrace(
             trace.events().data(), trace.events().size(), config);
-        const double wall =
-            bestCompiledSeconds(compiled.view(), config);
+        const double wall = bestOf(baseline_reps, [&] {
+            return compiledSeconds(compiled.view(), config);
+        });
         const double rate = static_cast<double>(trace.size()) / wall;
         const double floor = 0.5 * it->second.events_per_sec;
         std::cout << model.name() << "/compiled: " << rate / 1e6
@@ -222,10 +254,10 @@ TEST(PerfReplay, CompiledThroughputHoldsBaseline)
 /**
  * One-shot gate: replayTrace compiles every eligible trace before it
  * executes it, so compile + execute together must still beat one
- * interpreted replay — that is the cost every replay now pays. Paired
- * best-of-5 in this process on the cwl1 queue trace (bench/
- * replay_baseline's second trace) under strict; measured 1.62–1.71x
- * on a 4-vCPU x86-64 host (RelWithDebInfo), floor 1.15x.
+ * interpreted replay — that is the cost every replay now pays.
+ * Interleaved best-of-9 in this process on the cwl1 queue trace
+ * (bench/replay_baseline's second trace) under strict; measured
+ * 1.62–1.71x on a 4-vCPU x86-64 host (RelWithDebInfo), floor 1.15x.
  */
 TEST(PerfReplay, OneShotCompileAndReplayBeatsInterpreted)
 {
@@ -239,18 +271,15 @@ TEST(PerfReplay, OneShotCompileAndReplayBeatsInterpreted)
 
     TimingConfig config;
     config.model = ModelConfig::strict();
-    const double serial = bestReplaySeconds(trace, config.model);
-    constexpr int reps = 5;
-    double one_shot = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        bench::Stopwatch watch;
-        const CompiledTrace compiled = compileTrace(
-            trace.events().data(), trace.events().size(), config);
-        (void)compiledReplay(compiled.view(), config);
-        const double wall = watch.seconds();
-        if (rep == 0 || wall < one_shot)
-            one_shot = wall;
-    }
+    const auto [serial, one_shot] = interleavedBest(
+        paired_reps, [&] { return replaySeconds(trace, config.model); },
+        [&] {
+            bench::Stopwatch watch;
+            const CompiledTrace compiled = compileTrace(
+                trace.events().data(), trace.events().size(), config);
+            (void)compiledReplay(compiled.view(), config);
+            return watch.seconds();
+        });
     const double speedup = serial / one_shot;
     constexpr double floor = 1.15;
     std::cout << "cwl1/strict: interpreted " << serial

@@ -2,13 +2,15 @@
  * @file
  * Timing engine unit tests: result bookkeeping, operation and role
  * attribution, persist-log record contents, access splitting, the
- * finite coalescing window, and configuration validation.
+ * finite coalescing window, configuration validation, and the
+ * ceiling on per-block state bytes.
  */
 
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
+#include "common/flat_map.hh"
 #include "persistency/timing_engine.hh"
 #include "tests/support/trace_builder.hh"
 
@@ -305,6 +307,89 @@ TEST(TimingEngine, DepSetUnionSubsetShortCircuitKeepsContents)
     ASSERT_FALSE(last.deps.empty());
     for (std::size_t i = 1; i < last.deps.size(); ++i)
         EXPECT_LT(last.deps[i - 1], last.deps[i]) << "sorted-unique";
+}
+
+/**
+ * Bytes the engine's two address indexes hold after first touches of
+ * @p blocks tracking blocks (8-byte keys) and, when @p line_bank,
+ * their 64-byte lines in a separate atomic index; an unused index
+ * still counts its empty directory.
+ */
+std::size_t
+indexBytes(std::uint64_t blocks, bool line_bank)
+{
+    PagedIndexMap track;
+    PagedIndexMap atomic;
+    bool inserted = false;
+    for (std::uint64_t i = 0; i < blocks; ++i) {
+        track.findOrInsert(paddr(i) >> 3, inserted);
+        if (line_bank)
+            atomic.findOrInsert(paddr(i) >> 6, inserted);
+    }
+    return track.bytes() + atomic.bytes();
+}
+
+/**
+ * Memory ceiling of the per-block state (DESIGN.md Section 11): bank
+ * growth is amortized doubling, so stateBytes() stays within twice
+ * the live rows times the row width, plus both indexes, plus a small
+ * constant for the dep-set pool's sentinel and the px86 dirty-piece
+ * pool (at most one barrier interval of pieces live). It also holds
+ * at least the live rows, so a bank left out of the sum shows up.
+ */
+TEST(TimingEngine, StateBytesStayWithinTwiceTheLiveRows)
+{
+    // Row widths: a Tag is 40 bytes (t, oth, src, block, dep handle).
+    constexpr std::size_t tag = 40;
+    // Tracking row: store tag, plus the load tag when load-before-
+    // store conflicts are tracked (strict, not px86).
+    constexpr std::size_t track_row_strict = 2 * tag;
+    constexpr std::size_t track_row_px86 = tag;
+    // Atomic row: last tag, group start id, group begin time.
+    constexpr std::size_t atomic_row = tag + 8 + 8;
+    // Px86 line row adds the line context tag, the dirty-list head
+    // and tail, and the enqueuing thread.
+    constexpr std::size_t line_row = atomic_row + tag + 4 + 4 + 4;
+    constexpr std::size_t slack = 4096;
+    constexpr std::uint64_t blocks = 100003; // not a power of two
+    constexpr std::uint64_t barrier_every = 16;
+
+    TraceBuilder builder;
+    for (std::uint64_t i = 0; i < blocks; ++i) {
+        const ThreadId tid = static_cast<ThreadId>(i % 2);
+        builder.store(tid, paddr(i), i).load(1 - tid, paddr(i));
+        if (i % barrier_every == barrier_every - 1)
+            builder.barrier(0).barrier(1);
+    }
+
+    struct Case
+    {
+        const char *name;
+        ModelConfig model;
+        std::size_t live;
+        std::size_t index;
+    };
+    const std::uint64_t lines = (blocks * 8 + 63) / 64;
+    const Case cases[] = {
+        // Strict: unified granularity, one index, banks in step.
+        {"strict", ModelConfig::strict(),
+         blocks * (track_row_strict + atomic_row),
+         indexBytes(blocks, false)},
+        // Px86: 8-byte tracking blocks, separate 64-byte line banks.
+        {"px86", ModelConfig::px86(),
+         blocks * track_row_px86 + lines * line_row,
+         indexBytes(blocks, true)},
+    };
+    for (const Case &c : cases) {
+        TimingConfig config;
+        config.model = c.model;
+        PersistTimingEngine engine(config);
+        builder.trace().replay(engine);
+        ASSERT_GT(engine.result().persists, 0u) << c.name;
+        const std::size_t bytes = engine.stateBytes();
+        EXPECT_GE(bytes, c.live + c.index) << c.name;
+        EXPECT_LE(bytes, 2 * c.live + c.index + slack) << c.name;
+    }
 }
 
 TEST(TimingEngine, ModelNamesEncodeConfiguration)
