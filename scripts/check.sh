@@ -93,7 +93,8 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-tsan -j \
     --target task_pool_test sweep_test compiled_trace_test \
     explore_test explore_litmus tso_test conformance_test \
-    kv_txn_test kvstore_perf sim_test replay_test
+    kv_txn_test kvstore_perf sim_test replay_test \
+    fault_campaign_test recovery_test
 ./build-tsan/tests/task_pool_test
 ./build-tsan/tests/sim_test
 ./build-tsan/tests/replay_test
@@ -117,6 +118,11 @@ PERSIM_CONFORMANCE_GOLDEN=tests/conformance/golden/conformance_report.txt \
 # shared pool: run both instrumented.
 ./build-tsan/tests/kv_txn_test
 ./build-tsan/bench/kvstore_perf --check >/dev/null
+# Fault-campaign realizations run their crash-image sweeps on pool
+# workers and share one FaultModel (and its wear profile), and the
+# invariants read each builder's image from the worker that built it.
+./build-tsan/tests/fault_campaign_test
+./build-tsan/tests/recovery_test
 
 # AddressSanitizer + UBSan pass: the fault-injection machinery does a
 # lot of raw byte slicing (torn persists, checksummed record parsing,
@@ -127,7 +133,7 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j \
     --target faults_test fault_campaign_test recovery_test \
     log_test queue_test queue_negative_test differential_fuzz_test \
-    persist_race_test pruned_cuts_test \
+    persist_race_test pruned_cuts_test cuts_test crash_image_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
     compiled_trace_test sim_test replay_test common_test \
@@ -140,6 +146,11 @@ cmake --build build-asan -j \
 ./build-asan/tests/faults_test
 ./build-asan/tests/fault_campaign_test
 ./build-asan/tests/recovery_test
+# Crash images are built through an undo log that writes back through
+# the image's cached page pointer: run the cut checker's apply/rollback
+# walk and the builder-vs-reference oracle instrumented.
+./build-asan/tests/cuts_test
+./build-asan/tests/crash_image_test
 ./build-asan/tests/log_test
 ./build-asan/tests/queue_test
 ./build-asan/tests/queue_negative_test

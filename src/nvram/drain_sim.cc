@@ -83,25 +83,22 @@ simulateDrain(const DrainConfig &config, std::uint64_t persists)
     return result;
 }
 
-std::vector<std::size_t>
-pendingAtCrash(const std::vector<double> &issue_times, double crash_time,
-               double drain_latency)
+std::vector<double>
+drainFinishTimes(const std::vector<double> &issue_times,
+                 double drain_latency)
 {
     PERSIM_REQUIRE(drain_latency > 0.0,
                    "drain latency must be positive");
-    std::vector<std::size_t> pending;
+    std::vector<double> finish(issue_times.size());
     double drain_clock = 0.0; // When the device frees up.
     for (std::size_t i = 0; i < issue_times.size(); ++i) {
         PERSIM_REQUIRE(i == 0 || issue_times[i] >= issue_times[i - 1],
                        "issue times must be non-decreasing");
-        const double issued = issue_times[i];
-        if (issued > crash_time)
-            break; // Never reached the buffer; nothing to lose.
-        drain_clock = std::max(drain_clock, issued) + drain_latency;
-        if (drain_clock > crash_time)
-            pending.push_back(i);
+        drain_clock = std::max(drain_clock, issue_times[i]) +
+                      drain_latency;
+        finish[i] = drain_clock;
     }
-    return pending;
+    return finish;
 }
 
 } // namespace persim

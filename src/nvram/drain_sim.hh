@@ -62,18 +62,14 @@ DrainResult simulateDrain(const DrainConfig &config,
                           std::uint64_t persists);
 
 /**
- * Which persists are still sitting in the drain buffer at a crash.
- *
- * @p issue_times is a non-decreasing list of buffer-entry times (one
- * per persist, in drain order); each persist then drains serially at
- * @p drain_latency per persist. Returns the indices of persists that
- * were issued at or before @p crash_time but whose drain had not yet
- * completed — the buffer contents a power failure can destroy (the
- * device-fault model drops a random subset of them).
+ * Serial-drain finish times: write i (in drain order, @p issue_times
+ * non-decreasing) leaves the buffer at max(finish_{i-1}, issue_i) +
+ * @p drain_latency. At a crash at T the writes still buffered — the
+ * ones a power failure can destroy — are the index range
+ * [upper_bound(finish, T), upper_bound(issue_times, T)).
  */
-std::vector<std::size_t> pendingAtCrash(
-    const std::vector<double> &issue_times, double crash_time,
-    double drain_latency);
+std::vector<double> drainFinishTimes(
+    const std::vector<double> &issue_times, double drain_latency);
 
 } // namespace persim
 

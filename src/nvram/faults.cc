@@ -7,7 +7,7 @@
 #include "common/bitops.hh"
 #include "common/error.hh"
 #include "common/rng.hh"
-#include "nvram/drain_sim.hh"
+#include "nvram/crash_image.hh"
 #include "nvram/endurance.hh"
 
 namespace persim {
@@ -18,6 +18,18 @@ namespace {
 constexpr std::uint64_t tear_salt = 0x7465617270727374ULL;
 constexpr std::uint64_t media_salt = 0x6d656469616572ULL;
 constexpr std::uint64_t drain_salt = 0x647261696e647270ULL;
+
+/** Writes per wear block of @p trace; only media errors read them. */
+std::unordered_map<std::uint64_t, std::uint64_t>
+measuredWear(const FaultConfig &config, const InMemoryTrace &trace)
+{
+    if (config.media_error_per_write <= 0.0)
+        return {};
+    config.validate(); // Before the tracker sees the block size.
+    EnduranceTracker tracker(config.wear_block_bytes);
+    trace.replay(tracker);
+    return tracker.counts();
+}
 
 } // namespace
 
@@ -138,176 +150,103 @@ FaultModel::FaultModel(
     : config_(config)
 {
     config_.validate();
-    wear_.assign(wear.begin(), wear.end());
+    for (const auto &[block, writes] : wear)
+        wear_.emplace_back(
+            block, 1.0 - std::pow(1.0 - config_.media_error_per_write,
+                                  static_cast<double>(writes)));
     std::sort(wear_.begin(), wear_.end());
 }
 
 FaultModel::FaultModel(const FaultConfig &config,
                        const InMemoryTrace &trace)
-    : config_(config)
+    : FaultModel(config, measuredWear(config, trace))
 {
-    config_.validate();
-    if (config_.media_error_per_write > 0.0) {
-        EnduranceTracker tracker(config_.wear_block_bytes);
-        trace.replay(tracker);
-        wear_.assign(tracker.counts().begin(), tracker.counts().end());
-        std::sort(wear_.begin(), wear_.end());
-    }
 }
 
-std::vector<std::size_t>
-FaultModel::groupOf(const PersistLog &log)
+void
+FaultModel::perturb(CrashImageBuilder &builder, double crash_time,
+                    std::uint64_t fault_seed, FaultOutcome *outcome) const
 {
-    // Coalesced records chain to the previous member of their device
-    // write; everyone else founds a group of their own.
-    std::vector<std::size_t> group(log.size());
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        const PersistRecord &record = log[i];
-        if (record.binding_source == DepSource::Coalesced &&
-            record.binding < i) {
-            group[i] = group[record.binding];
-        } else {
-            group[i] = i;
-        }
-    }
-    return group;
-}
+    const CrashPlan &plan = builder.plan();
+    auto record = [outcome](const FaultInjection &injection) {
+        if (outcome)
+            outcome->record(injection);
+    };
 
-std::vector<char>
-FaultModel::droppedRecords(const PersistLog &log, double crash_time,
-                           std::uint64_t fault_seed,
-                           FaultOutcome *outcome) const
-{
-    std::vector<char> dropped(log.size(), 0);
-    if (config_.drop_drain_p <= 0.0 || log.empty())
-        return dropped;
-
-    // The drain buffer holds device writes, i.e. coalescing groups:
-    // all pieces of one group drain (or vanish) together.
-    const std::vector<std::size_t> group = groupOf(log);
-    std::vector<std::size_t> founders;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        if (group[i] == i && log[i].time <= crash_time)
-            founders.push_back(i);
-    }
-    // Drain order is completion order, which need not be log order
-    // across threads; ties resolve by persist id.
-    std::sort(founders.begin(), founders.end(),
-              [&log](std::size_t a, std::size_t b) {
-                  if (log[a].time != log[b].time)
-                      return log[a].time < log[b].time;
-                  return a < b;
-              });
-
-    std::vector<double> issue_times;
-    issue_times.reserve(founders.size());
-    for (std::size_t founder : founders)
-        issue_times.push_back(log[founder].time);
-
-    const std::vector<std::size_t> pending = pendingAtCrash(
-        issue_times, crash_time, config_.drain_latency);
-
-    Rng rng(mixSeed(fault_seed, drain_salt));
-    std::vector<char> dropped_group(log.size(), 0);
-    for (std::size_t idx : pending) {
-        if (!rng.nextBool(config_.drop_drain_p))
-            continue;
-        const std::size_t founder = founders[idx];
-        dropped_group[founder] = 1;
-        if (outcome) {
+    // Dropped drains. The buffer holds device writes, i.e. coalescing
+    // groups, in completion order: a group drains or vanishes whole.
+    if (config_.drop_drain_p > 0.0) {
+        Rng rng(mixSeed(fault_seed, drain_salt));
+        const auto issued = static_cast<std::size_t>(
+            std::upper_bound(plan.issue.begin(), plan.issue.end(),
+                             crash_time) - plan.issue.begin());
+        for (std::size_t k = builder.drainedGroups(); k < issued; ++k) {
+            if (!rng.nextBool(config_.drop_drain_p)) {
+                builder.applyGroup(k);
+                continue;
+            }
             FaultInjection injection;
             injection.kind = FaultInjection::Kind::DroppedDrain;
-            injection.persist = log[founder].id;
-            injection.addr = log[founder].addr;
-            outcome->record(injection);
+            injection.persist = plan.log[plan.founder(k)].id;
+            injection.addr = plan.log[plan.founder(k)].addr;
+            record(injection);
         }
     }
-    for (std::size_t i = 0; i < log.size(); ++i)
-        dropped[i] = dropped_group[group[i]];
-    return dropped;
-}
 
-void
-FaultModel::tearPiece(MemoryImage &image, const PersistRecord &record,
-                      std::uint64_t fault_seed,
-                      FaultOutcome *outcome) const
-{
-    // Each aligned atomic unit of the piece lands independently; the
-    // per-record seed makes the outcome independent of which other
-    // records exist.
-    Rng rng(mixSeed(mixSeed(fault_seed, tear_salt), record.id));
-    const std::uint64_t unit = config_.atomic_write_unit;
-    const Addr end = record.addr + record.size;
-    std::uint8_t total = 0;
-    std::uint8_t landed = 0;
-    Addr pos = record.addr;
-    while (pos < end) {
-        const Addr chunk_end =
-            std::min<Addr>(end, blockBase(pos, unit) + unit);
-        ++total;
-        if (rng.nextBool(config_.tear_land_p)) {
-            ++landed;
-            const unsigned offset =
-                static_cast<unsigned>(pos - record.addr);
-            const unsigned bytes =
-                static_cast<unsigned>(chunk_end - pos);
-            image.store(pos, bytes, record.value >> (8 * offset));
-        }
-        pos = chunk_end;
-    }
-    if (landed > 0 && outcome) {
+    // Torn persists: the crash fell inside [start, time). Each aligned
+    // atomic unit lands independently, from a per-record stream, so
+    // the outcome does not depend on which other records exist.
+    for (const std::uint32_t i : builder.inFlight()) {
+        const PersistRecord &piece = plan.log[i];
+        Rng rng(mixSeed(mixSeed(fault_seed, tear_salt), piece.id));
+        const std::uint64_t unit = config_.atomic_write_unit;
+        const Addr end = piece.addr + piece.size;
         FaultInjection injection;
         injection.kind = FaultInjection::Kind::TornPersist;
-        injection.persist = record.id;
-        injection.addr = record.addr;
-        injection.landed_units = landed;
-        injection.total_units = total;
-        outcome->record(injection);
+        injection.persist = piece.id;
+        injection.addr = piece.addr;
+        for (Addr pos = piece.addr; pos < end;) {
+            const Addr chunk_end =
+                std::min<Addr>(end, blockBase(pos, unit) + unit);
+            ++injection.total_units;
+            if (rng.nextBool(config_.tear_land_p)) {
+                ++injection.landed_units;
+                builder.put(pos, static_cast<unsigned>(chunk_end - pos),
+                            piece.value >> (8 * (pos - piece.addr)));
+            }
+            pos = chunk_end;
+        }
+        if (injection.landed_units > 0)
+            record(injection);
     }
-}
 
-void
-FaultModel::applyMediaErrors(MemoryImage &image,
-                             std::uint64_t fault_seed,
-                             FaultOutcome *outcome) const
-{
+    // Media errors: wear-scaled corruption over the whole image.
     if (config_.media_error_per_write <= 0.0)
         return;
-    for (const auto &[block, writes] : wear_) {
-        Rng rng(mixSeed(mixSeed(fault_seed, media_salt), block));
-        const double fail_p =
-            1.0 - std::pow(1.0 - config_.media_error_per_write,
-                           static_cast<double>(writes));
+    const std::uint64_t media_seed = mixSeed(fault_seed, media_salt);
+    for (const auto &[block, fail_p] : wear_) {
+        Rng rng(mixSeed(media_seed, block));
         if (!rng.nextBool(fail_p))
             continue;
         const Addr addr = block * config_.wear_block_bytes +
                           rng.nextBounded(config_.wear_block_bytes);
-        const auto bit =
-            static_cast<std::uint8_t>(rng.nextBounded(8));
+        const auto bit = static_cast<std::uint8_t>(rng.nextBounded(8));
+        const auto mask = static_cast<std::uint8_t>(1u << bit);
         const auto before =
-            static_cast<std::uint8_t>(image.load(addr, 1));
-        std::uint8_t after = before;
-        switch (config_.media_kind) {
-        case MediaFaultKind::BitFlip:
-            after = before ^ static_cast<std::uint8_t>(1u << bit);
-            break;
-        case MediaFaultKind::StuckAtZero:
-            after = before & static_cast<std::uint8_t>(~(1u << bit));
-            break;
-        case MediaFaultKind::StuckAtOne:
-            after = before | static_cast<std::uint8_t>(1u << bit);
-            break;
-        }
+            static_cast<std::uint8_t>(builder.image().load(addr, 1));
+        std::uint8_t after = before ^ mask;
+        if (config_.media_kind == MediaFaultKind::StuckAtZero)
+            after = before & ~mask;
+        else if (config_.media_kind == MediaFaultKind::StuckAtOne)
+            after = before | mask;
         if (after == before)
             continue; // Stuck-at matching the stored bit is invisible.
-        image.store(addr, 1, after);
-        if (outcome) {
-            FaultInjection injection;
-            injection.kind = FaultInjection::Kind::MediaError;
-            injection.addr = addr;
-            injection.bit = bit;
-            outcome->record(injection);
-        }
+        builder.put(addr, 1, after);
+        FaultInjection injection;
+        injection.kind = FaultInjection::Kind::MediaError;
+        injection.addr = addr;
+        injection.bit = bit;
+        record(injection);
     }
 }
 
@@ -316,32 +255,11 @@ FaultModel::crashImage(const PersistLog &log, double crash_time,
                        std::uint64_t fault_seed,
                        FaultOutcome *outcome) const
 {
-    MemoryImage image;
-    if (!config_.enabled()) {
-        // Fault-free device: exactly the recovery observer's image
-        // (recovery::reconstructImage), durable iff time <= T.
-        for (const PersistRecord &record : log) {
-            if (record.time <= crash_time)
-                image.store(record.addr, record.size, record.value);
-        }
-        return image;
-    }
-
-    const std::vector<char> dropped =
-        droppedRecords(log, crash_time, fault_seed, outcome);
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        const PersistRecord &record = log[i];
-        if (record.time <= crash_time) {
-            if (!dropped[i])
-                image.store(record.addr, record.size, record.value);
-        } else if (config_.tear_persists &&
-                   record.start <= crash_time) {
-            // Crash landed inside the in-flight window [start, time).
-            tearPiece(image, record, fault_seed, outcome);
-        }
-    }
-    applyMediaErrors(image, fault_seed, outcome);
-    return image;
+    const CrashPlan plan(log, config_);
+    CrashImageBuilder builder(plan);
+    builder.advanceTo(crash_time);
+    perturb(builder, crash_time, fault_seed, outcome);
+    return builder.take();
 }
 
 } // namespace persim

@@ -27,8 +27,8 @@
  *
  * Every perturbation is a pure function of (log, crash time, fault
  * seed), so any observed violation replays exactly from its recorded
- * seeds. With all fault classes disabled, crashImage() is
- * byte-identical to recovery's reconstructImage().
+ * seeds. Images are built by nvram/crash_image.hh; with all fault
+ * classes disabled, crashImage() is recovery's reconstructImage().
  */
 
 #ifndef PERSIM_NVRAM_FAULTS_HH
@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -45,6 +46,8 @@
 #include "sim/memory_image.hh"
 
 namespace persim {
+
+class CrashImageBuilder;
 
 /** How a media fault corrupts the afflicted bit. */
 enum class MediaFaultKind : std::uint8_t {
@@ -190,28 +193,21 @@ class FaultModel
                            std::uint64_t fault_seed,
                            FaultOutcome *outcome = nullptr) const;
 
+    /**
+     * Put one sample's faults on @p builder's base image, undo-logged
+     * and in this order: pending device writes not dropped, torn
+     * pieces in log order, media errors. The builder's plan must use
+     * this model's config.
+     */
+    void perturb(CrashImageBuilder &builder, double crash_time,
+                 std::uint64_t fault_seed,
+                 FaultOutcome *outcome = nullptr) const;
+
   private:
-    /** Coalescing-group founder of each record (device write unit). */
-    static std::vector<std::size_t> groupOf(const PersistLog &log);
-
-    /** Which records vanish from the drain buffer. */
-    std::vector<char> droppedRecords(const PersistLog &log,
-                                     double crash_time,
-                                     std::uint64_t fault_seed,
-                                     FaultOutcome *outcome) const;
-
-    /** Partially land one in-flight persist piece. */
-    void tearPiece(MemoryImage &image, const PersistRecord &record,
-                   std::uint64_t fault_seed,
-                   FaultOutcome *outcome) const;
-
-    /** Wear-scaled corruption over the whole image. */
-    void applyMediaErrors(MemoryImage &image, std::uint64_t fault_seed,
-                          FaultOutcome *outcome) const;
-
     FaultConfig config_;
-    /** Wear profile sorted by block index (deterministic iteration). */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> wear_;
+    /** (wear block, failure probability 1 - (1-p)^writes), sorted by
+        block index (deterministic iteration). */
+    std::vector<std::pair<std::uint64_t, double>> wear_;
 };
 
 } // namespace persim

@@ -5,39 +5,31 @@
 #include <sstream>
 
 #include "common/error.hh"
+#include "nvram/crash_image.hh"
 
 namespace persim {
 
 PersistDag
 buildPersistDag(const PersistLog &log)
 {
+    // Pass 1: group membership, shared with the crash-image planner.
+    // A record either founds a new group or (Coalesced binding) joins
+    // the group of the member it merged behind.
+    CoalescingGroups grouping = coalescingGroups(log);
     PersistDag dag;
-    dag.group_of_record.resize(log.size());
-
-    // Pass 1: group membership. A record either founds a new group or
-    // (Coalesced binding) joins the group of the member it merged
-    // behind.
-    std::vector<std::uint32_t> founder_record;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        const PersistRecord &record = log[i];
-        PERSIM_REQUIRE(record.id == i, "persist log ids must be dense");
-        if (record.binding_source == DepSource::Coalesced) {
-            PERSIM_REQUIRE(record.binding < i,
-                           "coalesced record binds forward");
-            dag.group_of_record[i] = dag.group_of_record[record.binding];
-        } else {
-            PERSIM_REQUIRE(record.binding == invalid_persist ||
-                           !record.deps.empty(),
-                           "persist log lacks dependence sets: record "
-                           "the trace with TimingConfig::record_deps");
-            dag.group_of_record[i] =
-                static_cast<std::uint32_t>(dag.groups.size());
-            dag.groups.emplace_back();
-            dag.groups.back().time = record.time;
-            founder_record.push_back(static_cast<std::uint32_t>(i));
-        }
-        dag.groups[dag.group_of_record[i]].records.push_back(i);
+    dag.groups.resize(grouping.founder.size());
+    for (std::size_t g = 0; g < dag.groups.size(); ++g) {
+        const PersistRecord &founder = log[grouping.founder[g]];
+        PERSIM_REQUIRE(founder.binding == invalid_persist ||
+                       !founder.deps.empty(),
+                       "persist log lacks dependence sets: record "
+                       "the trace with TimingConfig::record_deps");
+        dag.groups[g].time = founder.time;
     }
+    for (std::size_t i = 0; i < log.size(); ++i)
+        dag.groups[grouping.group_of_record[i]].records.push_back(i);
+    dag.group_of_record = std::move(grouping.group_of_record);
+    const std::vector<std::uint32_t> &founder_record = grouping.founder;
 
     // Pass 2: edges. Every dependence outside the record's own group
     // is a direct predecessor of the group.
@@ -89,69 +81,66 @@ buildPersistDag(const PersistLog &log)
 
 namespace {
 
-/** One saved word for undoing a group application. */
-struct UndoEntry
-{
-    Addr addr;
-    std::uint8_t size;
-    std::uint64_t old_value;
-};
-
-/** Apply @p group's records to @p image, saving undo state. */
-void
-applyGroup(const PersistLog &log, const PersistDag::Group &group,
-           MemoryImage &image, std::vector<UndoEntry> &undo)
-{
-    for (const std::size_t i : group.records) {
-        const PersistRecord &record = log[i];
-        undo.push_back(UndoEntry{
-            record.addr, record.size,
-            image.load(record.addr, record.size)});
-        image.store(record.addr, record.size, record.value);
-    }
-}
-
-void
-undoGroup(MemoryImage &image, std::vector<UndoEntry> &undo,
-          std::size_t mark)
-{
-    while (undo.size() > mark) {
-        const UndoEntry &entry = undo.back();
-        image.store(entry.addr, entry.size, entry.old_value);
-        undo.pop_back();
-    }
-}
-
-} // namespace
-
+/**
+ * Enumerate the order ideals of the groups @p mask selects, under
+ * reachability through unselected groups, and run @p invariant on the
+ * image of each — applying only selected groups. With every group
+ * selected these are exactly the consistent cuts.
+ */
 CutCheckResult
-checkAllCuts(const PersistLog &log, const PersistDag &dag,
-             const RecoveryInvariant &invariant, std::uint64_t max_cuts)
+enumerateCuts(const PersistLog &log, const PersistDag &dag,
+              const RecoveryInvariant &invariant,
+              const std::vector<char> &mask, std::uint64_t max_cuts)
 {
-    CutCheckResult result;
+    // Selected groups in id (topological) order, and for every group
+    // the positions of the selected groups nearest above it, through
+    // unselected ones too (dropping those paths would admit states no
+    // real cut has). Nearest is enough: included sets stay closed.
     const std::size_t n = dag.groupCount();
-    std::vector<char> included(n, 0);
-    MemoryImage image;
-    std::vector<UndoEntry> undo;
-    bool stop = false;
-    std::vector<std::uint32_t> chosen;
+    std::vector<std::uint32_t> selected;
+    std::vector<std::uint32_t> position(n);
+    std::vector<std::uint32_t> above;           // Group g's positions are
+    std::vector<std::uint32_t> above_begin{0};  // above[begin[g], begin[g+1]).
+    for (std::uint32_t g = 0; g < n; ++g) {
+        const std::size_t first = above.size();
+        for (const std::uint32_t p : dag.groups[g].preds) {
+            if (mask[p])
+                above.push_back(position[p]);
+            else
+                for (std::uint32_t k = above_begin[p];
+                     k < above_begin[p + 1]; ++k)
+                    above.push_back(above[k]);
+        }
+        std::sort(above.begin() + first, above.end());
+        above.erase(std::unique(above.begin() + first, above.end()),
+                    above.end());
+        above_begin.push_back(static_cast<std::uint32_t>(above.size()));
+        if (mask[g]) {
+            position[g] = static_cast<std::uint32_t>(selected.size());
+            selected.push_back(g);
+        }
+    }
 
-    // Depth-first over groups in topological order: each complete
-    // include/exclude assignment that respects predecessor closure is
-    // exactly one consistent cut. The image is maintained
-    // incrementally (apply on include, word-level undo on backtrack),
-    // so enumerating C cuts costs O(C + total writes), not O(C * log).
-    auto visit = [&](auto &&self, std::size_t i) -> void {
+    // Depth-first over the selected groups: each complete assignment
+    // respecting the order is one state. Apply on include and rollback
+    // on backtrack make C states cost O(C + total writes).
+    CutCheckResult result;
+    CrashImageBuilder image;
+    std::vector<char> included(selected.size(), 0);
+    std::vector<std::uint32_t> chosen;
+    bool stop = false;
+    auto visit = [&](auto &&self, std::size_t j) -> void {
         if (stop)
             return;
-        if (i == n) {
+        if (j == selected.size()) {
             ++result.cuts;
-            const std::string verdict = invariant(image);
+            const std::string verdict = invariant(image.image());
             if (!verdict.empty()) {
                 ++result.violations;
                 if (result.first_violation.empty()) {
                     result.first_violation = verdict;
-                    result.first_violation_groups = chosen;
+                    result.first_violation_groups =
+                        downwardClosure(dag, chosen);
                 }
             }
             if (max_cuts > 0 && result.cuts >= max_cuts) {
@@ -160,26 +149,39 @@ checkAllCuts(const PersistLog &log, const PersistDag &dag,
             }
             return;
         }
-        const PersistDag::Group &group = dag.groups[i];
-        const bool can_include = std::all_of(
-            group.preds.begin(), group.preds.end(),
-            [&](std::uint32_t p) { return included[p] != 0; });
         // Exclude branch first: cuts grow from empty toward complete,
         // so truncation by budget still covers the small crash states.
-        self(self, i + 1);
-        if (!can_include || stop)
+        self(self, j + 1);
+        const std::uint32_t g = selected[j];
+        if (stop || !std::all_of(above.begin() + above_begin[g],
+                                 above.begin() + above_begin[g + 1],
+                                 [&](std::uint32_t q) {
+                                     return included[q] != 0;
+                                 }))
             return;
-        const std::size_t mark = undo.size();
-        applyGroup(log, group, image, undo);
-        included[i] = 1;
-        chosen.push_back(static_cast<std::uint32_t>(i));
-        self(self, i + 1);
+        const std::size_t mark = image.mark();
+        for (const std::size_t r : dag.groups[g].records)
+            image.apply(log[r]);
+        included[j] = 1;
+        chosen.push_back(g);
+        self(self, j + 1);
         chosen.pop_back();
-        included[i] = 0;
-        undoGroup(image, undo, mark);
+        included[j] = 0;
+        image.rollback(mark);
     };
     visit(visit, 0);
     return result;
+}
+
+} // namespace
+
+CutCheckResult
+checkAllCuts(const PersistLog &log, const PersistDag &dag,
+             const RecoveryInvariant &invariant, std::uint64_t max_cuts)
+{
+    return enumerateCuts(log, dag, invariant,
+                         std::vector<char>(dag.groupCount(), 1),
+                         max_cuts);
 }
 
 std::vector<char>
@@ -231,113 +233,14 @@ checkObservedCuts(const PersistLog &log, const PersistDag &dag,
                   const std::vector<AddrRange> &observed,
                   std::uint64_t max_cuts)
 {
-    const std::size_t n = dag.groupCount();
-    const std::vector<char> mask = observedGroupMask(log, dag, observed);
-
-    // Observed groups, in (topological) id order, plus each group's
-    // dense position among them.
-    std::vector<std::uint32_t> obs;
-    std::vector<std::uint32_t> obs_pos(n, ~0u);
-    for (std::uint32_t g = 0; g < n; ++g) {
-        if (mask[g]) {
-            obs_pos[g] = static_cast<std::uint32_t>(obs.size());
-            obs.push_back(g);
-        }
-    }
-    if (obs.size() == n)
-        return checkAllCuts(log, dag, invariant, max_cuts);
-
-    CutCheckResult result;
-    if (obs.empty()) {
-        // No persist touches observed state: every crash state
-        // projects to the same observable image. One check decides.
-        ++result.cuts;
-        const MemoryImage image;
-        const std::string verdict = invariant(image);
-        if (!verdict.empty()) {
-            ++result.violations;
-            result.first_violation = verdict;
-        }
-        return result;
-    }
-
-    // anc[g]: the observed groups reachable from g through *any*
-    // chain of predecessors (paths through unobserved groups count —
-    // dropping them from the constraint would admit projections no
-    // real cut has). Bitsets over observed positions, filled in one
-    // topological pass.
-    const std::size_t m = obs.size();
-    const std::size_t words = (m + 63) / 64;
-    std::vector<std::uint64_t> anc(n * words, 0);
-    for (std::uint32_t g = 0; g < n; ++g) {
-        std::uint64_t *row = &anc[g * words];
-        for (const std::uint32_t p : dag.groups[g].preds) {
-            const std::uint64_t *prow = &anc[p * words];
-            for (std::size_t w = 0; w < words; ++w)
-                row[w] |= prow[w];
-            if (mask[p])
-                row[obs_pos[p] / 64] |= 1ULL << (obs_pos[p] % 64);
-        }
-    }
-
-    // DFS over observed groups only. A projection may include an
-    // observed group iff all its observed ancestors are included —
-    // exactly the ideals of the induced order, which are exactly the
-    // projections of the full cut lattice (closure in the full DAG
-    // restores any such set to a consistent cut without adding
-    // observed groups). Unobserved groups never write observed bytes
-    // (observedGroupMask), so the incremental image sees everything
-    // the invariant may read.
-    std::vector<std::uint64_t> inc(words, 0);
-    MemoryImage image;
-    std::vector<UndoEntry> undo;
-    std::vector<std::uint32_t> chosen;
-    bool stop = false;
-    auto visit = [&](auto &&self, std::size_t j) -> void {
-        if (stop)
-            return;
-        if (j == m) {
-            ++result.cuts;
-            const std::string verdict = invariant(image);
-            if (!verdict.empty()) {
-                ++result.violations;
-                if (result.first_violation.empty()) {
-                    result.first_violation = verdict;
-                    result.first_violation_groups =
-                        downwardClosure(dag, chosen);
-                }
-            }
-            if (max_cuts > 0 && result.cuts >= max_cuts) {
-                stop = true;
-                result.budget_exhausted = true;
-            }
-            return;
-        }
-        const std::uint32_t g = obs[j];
-        const std::uint64_t *row = &anc[g * words];
-        bool can_include = true;
-        for (std::size_t w = 0; w < words; ++w) {
-            if ((row[w] & ~inc[w]) != 0) {
-                can_include = false;
-                break;
-            }
-        }
-        // Exclude branch first, as in checkAllCuts: small states
-        // stay covered when the budget truncates.
-        self(self, j + 1);
-        if (!can_include || stop)
-            return;
-        const std::size_t mark = undo.size();
-        applyGroup(log, dag.groups[g], image, undo);
-        inc[j / 64] |= 1ULL << (j % 64);
-        chosen.push_back(g);
-        self(self, j + 1);
-        chosen.pop_back();
-        inc[j / 64] &= ~(1ULL << (j % 64));
-        undoGroup(image, undo, mark);
-    };
-    visit(visit, 0);
-    return result;
+    // The projections of the full cut lattice onto the observed
+    // groups are exactly the ideals of the order they induce (closure
+    // in the full DAG restores any such set to a consistent cut
+    // without adding observed groups), and unobserved groups never
+    // write observed bytes, so the image sees everything the
+    // invariant may read.
+    return enumerateCuts(log, dag, invariant,
+                         observedGroupMask(log, dag, observed), max_cuts);
 }
 
 MemoryImage
@@ -349,14 +252,14 @@ reconstructImageFromGroups(const PersistLog &log, const PersistDag &dag,
         PERSIM_REQUIRE(g < dag.groupCount(), "cut names unknown group");
         included[g] = 1;
     }
-    MemoryImage image;
+    CrashImageBuilder image;
     // Log order is trace order, which strong persist atomicity keeps
     // consistent with completion-time order per word.
     for (std::size_t i = 0; i < log.size(); ++i) {
         if (included[dag.group_of_record[i]])
-            image.store(log[i].addr, log[i].size, log[i].value);
+            image.apply(log[i]);
     }
-    return image;
+    return image.take();
 }
 
 std::vector<std::uint32_t>

@@ -137,7 +137,7 @@ std::vector<std::uint32_t> downwardClosure(
  * sees). `cuts` counts distinct observable projections enumerated;
  * `first_violation_groups` is expanded via downwardClosure to a
  * genuine consistent cut, directly usable by minimizeViolatingCut.
- * Falls back to checkAllCuts when every group is observed.
+ * With every group observed it is checkAllCuts.
  */
 CutCheckResult checkObservedCuts(const PersistLog &log,
                                  const PersistDag &dag,

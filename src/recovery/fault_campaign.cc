@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "common/task_pool.hh"
+#include "nvram/crash_image.hh"
 
 namespace persim {
 namespace {
-
-/** Build the crash image for one sample under the campaign's model. */
-MemoryImage
-sampleImage(const FaultModel &model, const PersistLog &log,
-            double crash_time, std::uint64_t fault_seed,
-            FaultOutcome *outcome)
-{
-    return model.crashImage(log, crash_time, fault_seed, outcome);
-}
 
 /** Per-realization partial result; merged in realization order. */
 struct RealizationResult
@@ -27,17 +19,73 @@ struct RealizationResult
     std::uint64_t samples = 0;
     std::uint64_t violations = 0;
     std::vector<ViolationRecord> recorded;
-    /** The log held at most one persist; nothing was sampled. */
+    /** The log held at most one persist: nothing was sampled, or the
+        campaign's closed-form crash times were. */
     bool degenerate = false;
 };
 
 /**
- * Evaluate every crash time of one realization. @p crash_times must
- * already contain the boundary samples; index c's fault stream is
- * mixSeed(realization_seed, c), so outcomes do not depend on how the
- * schedule was partitioned across workers. A log of at most one
- * persist is left to the campaign's closed-form evaluation: the
- * result is only marked degenerate.
+ * Evaluate crash_times[c] of @p log for every c. Index c's fault
+ * stream is mixSeed(realization_seed, c), so outcomes do not depend
+ * on how the schedule was partitioned across workers. Samples are
+ * built in ascending crash time on one CrashPlan (ties in index
+ * order), and the first @p record_cap violations are reported in
+ * index order.
+ */
+RealizationResult
+runSamples(const FaultModel &model, const RecoveryInvariant &invariant,
+           const PersistLog &log, const std::vector<double> &crash_times,
+           std::uint64_t realization, std::uint64_t realization_seed,
+           std::uint64_t record_cap)
+{
+    std::vector<std::uint32_t> order(crash_times.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return crash_times[a] != crash_times[b]
+                      ? crash_times[a] < crash_times[b] : a < b;
+              });
+
+    const CrashPlan plan(log, model.config());
+    CrashImageBuilder builder(plan);
+    RealizationResult out;
+    std::vector<ViolationRecord> found(crash_times.size());
+    for (const std::uint32_t c : order) {
+        const double t = crash_times[c];
+        const std::uint64_t fault_seed = mixSeed(realization_seed, c);
+        ++out.samples;
+        builder.advanceTo(t);
+        const std::size_t mark = builder.mark();
+        FaultOutcome outcome;
+        model.perturb(builder, t, fault_seed, &outcome);
+        std::string verdict = invariant(builder.image());
+        builder.rollback(mark);
+        if (verdict.empty())
+            continue;
+        ++out.violations;
+        ViolationRecord &violation = found[c];
+        violation.realization = realization;
+        violation.realization_seed = realization_seed;
+        violation.crash_time = t;
+        violation.fault_seed = fault_seed;
+        violation.verdict = std::move(verdict);
+        if (outcome.total() > 0)
+            violation.fault_summary = outcome.summary();
+    }
+    for (ViolationRecord &violation : found) {
+        if (out.recorded.size() >= record_cap)
+            break;
+        if (!violation.verdict.empty())
+            out.recorded.push_back(std::move(violation));
+    }
+    return out;
+}
+
+/**
+ * Evaluate one realization: its boundary samples ("nothing persisted",
+ * "everything persisted") and then its crash-time fractions. A log of
+ * at most one persist is left to the campaign's closed-form
+ * evaluation: the result is only marked degenerate.
  */
 RealizationResult
 runRealization(const InMemoryTrace &trace,
@@ -50,8 +98,8 @@ runRealization(const InMemoryTrace &trace,
     const PersistLog log =
         stochasticLog(trace, config.injection.model, realization_seed,
                       config.injection.mean_latency);
-    RealizationResult out;
     if (log.size() <= 1) {
+        RealizationResult out;
         out.degenerate = true;
         return out;
     }
@@ -65,45 +113,21 @@ runRealization(const InMemoryTrace &trace,
     crash_times.push_back(span + 1.0); // Everything persisted.
     for (const double fraction : crash_fractions)
         crash_times.push_back(fraction * span);
-
-    const bool faulty = config.faults.enabled();
-    for (std::size_t c = 0; c < crash_times.size(); ++c) {
-        const double t = crash_times[c];
-        const std::uint64_t fault_seed = mixSeed(realization_seed, c);
-        ++out.samples;
-        FaultOutcome outcome;
-        const MemoryImage image = sampleImage(
-            model, log, t, fault_seed, faulty ? &outcome : nullptr);
-        const std::string verdict = invariant(image);
-        if (verdict.empty())
-            continue;
-        ++out.violations;
-        if (out.recorded.size() >= record_cap)
-            continue;
-        ViolationRecord violation;
-        violation.realization = realization;
-        violation.realization_seed = realization_seed;
-        violation.crash_time = t;
-        violation.fault_seed = fault_seed;
-        violation.verdict = verdict;
-        if (faulty && outcome.total() > 0)
-            violation.fault_summary = outcome.summary();
-        out.recorded.push_back(std::move(violation));
-    }
-    return out;
+    return runSamples(model, invariant, log, crash_times, realization,
+                      realization_seed, record_cap);
 }
 
 /** Fold one realization's partials into the campaign result. */
 void
 mergeRealization(InjectionResult &result, const RealizationResult &part,
-                 std::uint64_t record_cap, bool degenerate)
+                 std::uint64_t record_cap)
 {
     result.samples += part.samples;
     result.violations += part.violations;
     for (const ViolationRecord &violation : part.recorded) {
         if (result.first_violation.empty()) {
             std::ostringstream oss;
-            if (degenerate)
+            if (part.degenerate)
                 oss << "degenerate log, crash t=";
             else
                 oss << "realization " << violation.realization
@@ -117,49 +141,6 @@ mergeRealization(InjectionResult &result, const RealizationResult &part,
         if (result.violation_list.size() < record_cap)
             result.violation_list.push_back(violation);
     }
-}
-
-/**
- * Degenerate traces have a closed-form crash-state set; evaluate it
- * directly instead of sampling a zero-width time span. Zero persists
- * (including the empty trace) expose only the empty image; one
- * persist exposes exactly {empty, that persist}. The log is the one
- * the campaign seed itself realizes, as it always was.
- */
-InjectionResult
-runDegenerate(const FaultCampaignConfig &config, const FaultModel &model,
-              const RecoveryInvariant &invariant, const PersistLog &log)
-{
-    std::vector<double> crash_times{-1.0};
-    if (log.size() == 1)
-        crash_times.push_back(log[0].time + 1.0);
-    RealizationResult part;
-    const bool faulty = config.faults.enabled();
-    for (std::size_t c = 0; c < crash_times.size(); ++c) {
-        const double t = crash_times[c];
-        const std::uint64_t fault_seed = mixSeed(config.injection.seed, c);
-        ++part.samples;
-        FaultOutcome outcome;
-        const MemoryImage image = sampleImage(
-            model, log, t, fault_seed, faulty ? &outcome : nullptr);
-        const std::string verdict = invariant(image);
-        if (verdict.empty())
-            continue;
-        ++part.violations;
-        ViolationRecord violation;
-        violation.realization = 0;
-        violation.realization_seed = config.injection.seed;
-        violation.crash_time = t;
-        violation.fault_seed = fault_seed;
-        violation.verdict = verdict;
-        if (faulty && outcome.total() > 0)
-            violation.fault_summary = outcome.summary();
-        part.recorded.push_back(std::move(violation));
-    }
-    InjectionResult result;
-    mergeRealization(result, part,
-                     config.injection.max_recorded_violations, true);
-    return result;
 }
 
 } // namespace
@@ -216,8 +197,22 @@ runFaultCampaign(const InMemoryTrace &trace,
             stochasticLog(trace, config.injection.model,
                           config.injection.seed,
                           config.injection.mean_latency);
-        if (log.size() <= 1)
-            return runDegenerate(config, model, invariant, log);
+        if (log.size() <= 1) {
+            // Degenerate traces have a closed-form crash-state set:
+            // zero persists (including the empty trace) expose only
+            // the empty image; one persist exposes exactly {empty,
+            // that persist}. The log is the one the campaign seed
+            // itself realizes.
+            std::vector<double> crash_times{-1.0};
+            if (log.size() == 1)
+                crash_times.push_back(log[0].time + 1.0);
+            RealizationResult part =
+                runSamples(model, invariant, log, crash_times, 0,
+                           config.injection.seed, record_cap);
+            part.degenerate = true;
+            mergeRealization(result, part, record_cap);
+            return result;
+        }
         PERSIM_ASSERT(realizations == 0,
                       "persist-log length changed with the "
                       "stochastic seed");
@@ -227,7 +222,7 @@ runFaultCampaign(const InMemoryTrace &trace,
         PERSIM_ASSERT(!parts[r].degenerate,
                       "persist-log length changed with the "
                       "stochastic seed");
-        mergeRealization(result, parts[r], record_cap, false);
+        mergeRealization(result, parts[r], record_cap);
     }
     return result;
 }
@@ -293,9 +288,8 @@ replayFaultRepro(const InMemoryTrace &trace,
         stochasticLog(trace, config.injection.model,
                       repro.realization_seed,
                       config.injection.mean_latency);
-    const MemoryImage image = model.crashImage(
-        log, repro.crash_time, repro.fault_seed, outcome);
-    return invariant(image);
+    return invariant(model.crashImage(log, repro.crash_time,
+                                      repro.fault_seed, outcome));
 }
 
 } // namespace persim

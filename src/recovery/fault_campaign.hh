@@ -16,7 +16,9 @@
  * and parallel runs produce identical InjectionResults, because the
  * full sampling schedule (realization seeds, crash-time fractions) is
  * drawn up front in the legacy order and per-sample fault seeds are
- * derived by mixing, never by drawing.
+ * derived by mixing, never by drawing. Within a realization the
+ * samples share one CrashPlan and are built in ascending crash time
+ * by the crash-image builder (nvram/crash_image.hh).
  *
  * Every violation carries enough state to replay exactly: the timing
  * realization seed, the crash time (serialized as a hex float, so the

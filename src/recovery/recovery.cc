@@ -13,12 +13,8 @@ namespace persim {
 MemoryImage
 reconstructImage(const PersistLog &log, double crash_time)
 {
-    MemoryImage image;
-    for (const auto &record : log) {
-        if (record.time <= crash_time)
-            image.store(record.addr, record.size, record.value);
-    }
-    return image;
+    // A perfect device: the fault model with every class disabled.
+    return FaultModel(FaultConfig{}).crashImage(log, crash_time, 0);
 }
 
 std::string

@@ -41,10 +41,12 @@ namespace persim {
 
 /**
  * Reconstruct the persistent memory image at crash time @p crash_time
- * from a persist log: apply, in trace order, every record whose
- * completion time is <= crash_time. (Same-address persists have
- * non-decreasing times — strong persist atomicity — so trace order
- * resolves ties, including coalesced groups.)
+ * from a persist log: the image of applying, in trace order, every
+ * record whose completion time is <= crash_time. (Same-address
+ * persists have non-decreasing times — strong persist atomicity — so
+ * trace order resolves ties, including coalesced groups.) Built by
+ * nvram/crash_image.hh, which fails loudly on a log whose per-word
+ * trace order disagrees with completion order.
  */
 MemoryImage reconstructImage(const PersistLog &log, double crash_time);
 

@@ -1,30 +1,57 @@
 #include "sim/memory_image.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/error.hh"
 
 namespace persim {
 
-MemoryImage::Page &
-MemoryImage::pageFor(Addr addr)
+// load/exchange copy values straight between a u64 and page bytes.
+static_assert(std::endian::native == std::endian::little,
+              "MemoryImage stores values little-endian");
+
+MemoryImage::MemoryImage(MemoryImage &&other)
 {
-    const std::uint64_t page_num = addr / page_size;
-    auto &slot = pages_[page_num];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
-    return *slot;
+    *this = std::move(other);
+}
+
+MemoryImage &
+MemoryImage::operator=(MemoryImage &&other)
+{
+    // Swap the pages, then empty @p other: neither side keeps a
+    // cached page pointer.
+    std::swap(directory_, other.directory_);
+    std::swap(pages_, other.pages_);
+    other.clear();
+    last_page_no_ = no_page;
+    last_page_ = nullptr;
+    return *this;
+}
+
+MemoryImage::Page &
+MemoryImage::pageFor(std::uint64_t page_no)
+{
+    if (page_no == last_page_no_)
+        return *last_page_;
+    bool created = false;
+    const std::uint32_t at = directory_.findOrInsert(page_no, created);
+    if (created)
+        pages_.push_back(std::make_unique<Page>()); // Zero-filled.
+    last_page_no_ = page_no;
+    last_page_ = pages_[at].get();
+    return *last_page_;
 }
 
 const MemoryImage::Page *
-MemoryImage::pageForIfPresent(Addr addr) const
+MemoryImage::findPage(std::uint64_t page_no) const
 {
-    const std::uint64_t page_num = addr / page_size;
-    auto it = pages_.find(page_num);
-    return it == pages_.end() ? nullptr : it->second.get();
+    if (page_no == last_page_no_)
+        return last_page_;
+    const std::uint32_t at = directory_.find(page_no);
+    return at == FlatIndexMap::no_slot ? nullptr : pages_[at].get();
 }
 
 std::uint64_t
@@ -32,60 +59,74 @@ MemoryImage::load(Addr addr, unsigned size) const
 {
     PERSIM_REQUIRE(size >= 1 && size <= max_access_size,
                    "load size must be 1..8, got " << size);
-    // One page lookup per page touched (an access spans at most two).
-    std::uint64_t value = 0;
-    for (unsigned done = 0; done < size;) {
-        const Addr a = addr + done;
-        const std::uint64_t offset = a % page_size;
-        const unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(size - done, page_size - offset));
-        if (const Page *page = pageForIfPresent(a)) {
-            for (unsigned i = 0; i < chunk; ++i)
-                value |= std::uint64_t{(*page)[offset + i]}
-                         << (8 * (done + i));
-        }
-        done += chunk;
+    std::uint64_t word = 0;
+    const std::uint64_t offset = addr % page_size;
+    if (offset > page_size - 8) {
+        readBytes(&word, addr, size);
+        return word;
     }
-    return value;
+    // In-page: one 8-byte copy, masked to the access.
+    if (const Page *page = findPage(addr / page_size))
+        std::memcpy(&word, page->data() + offset, 8);
+    return word & (~0ULL >> (64 - 8 * size));
 }
 
-void
-MemoryImage::store(Addr addr, unsigned size, std::uint64_t value)
+std::uint64_t
+MemoryImage::exchange(Addr addr, unsigned size, std::uint64_t value)
 {
-    PERSIM_REQUIRE(size >= 1 && size <= max_access_size,
-                   "store size must be 1..8, got " << size);
-    for (unsigned done = 0; done < size;) {
-        const Addr a = addr + done;
-        const std::uint64_t offset = a % page_size;
-        const unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(size - done, page_size - offset));
-        Page &page = pageFor(a);
-        for (unsigned i = 0; i < chunk; ++i)
-            page[offset + i] =
-                static_cast<std::uint8_t>(value >> (8 * (done + i)));
-        done += chunk;
+    const std::uint64_t offset = addr % page_size;
+    if (size - 1 >= max_access_size || offset > page_size - 8) {
+        const std::uint64_t old = load(addr, size); // Checks the size.
+        writeBytes(addr, &value, size);
+        return old;
     }
+    // In-page: one lookup, one 8-byte read-modify-write.
+    std::uint8_t *at = pageFor(addr / page_size).data() + offset;
+    const std::uint64_t mask = ~0ULL >> (64 - 8 * size);
+    std::uint64_t word;
+    std::memcpy(&word, at, 8);
+    const std::uint64_t old = word & mask;
+    word = (word & ~mask) | (value & mask);
+    std::memcpy(at, &word, 8);
+    return old;
 }
 
 MemoryImage
 MemoryImage::clone() const
 {
     MemoryImage copy;
-    for (const auto &[page_num, page] : pages_) {
-        auto dup = std::make_unique<Page>(*page);
-        copy.pages_.emplace(page_num, std::move(dup));
-    }
+    copy.directory_ = directory_;
+    copy.pages_.reserve(pages_.size());
+    for (const auto &page : pages_)
+        copy.pages_.push_back(std::make_unique<Page>(*page));
     return copy;
+}
+
+void
+MemoryImage::clear()
+{
+    directory_.clear();
+    pages_.clear();
+    last_page_no_ = no_page;
+    last_page_ = nullptr;
 }
 
 void
 MemoryImage::readBytes(void *dst, Addr src, std::size_t n) const
 {
+    // One page lookup and one copy per page touched.
     auto *out = static_cast<std::uint8_t *>(dst);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr a = src + i;
-        const Page *page = pageForIfPresent(a);
-        out[i] = page ? (*page)[a % page_size] : 0;
+    while (n > 0) {
+        const std::uint64_t offset = src % page_size;
+        const std::size_t chunk = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, page_size - offset));
+        if (const Page *page = findPage(src / page_size))
+            std::memcpy(out, page->data() + offset, chunk);
+        else
+            std::memset(out, 0, chunk);
+        out += chunk;
+        src += chunk;
+        n -= chunk;
     }
 }
 
@@ -93,9 +134,14 @@ void
 MemoryImage::writeBytes(Addr dst, const void *src, std::size_t n)
 {
     const auto *in = static_cast<const std::uint8_t *>(src);
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr a = dst + i;
-        pageFor(a)[a % page_size] = in[i];
+    while (n > 0) {
+        const std::uint64_t offset = dst % page_size;
+        const std::size_t chunk = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, page_size - offset));
+        std::memcpy(pageFor(dst / page_size).data() + offset, in, chunk);
+        in += chunk;
+        dst += chunk;
+        n -= chunk;
     }
 }
 

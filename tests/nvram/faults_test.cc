@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "nvram/drain_sim.hh"
 #include "nvram/faults.hh"
 #include "recovery/recovery.hh"
@@ -260,23 +263,41 @@ TEST(FaultModel, DropsWholeCoalescingGroups)
     EXPECT_EQ(outcome.dropped_drains, 1u);
 }
 
+/** Indices [first, last) of writes still buffered at @p crash_time. */
+std::pair<std::size_t, std::size_t>
+pendingAtCrash(const std::vector<double> &issues, double crash_time,
+               double drain_latency)
+{
+    const std::vector<double> finish =
+        drainFinishTimes(issues, drain_latency);
+    return {static_cast<std::size_t>(
+                std::upper_bound(finish.begin(), finish.end(),
+                                 crash_time) - finish.begin()),
+            static_cast<std::size_t>(
+                std::upper_bound(issues.begin(), issues.end(),
+                                 crash_time) - issues.begin())};
+}
+
 TEST(DrainSim, PendingAtCrashTracksTheSerialDrainClock)
 {
     // Issues at 1, 2, 3 with unit latency: drains complete at 2, 3,
     // 4. At T=2.5 the first has drained, the second is in the device,
     // and the third has not issued yet.
     const std::vector<double> issues{1.0, 2.0, 3.0};
+    EXPECT_EQ(drainFinishTimes(issues, 1.0),
+              (std::vector<double>{2.0, 3.0, 4.0}));
     const auto pending = pendingAtCrash(issues, 2.5, 1.0);
-    ASSERT_EQ(pending.size(), 1u);
-    EXPECT_EQ(pending[0], 1u);
+    EXPECT_EQ(pending, (std::pair<std::size_t, std::size_t>{1, 2}));
 
-    EXPECT_TRUE(pendingAtCrash(issues, 10.0, 1.0).empty());
-    EXPECT_TRUE(pendingAtCrash({}, 1.0, 1.0).empty());
+    const auto drained = pendingAtCrash(issues, 10.0, 1.0);
+    EXPECT_EQ(drained.first, drained.second);
+    EXPECT_TRUE(drainFinishTimes({}, 1.0).empty());
 
     // Back-to-back issues queue behind each other: at T=1.5 the
     // first write is in the device and the rest wait in the buffer.
     const std::vector<double> burst{1.0, 1.0, 1.0};
-    EXPECT_EQ(pendingAtCrash(burst, 1.5, 1.0).size(), 3u);
+    EXPECT_EQ(pendingAtCrash(burst, 1.5, 1.0),
+              (std::pair<std::size_t, std::size_t>{0, 3}));
 }
 
 } // namespace

@@ -5,12 +5,13 @@
  * Rebuilds the synthetic trace that bench/replay_baseline.cc measures
  * (identical SyntheticTraceConfig defaults), replays it under strict,
  * epoch, strand, and px86 persistency, and fails when the achieved
- * events/sec drops below half of the committed baseline in
- * BENCH_replay.json (env PERSIM_BENCH_BASELINE, wired by
- * tests/CMakeLists.txt to the repo-root copy). The compiled fast
- * path (strict/epoch/strand) gets the same treatment plus paired
- * same-run speedup floors against interpreted serial replay, one of
- * them charging the compile to the compiled side (DESIGN.md §17).
+ * events/sec drops below half its usual ratio to a reference pass
+ * over the same events, timed in the same process. The compiled fast
+ * path (strict/epoch/strand) must hold half of its committed
+ * baseline in BENCH_replay.json (env PERSIM_BENCH_BASELINE, wired by
+ * tests/CMakeLists.txt to the repo-root copy) and paired same-run
+ * speedup floors against interpreted serial replay, one of them
+ * charging the compile to the compiled side (DESIGN.md §17).
  *
  * Wall-clock assertions are inherently machine-sensitive, so this
  * test is NOT part of the default tier-1 suite: it is registered
@@ -27,6 +28,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/bench_common.hh"
 #include "bench_util/bench_report.hh"
@@ -98,6 +100,50 @@ interleavedBest(int reps, SecondsA &&seconds_a, SecondsB &&seconds_b)
     return {best_a, best_b};
 }
 
+/**
+ * The reference pass of the interpreted-throughput gate: each event's
+ * address is hashed into a fixed 16 MiB table of counters — a
+ * per-event cost that, like the engine's banks, outgrows the private
+ * caches, so it tracks the host (clock, shared cache, load) but none
+ * of persim's replay code.
+ */
+class ReferenceSink final : public TraceSink
+{
+  public:
+    void
+    onEvent(const TraceEvent &event) override
+    {
+        const std::uint64_t hash = (event.addr >> 3) * 0x9e3779b97f4a7c15ULL;
+        table_[hash >> (64 - table_bits)] += event.value | 1;
+    }
+
+    std::uint64_t
+    sum() const
+    {
+        std::uint64_t total = 0;
+        for (const std::uint64_t count : table_)
+            total += count;
+        return total;
+    }
+
+  private:
+    static constexpr unsigned table_bits = 21;
+    std::vector<std::uint64_t> table_ =
+        std::vector<std::uint64_t>(std::size_t{1} << table_bits);
+};
+
+/** Seconds of one reference pass over @p trace. */
+double
+referenceSeconds(const InMemoryTrace &trace)
+{
+    ReferenceSink sink;
+    bench::Stopwatch watch;
+    trace.replay(sink);
+    const double seconds = watch.seconds();
+    EXPECT_NE(sink.sum(), 0u); // Keeps the pass from being elided.
+    return seconds;
+}
+
 /** Reps of the absolute-throughput gates, as in bench/replay_baseline. */
 constexpr int baseline_reps = 5;
 
@@ -106,51 +152,52 @@ constexpr int paired_reps = 9;
 
 } // namespace
 
+/**
+ * Interpreted replay throughput, gated against a reference pass over
+ * the same events timed in this process, the two alternated rep by
+ * rep (best of 9 each): ReferenceSink does none of the replay work, so
+ * the ratio of replay throughput to reference throughput moves with
+ * persim's replay code far more than with the host's clock or load.
+ * Floors come from 12 runs on a 4-vCPU x86-64 host (RelWithDebInfo;
+ * ratio medians strict 0.107, epoch 0.108, strand 0.090, px86 0.084;
+ * lowest 0.092, 0.085, 0.074, 0.070; highest 0.114, 0.122, 0.108,
+ * 0.099 — see EXPERIMENTS.md). Each sits near 0.6x its median and
+ * above half its highest ratio, so a replay twice as slow fails even
+ * on the luckiest run, which is what the absolute 50%-of-baseline
+ * floors it replaces were for.
+ */
 TEST(PerfReplay, SyntheticTraceHoldsBaselineThroughput)
 {
-    const char *baseline_path = std::getenv("PERSIM_BENCH_BASELINE");
-    ASSERT_NE(baseline_path, nullptr)
-        << "PERSIM_BENCH_BASELINE not set (run via ctest -C perf)";
-    const std::map<std::string, BenchSample> baseline =
-        readBenchJson(baseline_path);
-
     const InMemoryTrace trace =
         buildSyntheticTrace(SyntheticTraceConfig{});
 
-    struct Model
+    struct Gate
     {
         const char *name;
         ModelConfig model;
+        double floor;
     };
-    const Model models[] = {
-        {"strict", ModelConfig::strict()},
-        {"epoch", ModelConfig::epoch()},
-        {"strand", ModelConfig::strand()},
-        {"px86", ModelConfig::px86()},
+    const Gate gates[] = {
+        {"strict", ModelConfig::strict(), 0.064},
+        {"epoch", ModelConfig::epoch(), 0.065},
+        {"strand", ModelConfig::strand(), 0.055},
+        {"px86", ModelConfig::px86(), 0.050},
     };
-    for (const Model &entry : models) {
-        const auto it = baseline.find(std::string("replay/synthetic/") +
-                                      entry.name);
-        ASSERT_NE(it, baseline.end())
-            << "baseline key missing for " << entry.name
-            << " (regenerate with bench/replay_baseline)";
-        ASSERT_EQ(it->second.events, trace.size())
-            << "baseline trace shape changed; regenerate "
-            << baseline_path;
-
-        const double wall = bestOf(baseline_reps, [&] {
-            return replaySeconds(trace, entry.model);
-        });
-        const double rate = static_cast<double>(trace.size()) / wall;
-        const double floor = 0.5 * it->second.events_per_sec;
-        std::cout << entry.name << ": " << rate / 1e6
-                  << " M events/s (baseline "
-                  << it->second.events_per_sec / 1e6 << ", floor "
-                  << floor / 1e6 << ")\n";
-        EXPECT_GE(rate, floor)
-            << entry.name << " replay dropped below 50% of the "
-            << "committed baseline; investigate or refresh "
-            << baseline_path << " with bench/replay_baseline";
+    for (const Gate &gate : gates) {
+        const auto [replay, reference] = interleavedBest(
+            paired_reps,
+            [&] { return replaySeconds(trace, gate.model); },
+            [&] { return referenceSeconds(trace); });
+        const double ratio = reference / replay;
+        std::cout << gate.name << ": "
+                  << static_cast<double>(trace.size()) / replay / 1e6
+                  << " M events/s, reference "
+                  << static_cast<double>(trace.size()) / reference / 1e6
+                  << " M events/s, ratio " << ratio << " (floor "
+                  << gate.floor << ")\n";
+        EXPECT_GE(ratio, gate.floor)
+            << gate.name << " replay throughput fell to about half its "
+            << "usual ratio to the reference pass; profile the engine";
     }
 }
 
@@ -208,9 +255,9 @@ TEST(PerfReplay, CompiledReplayBeatsInterpretedSerial)
 
 /**
  * The committed baseline also records absolute compiled throughput
- * ("replay/synthetic/<model>/compiled" rows); hold the same 50%
- * floor the serial rows get so a regression that slows both paths
- * equally (and thus passes the ratio gate) still trips.
+ * ("replay/synthetic/<model>/compiled" rows); hold 50% of it so a
+ * regression that slows both paths equally (and thus passes the
+ * speedup gate) still trips.
  */
 TEST(PerfReplay, CompiledThroughputHoldsBaseline)
 {

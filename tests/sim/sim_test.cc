@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/error.hh"
@@ -86,6 +89,113 @@ TEST(MemoryImage, RejectsBadSizes)
     EXPECT_THROW(image.load(0, 0), FatalError);
     EXPECT_THROW(image.load(0, 9), FatalError);
     EXPECT_THROW(image.store(0, 16, 0), FatalError);
+}
+
+TEST(MemoryImage, MovedFromAndMovedToImagesStayIndependent)
+{
+    // The last-page cache must not follow the pages: a store into the
+    // moved-from image may not land in the moved-to image's page.
+    MemoryImage from;
+    from.store(0x5000, 8, 0x1111);
+    MemoryImage to(std::move(from));
+    from.store(0x5000, 8, 0x2222);
+    to.store(0x5008, 8, 0x3333);
+    EXPECT_EQ(from.load(0x5000, 8), 0x2222u);
+    EXPECT_EQ(from.load(0x5008, 8), 0u);
+    EXPECT_EQ(from.pageCount(), 1u);
+    EXPECT_EQ(to.load(0x5000, 8), 0x1111u);
+    EXPECT_EQ(to.load(0x5008, 8), 0x3333u);
+
+    MemoryImage assigned;
+    assigned.store(0x9000, 8, 0x4444);
+    assigned = std::move(to);
+    to.store(0x5000, 8, 0x5555);
+    assigned.store(0x5010, 8, 0x6666);
+    EXPECT_EQ(to.load(0x5000, 8), 0x5555u);
+    EXPECT_EQ(to.load(0x5010, 8), 0u);
+    EXPECT_EQ(assigned.load(0x5000, 8), 0x1111u);
+    EXPECT_EQ(assigned.load(0x5010, 8), 0x6666u);
+    EXPECT_EQ(assigned.load(0x9000, 8), 0u);
+}
+
+TEST(MemoryImage, ClearedImageReadsZero)
+{
+    MemoryImage image;
+    image.store(0x6000, 8, ~0ULL);
+    image.clear();
+    EXPECT_EQ(image.pageCount(), 0u);
+    EXPECT_EQ(image.load(0x6000, 8), 0u);
+    image.store(0x6004, 4, 0xabcd);
+    EXPECT_EQ(image.load(0x6000, 8), 0xabcd00000000ULL);
+}
+
+TEST(MemoryImage, BulkBytesSpanPagesAndHoles)
+{
+    // Three pages, the middle one never written: reads see zeros
+    // there and writes across both boundaries land byte-exact.
+    MemoryImage image;
+    const Addr base = 0x10 * MemoryImage::page_size;
+    image.store(base + 8, 8, 0x0102030405060708ULL);
+    image.store(base + 2 * MemoryImage::page_size, 1, 0x5a);
+    std::vector<std::uint8_t> out(3 * MemoryImage::page_size, 0xee);
+    image.readBytes(out.data(), base, out.size());
+    EXPECT_EQ(out[8], 0x08);
+    EXPECT_EQ(out[15], 0x01);
+    EXPECT_EQ(out[MemoryImage::page_size + 17], 0);
+    EXPECT_EQ(out[2 * MemoryImage::page_size], 0x5a);
+    EXPECT_EQ(image.pageCount(), 2u);
+
+    std::vector<std::uint8_t> in(MemoryImage::page_size + 64);
+    for (std::size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    const Addr at = base + MemoryImage::page_size - 32;
+    image.writeBytes(at, in.data(), in.size());
+    std::vector<std::uint8_t> back(in.size() + 2);
+    image.readBytes(back.data(), at - 1, back.size());
+    EXPECT_EQ(back.front(), 0);
+    EXPECT_EQ(back.back(), 0);
+    EXPECT_TRUE(std::equal(in.begin(), in.end(), back.begin() + 1));
+    EXPECT_EQ(image.load(at, 2),
+              std::uint64_t{in[0]} | std::uint64_t{in[1]} << 8);
+}
+
+TEST(MemoryImage, CloneIsAnEqualIndependentCopy)
+{
+    MemoryImage image;
+    for (Addr a = 0; a < 8 * MemoryImage::page_size; a += 520)
+        image.store(a, 8, a * 0x9e3779b97f4a7c15ULL);
+    const MemoryImage copy = image.clone();
+    EXPECT_EQ(copy.pageCount(), image.pageCount());
+    for (Addr a = 0; a < 8 * MemoryImage::page_size; a += 4)
+        EXPECT_EQ(copy.load(a, 4), image.load(a, 4)) << a;
+    image.store(0, 8, 1);
+    EXPECT_EQ(copy.load(0, 8), 0u);
+}
+
+TEST(MemoryImage, ConcurrentConstLoadsAgree)
+{
+    // Const reads never touch the last-page cache, so threads may
+    // share one image (ThreadSanitizer runs this).
+    MemoryImage image;
+    for (Addr a = 0; a < 16 * MemoryImage::page_size; a += 8)
+        image.store(a, 8, a ^ 0x5555);
+    const MemoryImage &shared = image;
+    std::vector<std::uint64_t> mismatches(2, 0);
+    std::vector<std::thread> readers;
+    for (unsigned t = 0; t < 2; ++t) {
+        readers.emplace_back([&shared, &mismatches, t] {
+            for (int pass = 0; pass < 4; ++pass) {
+                for (Addr a = t * 8; a < 16 * MemoryImage::page_size;
+                     a += 8 * 7) {
+                    if (shared.load(a, 8) != (a ^ 0x5555))
+                        ++mismatches[t];
+                }
+            }
+        });
+    }
+    for (std::thread &reader : readers)
+        reader.join();
+    EXPECT_EQ(mismatches[0] + mismatches[1], 0u);
 }
 
 TEST(Allocator, AllocationsAreDisjointAndAligned)
