@@ -1,8 +1,8 @@
 /**
  * @file
- * Explore-scaling bench: how much larger a program the constraint-
- * guided crash-state pruner (ExploreConfig::prune_cuts, DESIGN.md
- * §14) lets the explorer finish, under one fixed cut budget.
+ * Explore-scaling bench: how much larger a program constraint-guided
+ * crash-state pruning (ExploreConfig::prune_cuts, DESIGN.md §14) lets
+ * the explorer finish, under one fixed cut budget.
  *
  * The program family is a single-thread worst case for blind cut
  * enumeration: K independent scratch persists (one epoch, mutually

@@ -24,6 +24,7 @@
 #include "persistency/timing_engine.hh"
 #include "pstruct/hash_map.hh"
 #include "pstruct/log.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
 
@@ -171,8 +172,8 @@ main()
     injection.model = ModelConfig::strand();
     injection.realizations = 8;
     injection.crashes_per_realization = 40;
-    const auto result = injectFailures(
-        trace, injection,
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
         [&wal_layout, &map_layout](const MemoryImage &image) {
             std::string error;
             const auto state = DurableKv::recover(image, wal_layout,

@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "persistency/timing_engine.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
 #include "sync/locks.hh"
@@ -209,8 +210,9 @@ main()
     injection.realizations = 10;
     injection.crashes_per_realization = 50;
     const Addr table = kv.table();
-    const auto result = injectFailures(
-        trace, injection, [table](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
+        [table](const MemoryImage &image) {
             return checkImage(image, table, max_version);
         });
     std::cout << "  " << result.samples << " crash states, "

@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "persistency/timing_engine.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
 
@@ -113,8 +114,9 @@ main()
     injection.model = ModelConfig::strand();
     injection.realizations = 8;
     injection.crashes_per_realization = 64;
-    const auto result = injectFailures(
-        trace, injection, [&workload](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
+        [&workload](const MemoryImage &image) {
             for (std::uint64_t i = 0; i < record_count; ++i) {
                 if (image.load(workload.flags + i * 8, 8) != 1)
                     continue; // Not published: contents irrelevant.

@@ -23,6 +23,7 @@
 
 #include "persistency/timing_engine.hh"
 #include "queue/queue.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
 
@@ -173,8 +174,8 @@ main()
 
     const QueueLayout layout = wal->layout();
     std::uint64_t best_recovered = 0;
-    const auto result = injectFailures(
-        trace, injection,
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
         [&layout, &best_recovered](const MemoryImage &image) {
             std::string error;
             const auto table = replay(image, layout, error);

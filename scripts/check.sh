@@ -2,7 +2,7 @@
 # Tier-1 verification: configure, build, run the full test suite, then
 # smoke-test the bounded model checker with small budgets, diff the
 # px86 conformance report against its golden copy, run the analysis
-# stage (PersistRace detector + crash-state pruner tests and the
+# stage (PersistRace detector + crash-state pruning tests and the
 # explore-scaling acceptance gate), run the kvstore stage (recovery
 # ladder + corruption fuzzer + load-driver gate), run the
 # compiled-trace stage (compiled-vs-interpreted bit-identity suite,
@@ -42,12 +42,14 @@ CONF_OUT=$(mktemp)
 cmp "$CONF_OUT" tests/conformance/golden/conformance_report.txt
 rm -f "$CONF_OUT"
 
-# Analysis stage: the plugin-based analyses (PersistRace detector,
-# constraint-guided crash-state pruner) by label, then the explore-
-# scaling acceptance gate — pruning must complete a program >=5x
-# larger than blind cut enumeration under one cut budget. The JSON
-# goes to a scratch path; the committed BENCH_explore.json baseline
-# is refreshed deliberately, like BENCH_replay.json.
+# Analysis stage: the PersistRace detector plugin and constraint-
+# guided crash-state pruning (checkObservedCuts, which the explorer
+# and the conformance harness reach through their one shared
+# crash-state check) by label, then the explore-scaling acceptance
+# gate — pruning must complete a program >=5x larger than blind cut
+# enumeration under one cut budget. The JSON goes to a scratch path;
+# the committed BENCH_explore.json baseline is refreshed deliberately,
+# like BENCH_replay.json.
 ctest --test-dir build -L analysis --output-on-failure
 EXPLORE_JSON=$(mktemp)
 ./build/bench/explore_scaling --check --json="$EXPLORE_JSON"
@@ -133,7 +135,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j \
     --target faults_test fault_campaign_test recovery_test \
     log_test queue_test queue_negative_test differential_fuzz_test \
-    persist_race_test pruned_cuts_test cuts_test crash_image_test \
+    persist_race_test pruned_cuts_test pruned_conformance_test \
+    cuts_test crash_image_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
     compiled_trace_test sim_test replay_test common_test \
@@ -155,14 +158,18 @@ cmake --build build-asan -j \
 ./build-asan/tests/queue_test
 ./build-asan/tests/queue_negative_test
 # The paged index behind the timing engine and compileTrace indexes
-# raw page arrays unchecked on the hot path, and the race detector
-# and crash-state pruner index raw addresses into flat maps and the
-# engine's dep-set pool on the hook hot path: run all three
-# instrumented too.
+# raw page arrays unchecked on the hot path (common_test also moves
+# both index maps and uses the moved-from source), and the race
+# detector indexes raw addresses into flat maps and the engine's
+# dep-set pool on the hook hot path: run both instrumented. The one
+# crash-state check (checkCrashStates) replays with record_deps and
+# enumerates cuts for the explorer and the conformance harness alike:
+# run the pruned and exhaustive paths of both instrumented too.
 ./build-asan/tests/common_test
 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/persist_race_test
 ./build-asan/tests/pruned_cuts_test
+./build-asan/tests/pruned_conformance_test
 # The timing engine's banks are std::vectors that free their old
 # storage when they grow, so a bank reference held across a slot
 # insert is a use-after-free: run the engine suites instrumented —

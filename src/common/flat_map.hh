@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
@@ -46,6 +47,34 @@ class FlatIndexMap
         : max_slots_(max_slots)
     {
         rehash(initial_buckets);
+    }
+
+    FlatIndexMap(const FlatIndexMap &) = default;
+    FlatIndexMap &operator=(const FlatIndexMap &) = default;
+
+    /** Moves leave @p other empty and usable (a fresh table). */
+    FlatIndexMap(FlatIndexMap &&other) : FlatIndexMap(other.max_slots_)
+    {
+        swap(other);
+    }
+
+    FlatIndexMap &
+    operator=(FlatIndexMap &&other)
+    {
+        if (this != &other) {
+            swap(other);
+            other.clear();
+        }
+        return *this;
+    }
+
+    void
+    swap(FlatIndexMap &other) noexcept
+    {
+        buckets_.swap(other.buckets_);
+        std::swap(mask_, other.mask_);
+        std::swap(count_, other.count_);
+        std::swap(max_slots_, other.max_slots_);
     }
 
     /** Number of distinct keys inserted. */
@@ -199,6 +228,34 @@ class PagedIndexMap
     explicit PagedIndexMap(std::uint32_t max_slots = no_slot)
         : max_slots_(max_slots)
     {
+    }
+
+    /** Moves leave @p other empty and usable; the last-page cache
+        travels with the pages it points into. */
+    PagedIndexMap(PagedIndexMap &&other) : PagedIndexMap(other.max_slots_)
+    {
+        swap(other);
+    }
+
+    PagedIndexMap &
+    operator=(PagedIndexMap &&other)
+    {
+        if (this != &other) {
+            swap(other);
+            other.clear();
+        }
+        return *this;
+    }
+
+    void
+    swap(PagedIndexMap &other) noexcept
+    {
+        directory_.swap(other.directory_);
+        pages_.swap(other.pages_);
+        std::swap(last_page_no_, other.last_page_no_);
+        std::swap(last_page_, other.last_page_);
+        std::swap(count_, other.count_);
+        std::swap(max_slots_, other.max_slots_);
     }
 
     /** Number of distinct keys inserted. */

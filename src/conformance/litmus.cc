@@ -9,9 +9,7 @@
 #include "explore/programs.hh"
 #include "memtrace/event.hh"
 #include "persistency/persist_race.hh"
-#include "persistency/timing_engine.hh"
 #include "recovery/cuts.hh"
-#include "sim/scheduler.hh"
 
 namespace persim {
 
@@ -44,12 +42,12 @@ makeHandTest(std::string name, std::string note,
     test.note = std::move(note);
     test.make = [cells, vflag, workers]() {
         auto state = std::make_shared<LitmusCells>();
-        LitmusProgram lp;
-        lp.observed = std::make_shared<std::vector<ObservedCell>>();
-        auto observed = lp.observed;
-        lp.program.engine.consistency = ConsistencyModel::TSO;
-        lp.program.setup = [state, observed, cells,
-                            vflag](ThreadCtx &ctx) {
+        ExploreProgram program;
+        program.observed = std::make_shared<std::vector<ObservedCell>>();
+        auto observed = program.observed;
+        program.engine.consistency = ConsistencyModel::TSO;
+        program.setup = [state, observed, cells,
+                         vflag](ThreadCtx &ctx) {
             state->cell.clear();
             observed->clear();
             for (const std::string &cell_name : cells) {
@@ -61,9 +59,9 @@ makeHandTest(std::string name, std::string note,
                 state->vflag = ctx.vmalloc(8);
         };
         for (const LitmusBody &body : workers)
-            lp.program.workers.push_back(
+            program.workers.push_back(
                 [state, body](ThreadCtx &ctx) { body(ctx, *state); });
-        return lp;
+        return program;
     };
     return test;
 }
@@ -196,11 +194,12 @@ handwrittenLitmusTests()
             "per-line state that epoch's 64-byte coalescing hides";
         test.make = []() {
             auto state = std::make_shared<LitmusCells>();
-            LitmusProgram lp;
-            lp.observed = std::make_shared<std::vector<ObservedCell>>();
-            auto observed = lp.observed;
-            lp.program.engine.consistency = ConsistencyModel::TSO;
-            lp.program.setup = [state, observed](ThreadCtx &ctx) {
+            ExploreProgram program;
+            program.observed =
+                std::make_shared<std::vector<ObservedCell>>();
+            auto observed = program.observed;
+            program.engine.consistency = ConsistencyModel::TSO;
+            program.setup = [state, observed](ThreadCtx &ctx) {
                 state->cell.clear();
                 observed->clear();
                 const Addr line =
@@ -210,14 +209,14 @@ handwrittenLitmusTests()
                 observed->push_back(ObservedCell{"a", line, 8});
                 observed->push_back(ObservedCell{"b", line + 8, 8});
             };
-            lp.program.workers.push_back([state](ThreadCtx &ctx) {
+            program.workers.push_back([state](ThreadCtx &ctx) {
                 ctx.store(state->cell[0], 1);
                 ctx.clflushopt(state->cell[0]);
                 ctx.store(state->cell[1], 1);
                 ctx.clflushopt(state->cell[1]);
                 ctx.sfence();
             });
-            return lp;
+            return program;
         };
         tests.push_back(std::move(test));
     }
@@ -305,14 +304,14 @@ generatedLitmusTests(std::size_t count, std::uint64_t seed0)
             opts.allow_strands = false;
             opts.allow_flushes = true;
             auto layout = std::make_shared<RandomProgramLayout>();
-            LitmusProgram lp;
-            lp.program = randomProgram(seed, opts, layout)();
-            lp.program.engine.consistency = ConsistencyModel::TSO;
-            lp.observed = std::make_shared<std::vector<ObservedCell>>();
-            auto observed = lp.observed;
-            const auto inner = lp.program.setup;
-            lp.program.setup = [inner, layout, observed,
-                                opts](ThreadCtx &ctx) {
+            ExploreProgram program = randomProgram(seed, opts, layout)();
+            program.engine.consistency = ConsistencyModel::TSO;
+            program.observed =
+                std::make_shared<std::vector<ObservedCell>>();
+            auto observed = program.observed;
+            const auto inner = program.setup;
+            program.setup = [inner, layout, observed,
+                             opts](ThreadCtx &ctx) {
                 inner(ctx);
                 observed->clear();
                 for (std::uint32_t c = 0; c < opts.scratch_cells; ++c)
@@ -328,7 +327,7 @@ generatedLitmusTests(std::size_t count, std::uint64_t seed0)
                                      layout->flag + t * 8ULL, 8});
                 }
             };
-            return lp;
+            return program;
         };
         tests.push_back(std::move(test));
     }
@@ -359,38 +358,6 @@ conformanceModels()
 
 namespace {
 
-/** One deterministic execution of a litmus program. */
-struct LitmusExecution
-{
-    InMemoryTrace trace;
-    std::uint64_t fingerprint = 0;
-    std::vector<ObservedCell> observed;
-};
-
-LitmusExecution
-executeOnce(const LitmusTest &test, FrontierKind frontier,
-            std::uint64_t seed)
-{
-    LitmusProgram lp = test.make();
-    PERSIM_REQUIRE(!lp.program.workers.empty(),
-                   "litmus program has no workers");
-
-    LitmusExecution out;
-    ReplayPolicy policy({}, frontier, seed);
-    EngineConfig config = lp.program.engine;
-    if (config.max_events == 0)
-        config.max_events = 1ULL << 20;
-    ExecutionEngine engine(config, &out.trace, &policy);
-    if (lp.program.setup)
-        engine.runSetup(lp.program.setup);
-    engine.run(lp.program.workers);
-    out.fingerprint = fingerprintTrace(out.trace);
-    PERSIM_REQUIRE(lp.observed != nullptr && !lp.observed->empty(),
-                   "litmus program observed no cells");
-    out.observed = *lp.observed;
-    return out;
-}
-
 LitmusResult
 runOneTest(const LitmusTest &test, const ConformanceOptions &options,
            const std::vector<ModelConfig> &models)
@@ -401,36 +368,36 @@ runOneTest(const LitmusTest &test, const ConformanceOptions &options,
 
     // Deterministic schedule set: the round-robin frontier plus fixed
     // random-frontier seeds, pruned to distinct executions.
-    std::vector<LitmusExecution> executions;
+    Explorer explorer(test.make, ExploreConfig{});
+    std::vector<Explorer::Execution> executions;
     std::set<std::uint64_t> fingerprints;
-    const auto consider = [&](LitmusExecution &&execution) {
+    const auto consider = [&](FrontierKind frontier, std::uint64_t seed) {
+        Explorer::Execution execution =
+            explorer.execute({}, frontier, seed);
+        PERSIM_REQUIRE(!execution.observed.empty(),
+                       "litmus program observed no cells");
         if (fingerprints.insert(execution.fingerprint).second)
             executions.push_back(std::move(execution));
     };
-    consider(executeOnce(test, FrontierKind::RoundRobin, 1));
+    consider(FrontierKind::RoundRobin, 1);
     for (std::uint32_t s = 1; s <= options.random_schedules; ++s)
-        consider(executeOnce(test, FrontierKind::Random, s));
+        consider(FrontierKind::Random, s);
     out.schedules = executions.size();
 
     for (const ModelConfig &model : models) {
         ModelStates entry;
         entry.model = model.name();
         std::set<std::string> states;
-        for (const LitmusExecution &execution : executions) {
-            TimingConfig tcfg;
-            tcfg.model = model;
-            tcfg.record_log = true;
-            tcfg.record_deps = true;
+        for (const Explorer::Execution &execution : executions) {
+            TimingConfig timing;
+            timing.model = model;
             PersistRaceDetector detector;
             if (options.detect_persist_races)
-                tcfg.plugins.push_back(&detector);
-            PersistTimingEngine engine(tcfg);
-            engine.onBatch(execution.trace.events().data(),
-                           execution.trace.events().size());
-            engine.onFinish();
-            entry.persist_races += detector.total();
-            const PersistLog log = engine.takeLog();
-            const PersistDag dag = buildPersistDag(log);
+                timing.plugins.push_back(&detector);
+            std::vector<AddrRange> ranges;
+            if (options.prune_cuts)
+                for (const ObservedCell &cell : execution.observed)
+                    ranges.push_back(AddrRange{cell.addr, cell.size});
 
             const RecoveryInvariant fingerprint =
                 [&states, &execution](
@@ -447,19 +414,11 @@ runOneTest(const LitmusTest &test, const ConformanceOptions &options,
                 states.insert(std::move(state));
                 return "";
             };
-            CutCheckResult cuts;
-            if (options.prune_cuts) {
-                std::vector<AddrRange> ranges;
-                ranges.reserve(execution.observed.size());
-                for (const ObservedCell &cell : execution.observed)
-                    ranges.push_back(AddrRange{cell.addr, cell.size});
-                cuts = checkObservedCuts(log, dag, fingerprint, ranges,
-                                         options.max_cuts);
-            } else {
-                cuts = checkAllCuts(log, dag, fingerprint,
-                                    options.max_cuts);
-            }
-            entry.budget_exhausted |= cuts.budget_exhausted;
+            const CrashStateCheck check = checkCrashStates(
+                execution.trace, timing, fingerprint, ranges,
+                options.max_cuts);
+            entry.persist_races += detector.total();
+            entry.budget_exhausted |= check.cuts.budget_exhausted;
         }
         entry.states.assign(states.begin(), states.end());
         out.models.push_back(std::move(entry));

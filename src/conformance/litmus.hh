@@ -5,10 +5,11 @@
  *
  * Each litmus test is a small bounded program (hand-written idiom or
  * a seeded random program from src/explore/programs.hh) executed on
- * the TSO simulator under a deterministic set of schedules. Every
- * resulting trace is replayed under each persistency model with
- * record_deps, the exhaustive recovery observer (src/recovery/
- * cuts.hh) enumerates every consistent cut, and each crash state is
+ * the TSO simulator under a deterministic set of schedules by the
+ * explorer's executor (Explorer::execute). Every resulting trace goes
+ * through the explorer's crash-state check (checkCrashStates in
+ * src/recovery/cuts.hh) under each persistency model, which
+ * enumerates every consistent cut, and each crash state is
  * fingerprinted over the test's observed cells. The per-model sets of
  * reachable post-crash states are then compared pairwise and
  * rendered as a divergence report (DESIGN.md Section 13.4) whose
@@ -31,8 +32,6 @@
 #define PERSIM_CONFORMANCE_LITMUS_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,30 +40,17 @@
 
 namespace persim {
 
-/**
- * A litmus program: the bounded program plus the cells its crash
- * states are fingerprinted over (ObservedCell lives in
- * explore/explore.hh so the explorer's pruner shares the type).
- * `observed` is filled in during the program's setup phase (addresses
- * exist only once the simulated allocator has run); the allocator is
- * deterministic, so every execution observes the same layout.
- */
-struct LitmusProgram
-{
-    ExploreProgram program;
-    std::shared_ptr<std::vector<ObservedCell>> observed;
-};
-
-/** Builds a fresh instance of a litmus program (one per execution). */
-using LitmusFactory = std::function<LitmusProgram()>;
-
 /** One named litmus test. */
 struct LitmusTest
 {
     std::string name;
     /** One-line intent note rendered into the report. */
     std::string note;
-    LitmusFactory make;
+    /**
+     * Builds the program; its `observed` cells (filled during setup)
+     * are what each crash state is fingerprinted over.
+     */
+    ProgramFactory make;
 };
 
 /** The hand-written x86-persistency litmus suite (>= 8 tests). */

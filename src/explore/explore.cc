@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <unordered_set>
 
 #include "common/error.hh"
-#include "explore/crash_pruner.hh"
-#include "persistency/timing_engine.hh"
 #include "recovery/cuts.hh"
 
 namespace persim {
@@ -167,8 +164,7 @@ Explorer::minimizeDecisions(const std::vector<std::uint32_t> &full,
 }
 
 void
-Explorer::analyze(Shared &shared, const Execution &execution,
-                  const std::vector<std::uint32_t> &decision_prefix)
+Explorer::analyze(Shared &shared, const Execution &execution)
 {
     const bool prune = config_.prune_cuts && !execution.observed.empty();
     std::vector<AddrRange> ranges;
@@ -178,45 +174,16 @@ Explorer::analyze(Shared &shared, const Execution &execution,
             ranges.push_back(AddrRange{cell.addr, cell.size});
     }
 
-    TimingConfig timing;
-    timing.model = config_.model;
-    timing.clock = ClockMode::Levels;
-    timing.record_log = true;
-    timing.record_deps = true;
-    std::optional<CrashStatePruner> pruner;
-    if (prune) {
-        pruner.emplace(ranges);
-        timing.plugins.push_back(&*pruner);
-    }
-    PersistTimingEngine timing_engine(timing);
-    execution.trace.replay(timing_engine);
-    const PersistLog log = timing_engine.takeLog();
-
     RecoveryInvariant invariant = execution.invariant;
     if (!invariant)
         invariant = [](const MemoryImage &) { return std::string(); };
 
-    CutCheckResult cuts;
-    PersistDag dag;
-    bool short_circuited = false;
-    if (prune && pruner->observedPersists() == 0) {
-        // No persist ever touches an observed byte, so every
-        // consistent cut projects to the initial image: one invariant
-        // check covers the whole lattice, and the DAG is not needed.
-        short_circuited = true;
-        cuts.cuts = 1;
-        const std::string verdict = invariant(MemoryImage{});
-        if (!verdict.empty()) {
-            cuts.violations = 1;
-            cuts.first_violation = verdict;
-        }
-    } else {
-        dag = buildPersistDag(log);
-        cuts = prune ? checkObservedCuts(log, dag, invariant, ranges,
-                                         config_.max_cuts)
-                     : checkAllCuts(log, dag, invariant,
-                                    config_.max_cuts);
-    }
+    TimingConfig timing;
+    timing.model = config_.model;
+    CrashStateCheck check = checkCrashStates(execution.trace, timing,
+                                             invariant, ranges,
+                                             config_.max_cuts);
+    const CutCheckResult &cuts = check.cuts;
 
     bool claim = false;
     {
@@ -226,7 +193,7 @@ Explorer::analyze(Shared &shared, const Execution &execution,
         shared.result.cut_budget_exhausted |= cuts.budget_exhausted;
         if (prune)
             ++shared.result.pruned_analyses;
-        if (short_circuited)
+        if (check.short_circuited)
             ++shared.result.pruned_short_circuits;
         if (cuts.violations > 0 && !shared.counterexample_claimed) {
             shared.counterexample_claimed = true;
@@ -242,18 +209,20 @@ Explorer::analyze(Shared &shared, const Execution &execution,
     full_decisions.reserve(execution.decisions.size());
     for (const BranchPoint &bp : execution.decisions)
         full_decisions.push_back(bp.chosen);
-    (void)decision_prefix;
+
+    // A short-circuited check failed on the empty cut and skipped the
+    // DAG; the cut helpers below still index records by group.
+    const PersistLog &log = check.log;
+    if (check.short_circuited)
+        check.dag = buildPersistDag(log);
+    const PersistDag &dag = check.dag;
 
     Counterexample ce;
     ce.fingerprint = execution.fingerprint;
     ce.violation = cuts.first_violation;
-    ce.decisions = config_.minimize
-        ? minimizeDecisions(full_decisions, execution.fingerprint)
-        : full_decisions;
-    ce.cut_groups = config_.minimize
-        ? minimizeViolatingCut(log, dag, invariant,
-                               cuts.first_violation_groups)
-        : cuts.first_violation_groups;
+    ce.decisions = minimizeDecisions(full_decisions, execution.fingerprint);
+    ce.cut_groups = minimizeViolatingCut(log, dag, invariant,
+                                         cuts.first_violation_groups);
     // Re-derive the verdict for the (possibly smaller) final cut.
     const MemoryImage image =
         reconstructImageFromGroups(log, dag, ce.cut_groups);
@@ -337,7 +306,7 @@ Explorer::process(TaskPool *pool, Shared &shared,
     }
 
     if (fresh)
-        analyze(shared, execution, prefix);
+        analyze(shared, execution);
 }
 
 void

@@ -3,7 +3,7 @@
  * Bounded exhaustive schedule & crash-state model checking.
  *
  * Persim's stochastic validation (RandomPolicy interleavings +
- * recovery::injectFailures crash sampling) can miss a racing
+ * runFaultCampaign crash sampling) can miss a racing
  * annotation bug that manifests on one schedule in a thousand. This
  * subsystem turns the paper's recovery-observer formalism into a
  * correctness tool, Jaaru-style: for a small bounded program it
@@ -131,9 +131,6 @@ struct ExploreConfig
     /** Seed for the sampling fallback. */
     std::uint64_t seed = 1;
 
-    /** Minimize counterexamples (costs a few replays). */
-    bool minimize = true;
-
     /**
      * Constraint-guided crash-state pruning (DESIGN.md §14): when the
      * program declares observed cells, enumerate only consistent cuts
@@ -146,7 +143,9 @@ struct ExploreConfig
     bool prune_cuts = false;
 };
 
-/** A concrete, replayable recovery-correctness failure. */
+/** A concrete, replayable recovery-correctness failure, minimized:
+    the shortest reproducing decision prefix and a locally minimal
+    violating cut (each costs a few replays). */
 struct Counterexample
 {
     /**
@@ -261,9 +260,9 @@ class Explorer
                  const std::vector<std::uint32_t> &prefix, bool sampled,
                  std::uint64_t sample_seed);
 
-    /** Analyze one execution's crash states. */
-    void analyze(Shared &shared, const Execution &execution,
-                 const std::vector<std::uint32_t> &decision_prefix);
+    /** Check one execution's crash states; minimize the first
+        counterexample found. */
+    void analyze(Shared &shared, const Execution &execution);
 
     /** Shortest prefix whose replay reproduces @p target. */
     std::vector<std::uint32_t>

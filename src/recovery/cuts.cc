@@ -81,6 +81,18 @@ buildPersistDag(const PersistLog &log)
 
 namespace {
 
+/** Does @p record write a byte inside one of @p ranges? */
+bool
+overlapsAny(const PersistRecord &record,
+            const std::vector<AddrRange> &ranges)
+{
+    return std::any_of(ranges.begin(), ranges.end(),
+                       [&](const AddrRange &range) {
+                           return record.addr < range.addr + range.size &&
+                                  range.addr < record.addr + record.size;
+                       });
+}
+
 /**
  * Enumerate the order ideals of the groups @p mask selects, under
  * reachability through unselected groups, and run @p invariant on the
@@ -189,16 +201,9 @@ observedGroupMask(const PersistLog &log, const PersistDag &dag,
                   const std::vector<AddrRange> &observed)
 {
     std::vector<char> mask(dag.groupCount(), 0);
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        const PersistRecord &record = log[i];
-        for (const AddrRange &range : observed) {
-            if (record.addr < range.addr + range.size &&
-                range.addr < record.addr + record.size) {
-                mask[dag.group_of_record[i]] = 1;
-                break;
-            }
-        }
-    }
+    for (std::size_t i = 0; i < log.size(); ++i)
+        if (overlapsAny(log[i], observed))
+            mask[dag.group_of_record[i]] = 1;
     return mask;
 }
 
@@ -241,6 +246,41 @@ checkObservedCuts(const PersistLog &log, const PersistDag &dag,
     // invariant may read.
     return enumerateCuts(log, dag, invariant,
                          observedGroupMask(log, dag, observed), max_cuts);
+}
+
+CrashStateCheck
+checkCrashStates(const InMemoryTrace &trace, TimingConfig timing,
+                 const RecoveryInvariant &invariant,
+                 const std::vector<AddrRange> &observed,
+                 std::uint64_t max_cuts)
+{
+    timing.record_log = true;
+    timing.record_deps = true;
+    PersistTimingEngine engine(timing);
+    trace.replay(engine);
+
+    CrashStateCheck out;
+    out.log = engine.takeLog();
+    if (!observed.empty() &&
+        std::none_of(out.log.begin(), out.log.end(),
+                     [&](const PersistRecord &record) {
+                         return overlapsAny(record, observed);
+                     })) {
+        out.short_circuited = true;
+        out.cuts.cuts = 1;
+        const std::string verdict = invariant(MemoryImage{});
+        if (!verdict.empty()) {
+            out.cuts.violations = 1;
+            out.cuts.first_violation = verdict;
+        }
+        return out;
+    }
+    out.dag = buildPersistDag(out.log);
+    out.cuts = observed.empty()
+        ? checkAllCuts(out.log, out.dag, invariant, max_cuts)
+        : checkObservedCuts(out.log, out.dag, invariant, observed,
+                            max_cuts);
+    return out;
 }
 
 MemoryImage

@@ -30,7 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "memtrace/sink.hh"
 #include "persistency/persist_log.hh"
+#include "persistency/timing_engine.hh"
 #include "recovery/recovery.hh"
 #include "sim/memory_image.hh"
 
@@ -144,6 +146,39 @@ CutCheckResult checkObservedCuts(const PersistLog &log,
                                  const RecoveryInvariant &invariant,
                                  const std::vector<AddrRange> &observed,
                                  std::uint64_t max_cuts = 1ULL << 20);
+
+/** Everything checkCrashStates derived from one execution. */
+struct CrashStateCheck
+{
+    /** The replay's persist log (with dependence sets). */
+    PersistLog log;
+
+    /** Group DAG of `log`; empty when short_circuited. */
+    PersistDag dag;
+
+    CutCheckResult cuts;
+
+    /**
+     * No log record touches an observed byte, so every consistent cut
+     * projects to the initial image: one invariant check on the empty
+     * image replaced the enumeration and the DAG was not built.
+     */
+    bool short_circuited = false;
+};
+
+/**
+ * The crash-state check of one execution: replay @p trace under
+ * @p timing (its model and plugins; record_log and record_deps are
+ * forced on), build the persist DAG and run @p invariant on every
+ * crash state. With @p observed empty that is checkAllCuts; otherwise
+ * checkObservedCuts over those byte ranges, short-circuited as
+ * described on CrashStateCheck. @p max_cuts as for checkAllCuts.
+ */
+CrashStateCheck checkCrashStates(const InMemoryTrace &trace,
+                                 TimingConfig timing,
+                                 const RecoveryInvariant &invariant,
+                                 const std::vector<AddrRange> &observed,
+                                 std::uint64_t max_cuts);
 
 /**
  * Reconstruct the persistent image of one cut: apply the records of

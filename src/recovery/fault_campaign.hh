@@ -2,14 +2,14 @@
  * @file
  * Device-fault injection campaigns.
  *
- * runFaultCampaign extends the recovery observer's failure injection
- * (recovery.hh) with the device-fault model of src/nvram/faults.hh:
- * each sampled crash state is perturbed by torn persists, wear-scaled
- * media errors, and dropped drain-buffer writes before the recovery
- * invariant runs. With every fault class disabled the campaign is
- * bit-identical to injectFailures — in fact injectFailures delegates
- * here — so fault-free results never shift when the fault machinery
- * evolves.
+ * runFaultCampaign is the recovery observer's failure injection
+ * (recovery.hh), extended with the device-fault model of
+ * src/nvram/faults.hh: each sampled crash state is perturbed by torn
+ * persists, wear-scaled media errors, and dropped drain-buffer writes
+ * before the recovery invariant runs. With the default FaultConfig
+ * (every fault class disabled) it is plain failure injection over a
+ * perfect device: one code path serves both, so the fault machinery
+ * can never drift away from the baseline observer semantics.
  *
  * The campaign fans realizations out over the shared TaskPool
  * (InjectionConfig::jobs) and aggregates deterministically: serial
@@ -45,13 +45,16 @@ struct FaultCampaignConfig
     InjectionConfig injection;
 
     /** Device faults applied to each crash image (default: none). */
-    FaultConfig faults;
+    FaultConfig faults = {};
 };
 
 /**
- * Run a device-fault injection campaign: sample crash states exactly
- * as injectFailures does, perturb each image through the fault model,
- * and check the invariant. The invariant must be thread-safe when
+ * Run a device-fault injection campaign: for each stochastic
+ * realization of persist completion times under the model, sample
+ * crash times (uniformly over the realization's time span, plus the
+ * boundary cases "nothing persisted" and "everything persisted"),
+ * perturb each image through the fault model, and check the
+ * invariant. The invariant must be thread-safe when
  * injection.jobs != 1 (the stock makeRecoveryInvariant /
  * makeDetectAndDiscardInvariant / makeLogRecoveryInvariant closures
  * are: they only read captured state).

@@ -6,7 +6,7 @@
 
 #include "common/error.hh"
 #include "common/rng.hh"
-#include "recovery/fault_campaign.hh"
+#include "nvram/faults.hh"
 
 namespace persim {
 
@@ -101,18 +101,6 @@ stochasticLog(const InMemoryTrace &trace, const ModelConfig &model,
     PersistTimingEngine engine(config);
     trace.replay(engine);
     return engine.takeLog();
-}
-
-InjectionResult
-injectFailures(const InMemoryTrace &trace, const InjectionConfig &config,
-               const RecoveryInvariant &invariant)
-{
-    // A fault-free campaign over a perfect device: one code path
-    // serves both, so the fault machinery can never drift away from
-    // the baseline observer semantics.
-    FaultCampaignConfig campaign;
-    campaign.injection = config;
-    return runFaultCampaign(trace, campaign, invariant);
 }
 
 } // namespace persim

@@ -17,9 +17,10 @@
  *  - reconstruct the image and run a workload-specific recovery
  *    invariant against it.
  *
- * Failure injection sweeps many crash times over many stochastic
- * realizations; a single surviving violation proves the annotation
- * scheme insufficient for the model (this is how the tests
+ * Failure injection (runFaultCampaign in fault_campaign.hh; its
+ * default FaultConfig is fault-free) sweeps many crash times over many
+ * stochastic realizations; a single surviving violation proves the
+ * annotation scheme insufficient for the model (this is how the tests
  * demonstrate that Algorithm 1's barriers are required).
  */
 
@@ -126,17 +127,6 @@ struct InjectionConfig
     /** Cap on InjectionResult::violation_list. */
     std::uint64_t max_recorded_violations = 16;
 };
-
-/**
- * Run failure injection: for each stochastic realization of persist
- * completion times under @p config.model, sample crash times
- * (uniformly over the realization's time span, plus the boundary
- * cases "nothing persisted" and "everything persisted") and check
- * @p invariant on each reconstructed image.
- */
-InjectionResult injectFailures(const InMemoryTrace &trace,
-                               const InjectionConfig &config,
-                               const RecoveryInvariant &invariant);
 
 /**
  * Convenience: analyze @p trace with a stochastic clock under

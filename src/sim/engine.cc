@@ -195,28 +195,22 @@ struct ExecutionEngine::Fiber
 
 ExecutionEngine::ExecutionEngine(const EngineConfig &config, TraceSink *sink)
     : config_(config), sink_(sink),
-      valloc_(volatile_base, config.volatile_capacity),
-      palloc_(persistent_base, config.persistent_capacity),
+      valloc_(volatile_base, volatile_capacity),
+      palloc_(persistent_base, persistent_capacity),
       owned_policy_(makePolicy(config.scheduler, config.seed,
                                config.quantum)),
       policy_(owned_policy_.get())
 {
-    PERSIM_REQUIRE(volatile_base + config.volatile_capacity
-                   <= persistent_base,
-                   "volatile region overlaps the persistent region");
 }
 
 ExecutionEngine::ExecutionEngine(const EngineConfig &config, TraceSink *sink,
                                  SchedulingPolicy *policy)
     : config_(config), sink_(sink),
-      valloc_(volatile_base, config.volatile_capacity),
-      palloc_(persistent_base, config.persistent_capacity),
+      valloc_(volatile_base, volatile_capacity),
+      palloc_(persistent_base, persistent_capacity),
       policy_(policy)
 {
     PERSIM_REQUIRE(policy != nullptr, "injected policy must not be null");
-    PERSIM_REQUIRE(volatile_base + config.volatile_capacity
-                   <= persistent_base,
-                   "volatile region overlaps the persistent region");
 }
 
 ExecutionEngine::~ExecutionEngine() = default;
@@ -365,7 +359,7 @@ ExecutionEngine::backgroundDrain(ThreadId tid)
         drain_ticks_[tid] = 0;
         return;
     }
-    if (++drain_ticks_[tid] >= config_.drain_interval) {
+    if (++drain_ticks_[tid] >= drain_interval) {
         drain_ticks_[tid] = 0;
         drainOne(tid);
     }

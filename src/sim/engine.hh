@@ -85,27 +85,11 @@ struct EngineConfig
     /** Abort the execution after this many events (0 = unlimited). */
     std::uint64_t max_events = 0;
 
-    /** Capacity of the volatile address region. */
-    std::uint64_t volatile_capacity = 1ULL << 32;
-
-    /** Capacity of the persistent address region. */
-    std::uint64_t persistent_capacity = 1ULL << 32;
-
     /** Memory consistency model to execute under. */
     ConsistencyModel consistency = ConsistencyModel::SC;
 
     /** TSO store buffer entries per thread (drain-on-overflow). */
     std::uint32_t store_buffer_depth = 8;
-
-    /**
-     * TSO background drain interval: hardware store buffers drain
-     * *eventually*, not only at synchronizing instructions (a spinning
-     * reader must eventually observe a peer's buffered store, or MCS
-     * handoff would deadlock). The oldest buffered store drains after
-     * the owning thread executes this many events with a non-empty
-     * buffer.
-     */
-    std::uint32_t drain_interval = 16;
 };
 
 /** Scheduler activity of one ExecutionEngine run. */
@@ -310,6 +294,24 @@ class ExecutionEngine
 
   private:
     friend class ThreadCtx;
+
+    /** Capacity of the volatile address region. */
+    static constexpr std::uint64_t volatile_capacity = 1ULL << 32;
+
+    /** Capacity of the persistent address region. */
+    static constexpr std::uint64_t persistent_capacity = 1ULL << 32;
+    static_assert(volatile_base + volatile_capacity <= persistent_base,
+                  "volatile region overlaps the persistent region");
+
+    /**
+     * TSO background drain interval: hardware store buffers drain
+     * *eventually*, not only at synchronizing instructions (a spinning
+     * reader must eventually observe a peer's buffered store, or MCS
+     * handoff would deadlock). The oldest buffered store drains after
+     * the owning thread executes this many events with a non-empty
+     * buffer.
+     */
+    static constexpr std::uint32_t drain_interval = 16;
 
     /** Exception used to unwind workers when the engine aborts. */
     struct Aborted {};

@@ -23,7 +23,7 @@ MemoryImage::operator=(MemoryImage &&other)
 {
     // Swap the pages, then empty @p other: neither side keeps a
     // cached page pointer.
-    std::swap(directory_, other.directory_);
+    directory_.swap(other.directory_);
     std::swap(pages_, other.pages_);
     other.clear();
     last_page_no_ = no_page;

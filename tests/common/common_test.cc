@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/error.hh"
@@ -235,6 +236,36 @@ TEST(FlatIndexMap, CapacityBoundIsAHardError)
     EXPECT_TRUE(inserted);
 }
 
+TEST(FlatIndexMap, MovedFromMapIsEmptyAndUsable)
+{
+    bool inserted = false;
+    FlatIndexMap source;
+    for (std::uint64_t key = 0; key < 100; ++key)
+        source.findOrInsert(key * 7, inserted);
+
+    // Move construction: the source is left an empty, usable map.
+    FlatIndexMap moved(std::move(source));
+    EXPECT_EQ(moved.size(), 100u);
+    EXPECT_EQ(moved.find(7 * 42), 42u);
+    EXPECT_EQ(source.size(), 0u);
+    EXPECT_EQ(source.find(7 * 42), FlatIndexMap::no_slot);
+    EXPECT_EQ(source.findOrInsert(5, inserted), 0u);
+    EXPECT_TRUE(inserted);
+
+    // Move assignment over a live map, the same way.
+    FlatIndexMap target;
+    target.findOrInsert(1, inserted);
+    target = std::move(moved);
+    EXPECT_EQ(target.size(), 100u);
+    EXPECT_EQ(target.find(7 * 99), 99u);
+    EXPECT_EQ(target.find(1), FlatIndexMap::no_slot);
+    EXPECT_EQ(moved.size(), 0u);
+    EXPECT_EQ(moved.find(7 * 99), FlatIndexMap::no_slot);
+    EXPECT_EQ(moved.findOrInsert(3, inserted), 0u);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(target.find(3), FlatIndexMap::no_slot);
+}
+
 // The ShardedIndexMap.* tests predate the paged index; they keep
 // their names and now pin PagedIndexMap, which replaced the sharded
 // hash table in the timing engine and compileTrace.
@@ -398,6 +429,37 @@ TEST(PagedIndexMap, SparseAndDenseBytesPerKey)
     for (std::uint64_t i = 0; i < n * 64; ++i)
         dense.findOrInsert(persistent_base + i, inserted);
     EXPECT_LE(dense.bytes(), n * 64 * 8);
+}
+
+TEST(PagedIndexMap, MovedFromMapIsEmptyAndUsable)
+{
+    // The source's last-page cache must not keep pointing into the
+    // destination's page: an insert through it would corrupt the
+    // destination.
+    bool inserted = false;
+    PagedIndexMap source;
+    source.findOrInsert(70, inserted);
+    PagedIndexMap moved(std::move(source));
+    EXPECT_EQ(source.size(), 0u);
+    EXPECT_EQ(source.find(70), PagedIndexMap::no_slot);
+    EXPECT_EQ(source.findOrInsert(71, inserted), 0u);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(moved.size(), 1u);
+    EXPECT_EQ(moved.find(70), 0u);
+    EXPECT_EQ(moved.find(71), PagedIndexMap::no_slot);
+
+    PagedIndexMap target;
+    target.findOrInsert(72, inserted);
+    target = std::move(moved);
+    EXPECT_EQ(target.size(), 1u);
+    EXPECT_EQ(target.find(70), 0u);
+    EXPECT_EQ(target.find(72), PagedIndexMap::no_slot);
+    EXPECT_EQ(moved.size(), 0u);
+    EXPECT_EQ(moved.find(70), PagedIndexMap::no_slot);
+    EXPECT_EQ(moved.findOrInsert(73, inserted), 0u);
+    EXPECT_EQ(target.find(73), PagedIndexMap::no_slot);
+    EXPECT_EQ(target.findOrInsert(74, inserted), 1u);
+    EXPECT_EQ(moved.find(74), PagedIndexMap::no_slot);
 }
 
 } // namespace

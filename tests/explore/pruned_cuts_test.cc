@@ -2,18 +2,20 @@
  * @file
  * Constraint-guided crash-state pruning tests: checkObservedCuts /
  * observedGroupMask / downwardClosure unit semantics (recovery/
- * cuts.hh) and the Explorer integration (ExploreConfig::prune_cuts +
- * CrashStatePruner). The load-bearing property everywhere: pruned
- * enumeration reaches exactly the observable states of exhaustive
- * enumeration — both directions — while examining far fewer cuts.
+ * cuts.hh) and the Explorer integration (ExploreConfig::prune_cuts
+ * through checkCrashStates). The load-bearing property everywhere:
+ * pruned enumeration reaches exactly the observable states of
+ * exhaustive enumeration — both directions — while examining far
+ * fewer cuts.
  */
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "explore/crash_pruner.hh"
 #include "explore/explore.hh"
 #include "explore/programs.hh"
 #include "recovery/cuts.hh"
@@ -244,24 +246,6 @@ TEST(ObservedCuts, BudgetStopsEnumeration)
     EXPECT_TRUE(pruned.budget_exhausted);
 }
 
-TEST(CrashPruner, CountsObservedAndTotalPersists)
-{
-    TraceBuilder builder;
-    builder.store(0, paddr(0), 1)
-           .store(0, paddr(1), 2)
-           .store(0, paddr(9), 3);
-    CrashStatePruner pruner({AddrRange{paddr(0), 8}, {paddr(1), 8}});
-    TimingConfig config;
-    config.model = ModelConfig::epoch();
-    config.plugins.push_back(&pruner);
-    PersistTimingEngine engine(config);
-    builder.trace().replay(engine);
-    EXPECT_EQ(pruner.totalPersists(), 3u);
-    EXPECT_EQ(pruner.observedPersists(), 2u);
-    EXPECT_GE(pruner.linesTouched(), 1u);
-    EXPECT_GT(pruner.lastCommitTime(paddr(0)), 0.0);
-}
-
 ExploreConfig
 publishConfig(bool prune)
 {
@@ -409,6 +393,106 @@ TEST(ExplorerPruning, ShortCircuitWhenObservedNeverPersists)
     EXPECT_GT(result.pruned_short_circuits, 0u);
     EXPECT_EQ(result.pruned_short_circuits, result.distinct_executions);
     EXPECT_EQ(result.cuts_checked, result.distinct_executions);
+}
+
+TEST(ExplorerPruning, ShortCircuitedViolationYieldsACounterexample)
+{
+    // The observed cell never persists, and the invariant demands it:
+    // the empty cut fails, and the counterexample is built on a check
+    // that skipped the DAG.
+    ProgramFactory factory = []() {
+        auto cell = std::make_shared<Addr>(invalid_addr);
+        ExploreProgram program;
+        program.observed = std::make_shared<std::vector<ObservedCell>>();
+        auto observed = program.observed;
+        program.setup = [cell, observed](ThreadCtx &ctx) {
+            *cell = ctx.pmalloc(8);
+            ctx.pmalloc(8);
+            observed->assign({ObservedCell{"never", *cell, 8}});
+        };
+        program.workers.push_back([cell](ThreadCtx &ctx) {
+            ctx.store(*cell + 8, 1);
+            ctx.persistBarrier();
+            ctx.store(*cell + 8, 2);
+        });
+        program.invariant = [cell]() -> RecoveryInvariant {
+            return [cell](const MemoryImage &image) -> std::string {
+                if (image.load(*cell, 8) == 0)
+                    return "cell never became durable";
+                return "";
+            };
+        };
+        return program;
+    };
+    Explorer guided(factory, publishConfig(true));
+    const ExploreResult result = guided.run();
+    EXPECT_EQ(result.pruned_short_circuits, result.distinct_executions);
+    EXPECT_EQ(result.violations, result.distinct_executions);
+    ASSERT_TRUE(result.counterexample.has_value());
+    const Counterexample &ce = *result.counterexample;
+    EXPECT_EQ(ce.violation, "cell never became durable");
+    EXPECT_TRUE(ce.cut_groups.empty());
+    EXPECT_EQ(ce.cut_detail.rfind("0 of 1 atomic persist groups", 0), 0u)
+        << ce.cut_detail;
+}
+
+/** The ExploreResult fields perfbench's crash_explore digest reads. */
+std::vector<std::uint64_t>
+answers(const ExploreResult &result)
+{
+    return {result.executions,           result.sampled_executions,
+            result.distinct_executions,  result.pruned_duplicates,
+            result.truncated_executions, result.branch_points,
+            result.cuts_checked,         result.violations};
+}
+
+// The two pins below were recorded before the explorer and the
+// conformance harness shared one crash-state check; any change to how
+// an execution's crash states are enumerated must leave them as is.
+
+TEST(ExplorerAnswers, QueueExploreAtSeedSevenIsPinned)
+{
+    // perfbench's crash_explore program at its tiny budget.
+    QueueExploreOptions queue;
+    queue.kind = QueueKind::TwoLockConcurrent;
+    queue.threads = 2;
+    queue.inserts_per_thread = 1;
+    queue.queue.barrier_before_publish = true;
+    queue.payload_bytes = 312;
+    ExploreConfig config;
+    config.model = queueExploreModel();
+    config.max_executions = 60;
+    config.samples = 20;
+    config.seed = 7;
+    config.shards = 1;
+    Explorer explorer(queueProgram(queue), config);
+    const ExploreResult result = explorer.run();
+    EXPECT_EQ(answers(result),
+              (std::vector<std::uint64_t>{80, 20, 80, 0, 0, 2070, 91888,
+                                          0}))
+        << result.summary();
+    EXPECT_FALSE(result.counterexample.has_value());
+}
+
+TEST(ExplorerAnswers, PrunedBuggyPublishIsPinned)
+{
+    Explorer explorer(buggyPublishWithScratch(), publishConfig(true));
+    const ExploreResult result = explorer.run();
+    EXPECT_EQ(answers(result),
+              (std::vector<std::uint64_t>{358, 0, 358, 0, 0, 357, 956,
+                                          120}))
+        << result.summary();
+    EXPECT_EQ(result.pruned_analyses, 358u);
+    EXPECT_EQ(result.pruned_short_circuits, 0u);
+    ASSERT_TRUE(result.counterexample.has_value());
+    EXPECT_EQ(result.counterexample->format(),
+              "violation: recovery observed seen=1 without data=1\n"
+              "decision string (8 decisions): 1,1,0,0,0,0,0,0\n"
+              "execution fingerprint: 0x6c83a02a3fe1728d\n"
+              "crash cut: 1 of 5 atomic persist groups in the crash "
+              "state:\n"
+              "  group 3 t=1 seq=13 thread=1 addr=0x10000000008 size=8 "
+              "value=0x1\n");
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include "bench_util/queue_workload.hh"
 #include "memtrace/trace_io.hh"
 #include "persistency/timing_engine.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 
 namespace persim {
@@ -120,8 +121,8 @@ TEST(OfflineOnline, RecoveryInjectionWorksFromAFile)
     injection.model = ModelConfig::epoch();
     injection.realizations = 4;
     injection.crashes_per_realization = 16;
-    const auto result = injectFailures(
-        trace, injection,
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
         makeRecoveryInvariant(workload.layout, workload.golden));
     EXPECT_TRUE(result.ok()) << result.first_violation;
     std::remove(path.c_str());

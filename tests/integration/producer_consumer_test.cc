@@ -12,6 +12,7 @@
 
 #include "queue/payload.hh"
 #include "queue/queue.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
 
@@ -112,8 +113,8 @@ TEST_P(ProducerConsumerInjection, CrashStatesRecoverUnderEpoch)
 
     const auto layout = workload.layout;
     const auto golden = workload.golden;
-    const auto result = injectFailures(
-        workload.trace, injection,
+    const auto result = runFaultCampaign(
+        workload.trace, {.injection = injection},
         [&layout, &golden](const MemoryImage &image) {
             const auto report = recoverQueue(image, layout);
             if (!report.ok)
@@ -130,8 +131,8 @@ TEST_P(ProducerConsumerInjection, CrashStatesRecoverUnderStrict)
     injection.model = ModelConfig::strict();
     injection.realizations = 4;
     injection.crashes_per_realization = 30;
-    const auto result = injectFailures(
-        workload.trace, injection,
+    const auto result = runFaultCampaign(
+        workload.trace, {.injection = injection},
         makeRecoveryInvariant(workload.layout, workload.golden));
     EXPECT_TRUE(result.ok()) << result.first_violation;
 }

@@ -11,6 +11,7 @@
 
 #include "queue/payload.hh"
 #include "queue/queue.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
 
@@ -68,8 +69,8 @@ inject(const TsoWorkload &workload, std::uint64_t seed)
     injection.realizations = 16;
     injection.crashes_per_realization = 48;
     injection.seed = seed;
-    return injectFailures(
-        workload.trace, injection,
+    return runFaultCampaign(
+        workload.trace, {.injection = injection},
         makeRecoveryInvariant(workload.layout, workload.golden));
 }
 

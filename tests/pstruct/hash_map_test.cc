@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "pstruct/hash_map.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 
 namespace persim {
@@ -220,8 +221,9 @@ TEST_P(HashMapInjection, CrashStatesRecover)
     injection.model = GetParam().model;
     injection.realizations = 8;
     injection.crashes_per_realization = 48;
-    const auto result = injectFailures(
-        trace, injection, [&layout](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
+        [&layout](const MemoryImage &image) {
             return mapInvariant(image, layout);
         });
     EXPECT_TRUE(result.ok())
@@ -250,8 +252,9 @@ TEST(HashMapNegative, OmittingPublishBarrierCorruptsRecovery)
     injection.model = ModelConfig::strand();
     injection.realizations = 24;
     injection.crashes_per_realization = 64;
-    const auto result = injectFailures(
-        trace, injection, [&layout = layout](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
+        [&layout = layout](const MemoryImage &image) {
             return mapInvariant(image, layout);
         });
     EXPECT_GT(result.violations, 0u)

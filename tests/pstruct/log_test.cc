@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "pstruct/log.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 
 namespace persim {
@@ -183,8 +184,9 @@ TEST(Log, IntegrityHoldsEvenWithoutOrderingAnnotations)
     injection.model = ModelConfig::strand();
     injection.realizations = 12;
     injection.crashes_per_realization = 48;
-    const auto result = injectFailures(
-        trace, injection, [&layout = layout](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
+        [&layout = layout](const MemoryImage &image) {
             return logIntegrity(image, layout);
         });
     EXPECT_TRUE(result.ok()) << result.first_violation;

@@ -1,7 +1,6 @@
 /**
  * @file
- * Device-fault campaign tests: the zero-fault campaign reproduces
- * injectFailures bit-identically, parallel fan-out equals the serial
+ * Device-fault campaign tests: parallel fan-out equals the serial
  * baseline, every recorded violation replays to the same verdict from
  * its repro line, tearing distinguishes correctly-annotated
  * durability protocols from their barrier-elision mutants, and the
@@ -117,52 +116,6 @@ expectSameResults(const InjectionResult &a, const InjectionResult &b)
         EXPECT_EQ(va.verdict, vb.verdict);
         EXPECT_EQ(va.fault_summary, vb.fault_summary);
     }
-}
-
-TEST(FaultCampaign, ZeroFaultCampaignReproducesInjectFailures)
-{
-    // Beyond field-for-field equal results, every sampled image must
-    // be byte-identical: hash each image inside the invariant and
-    // compare the per-sample digests.
-    const QueueFixture fixture = buildQueue(false);
-    InjectionConfig injection;
-    injection.model = ModelConfig::epoch();
-    injection.realizations = 4;
-    injection.crashes_per_realization = 24;
-    injection.seed = 5;
-
-    const auto digestingInvariant = [&](std::vector<std::uint64_t> *out) {
-        const auto base =
-            makeRecoveryInvariant(fixture.layout, fixture.golden);
-        const Addr lo = fixture.layout.header;
-        const std::uint64_t span =
-            fixture.layout.data + fixture.layout.capacity - lo;
-        return [=](const MemoryImage &image) {
-            std::uint64_t digest = 0xcbf29ce484222325ull;
-            for (std::uint64_t i = 0; i < span; ++i) {
-                digest ^= image.load(lo + i, 1);
-                digest *= 0x100000001b3ull;
-            }
-            out->push_back(digest);
-            return base(image);
-        };
-    };
-
-    std::vector<std::uint64_t> legacy_digests;
-    const InjectionResult legacy = injectFailures(
-        fixture.trace, injection, digestingInvariant(&legacy_digests));
-
-    FaultCampaignConfig campaign;
-    campaign.injection = injection;
-    ASSERT_FALSE(campaign.faults.enabled());
-    std::vector<std::uint64_t> campaign_digests;
-    const InjectionResult faulted = runFaultCampaign(
-        fixture.trace, campaign, digestingInvariant(&campaign_digests));
-
-    expectSameResults(legacy, faulted);
-    EXPECT_EQ(legacy_digests, campaign_digests);
-    EXPECT_GT(legacy.samples, 0u);
-    EXPECT_TRUE(legacy.ok()) << legacy.first_violation;
 }
 
 TEST(FaultCampaign, ParallelEqualsSerial)

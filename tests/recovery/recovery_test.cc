@@ -13,6 +13,7 @@
 #include "bench_util/queue_workload.hh"
 #include "queue/payload.hh"
 #include "queue/queue.hh"
+#include "recovery/fault_campaign.hh"
 #include "recovery/recovery.hh"
 #include "tests/support/trace_builder.hh"
 
@@ -95,7 +96,7 @@ TEST(Reconstruct, CrashExactlyAtCompletionTimeIsInclusive)
 
 TEST(Reconstruct, BoundarySamplesAreNothingAndEverything)
 {
-    // The crash times injectFailures always includes: before the
+    // The crash times a campaign always includes: before the
     // first persist (empty image) and after the last (full image).
     TraceBuilder builder;
     builder.store(0, paddr(0), 1)
@@ -251,8 +252,9 @@ TEST(Injection, OrderedChainNeverExposesSuffixWithoutPrefix)
     config.model = ModelConfig::epoch();
     config.realizations = 8;
     config.crashes_per_realization = 32;
-    const auto result = injectFailures(
-        builder.trace(), config, [](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        builder.trace(), {.injection = config},
+        [](const MemoryImage &image) {
             const bool x = image.load(paddr(0), 8) == 7;
             const bool y = image.load(paddr(1), 8) == 9;
             return (y && !x) ? std::string("Y persisted without X") :
@@ -276,14 +278,14 @@ TEST(Injection, UnorderedPairExposesBothOrders)
 
     bool saw_x_only = false;
     bool saw_y_only = false;
-    injectFailures(builder.trace(), config,
-                   [&](const MemoryImage &image) {
-                       const bool x = image.load(paddr(0), 8) == 7;
-                       const bool y = image.load(paddr(1), 8) == 9;
-                       saw_x_only |= (x && !y);
-                       saw_y_only |= (y && !x);
-                       return std::string();
-                   });
+    runFaultCampaign(builder.trace(), {.injection = config},
+                     [&](const MemoryImage &image) {
+                         const bool x = image.load(paddr(0), 8) == 7;
+                         const bool y = image.load(paddr(1), 8) == 9;
+                         saw_x_only |= (x && !y);
+                         saw_y_only |= (y && !x);
+                         return std::string();
+                     });
     EXPECT_TRUE(saw_x_only);
     EXPECT_TRUE(saw_y_only);
 }
@@ -327,8 +329,8 @@ TEST_P(QueueInjection, AnnotationsSufficeForRecovery)
     injection.model = param.model;
     injection.realizations = 6;
     injection.crashes_per_realization = 48;
-    const auto result = injectFailures(
-        trace, injection,
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
         makeRecoveryInvariant(workload.layout, workload.golden));
     EXPECT_TRUE(result.ok())
         << param.name << ": " << result.first_violation;
@@ -399,8 +401,8 @@ TEST(QueueInjectionNegative, RemovingDataHeadBarrierCorruptsRecovery)
     injection.model = ModelConfig::epoch();
     injection.realizations = 16;
     injection.crashes_per_realization = 64;
-    const auto result = injectFailures(
-        trace, injection,
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
         makeRecoveryInvariant(queue->layout(), queue->golden()));
     EXPECT_GT(result.violations, 0u)
         << "the line-8 barrier should be load-bearing";
@@ -442,15 +444,15 @@ TEST(QueueInjectionNegative, TlcWithoutPublishBarrierCorruptsRecovery)
     injection.model = ModelConfig::epoch();
     injection.realizations = 24;
     injection.crashes_per_realization = 64;
-    const auto result = injectFailures(
-        trace, injection,
+    const auto result = runFaultCampaign(
+        trace, {.injection = injection},
         makeRecoveryInvariant(queue->layout(), queue->golden()));
     EXPECT_GT(result.violations, 0u)
         << "publication without a barrier should be unsafe";
 }
 
 // ---------------------------------------------------------------------
-// injectFailures degenerate traces
+// Fault-free campaigns over degenerate traces
 // ---------------------------------------------------------------------
 
 TEST(InjectDegenerate, EmptyTraceChecksTheEmptyImageOnce)
@@ -460,8 +462,9 @@ TEST(InjectDegenerate, EmptyTraceChecksTheEmptyImageOnce)
     config.model = ModelConfig::epoch();
 
     std::uint64_t calls = 0;
-    const auto result = injectFailures(
-        builder.trace(), config, [&](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        builder.trace(), {.injection = config},
+        [&](const MemoryImage &image) {
             ++calls;
             EXPECT_EQ(image.load(paddr(0), 8), 0u);
             return std::string();
@@ -478,8 +481,9 @@ TEST(InjectDegenerate, ZeroPersistTraceChecksTheEmptyImageOnce)
     InjectionConfig config;
     config.model = ModelConfig::epoch();
 
-    const auto result = injectFailures(
-        builder.trace(), config, [](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        builder.trace(), {.injection = config},
+        [](const MemoryImage &image) {
             return image.load(paddr(0), 8) == 0
                        ? std::string()
                        : std::string("phantom persist");
@@ -497,8 +501,9 @@ TEST(InjectDegenerate, SinglePersistChecksBothCrashStates)
 
     bool saw_empty = false;
     bool saw_persisted = false;
-    const auto result = injectFailures(
-        builder.trace(), config, [&](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        builder.trace(), {.injection = config},
+        [&](const MemoryImage &image) {
             const std::uint64_t value = image.load(paddr(0), 8);
             saw_empty |= value == 0;
             saw_persisted |= value == 5;
@@ -517,8 +522,9 @@ TEST(InjectDegenerate, SinglePersistViolationIsReported)
     InjectionConfig config;
     config.model = ModelConfig::epoch();
 
-    const auto result = injectFailures(
-        builder.trace(), config, [](const MemoryImage &image) {
+    const auto result = runFaultCampaign(
+        builder.trace(), {.injection = config},
+        [](const MemoryImage &image) {
             return image.load(paddr(0), 8) == 5
                        ? std::string("torn value")
                        : std::string();
