@@ -140,7 +140,8 @@ cmake --build build-asan -j \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
     compiled_trace_test sim_test replay_test common_test \
-    timing_engine_test px86_test golden_replay_test explore_test
+    timing_engine_test px86_test golden_replay_test explore_test \
+    memtrace_test
 # Fiber stacks are mmap'd and switched by hand: run the engine suites
 # (worker errors and max_events aborts unwind suspended fibers)
 # instrumented, with the ASan fiber-switch annotations live.
@@ -180,6 +181,8 @@ PERSIM_GOLDEN_DIR=tests/persistency/golden \
 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/golden_replay_test
 ./build-asan/tests/explore_test
+# InMemoryTrace is raw realloc'd storage: run its suite instrumented.
+./build-asan/tests/memtrace_test
 # The KV recovery ladder parses checksummed buckets, journal records,
 # and deliberately bit-flipped images (the corruption fuzzer lives in
 # kv_recovery_test): run all three KV suites instrumented.

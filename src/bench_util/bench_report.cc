@@ -21,6 +21,15 @@ peakRssKb()
     return static_cast<std::uint64_t>(usage.ru_maxrss);
 }
 
+std::uint64_t
+minorFaults()
+{
+    struct rusage usage = {};
+    if (getrusage(RUSAGE_SELF, &usage) != 0)
+        return 0;
+    return static_cast<std::uint64_t>(usage.ru_minflt);
+}
+
 void
 BenchReport::add(const std::string &key, std::uint64_t events,
                  double wall_seconds)
@@ -45,6 +54,10 @@ BenchReport::add(const std::string &key, std::uint64_t events,
         ? sample.peak_rss_kb - last_peak_rss_kb_
         : 0;
     last_peak_rss_kb_ = sample.peak_rss_kb;
+    const std::uint64_t faults = minorFaults();
+    sample.minor_faults =
+        faults > last_minor_faults_ ? faults - last_minor_faults_ : 0;
+    last_minor_faults_ = faults;
     entries_.emplace_back(key, sample);
 }
 
@@ -65,7 +78,8 @@ BenchReport::renderJson() const
                       sample.events_per_sec);
         oss << "    \"events_per_sec\": " << number << ",\n";
         oss << "    \"peak_rss_kb\": " << sample.peak_rss_kb << ",\n";
-        oss << "    \"rss_delta_kb\": " << sample.rss_delta_kb << "\n";
+        oss << "    \"rss_delta_kb\": " << sample.rss_delta_kb << ",\n";
+        oss << "    \"minor_faults\": " << sample.minor_faults << "\n";
         oss << "  }" << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
     oss << "}\n";
@@ -195,6 +209,9 @@ readBenchJson(const std::string &path)
                         static_cast<std::uint64_t>(value);
                 else if (field == "rss_delta_kb")
                     sample.rss_delta_kb =
+                        static_cast<std::uint64_t>(value);
+                else if (field == "minor_faults")
+                    sample.minor_faults =
                         static_cast<std::uint64_t>(value);
                 else
                     PERSIM_REQUIRE(false,

@@ -4,8 +4,9 @@
  *
  * Every sweep/analysis bench can emit a flat JSON object mapping a
  * sample key ("fig3/epoch/replay") to the replay measurement taken
- * under it: events consumed, wall seconds, derived events/sec, and
- * the process peak RSS at sampling time. The file is the repo's perf
+ * under it: events consumed, wall seconds, derived events/sec, the
+ * process peak RSS at sampling time, and the minor page faults taken
+ * since the previous sample. The file is the repo's perf
  * trajectory record — the perf smoke test compares a fresh run
  * against the committed baseline, and EXPERIMENTS.md quotes it.
  *
@@ -54,21 +55,37 @@ struct BenchSample
      * smallest-footprint first.
      */
     std::uint64_t rss_delta_kb = 0;
+
+    /**
+     * Minor page faults (getrusage ru_minflt) the process took since
+     * the previous add() on the same report (since construction for
+     * the first sample): the pages this sample's work touched for the
+     * first time, resident high-water mark or not. Files written
+     * before the field existed read back as 0.
+     */
+    std::uint64_t minor_faults = 0;
 };
 
 /** Current process peak resident set size in KiB (getrusage). */
 std::uint64_t peakRssKb();
 
+/** Minor page faults the process has taken so far (getrusage). */
+std::uint64_t minorFaults();
+
 /** Accumulates samples and renders them as BENCH_replay.json. */
 class BenchReport
 {
   public:
-    BenchReport() : last_peak_rss_kb_(peakRssKb()) {}
+    BenchReport()
+        : last_peak_rss_kb_(peakRssKb()), last_minor_faults_(minorFaults())
+    {
+    }
 
     /**
      * Record a sample under @p key (e.g. "fig3/epoch/replay"); the
-     * events/sec and both RSS fields are derived here (rss_delta_kb
-     * against the previous add(), or construction for the first).
+     * events/sec, both RSS fields and minor_faults are derived here
+     * (the deltas against the previous add(), or construction for
+     * the first).
      * Keys must be unique per report and free of '"' and '\\'.
      */
     void add(const std::string &key, std::uint64_t events,
@@ -88,6 +105,9 @@ class BenchReport
 
     /** Peak RSS observed at the last add() (rss_delta_kb baseline). */
     std::uint64_t last_peak_rss_kb_ = 0;
+
+    /** Minor faults counted at the last add() (minor_faults baseline). */
+    std::uint64_t last_minor_faults_ = 0;
 };
 
 /**

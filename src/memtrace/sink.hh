@@ -12,6 +12,7 @@
 #define PERSIM_MEMTRACE_SINK_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "memtrace/event.hh"
@@ -60,17 +61,36 @@ class FanoutSink : public TraceSink
     std::vector<TraceSink *> sinks_;
 };
 
-/** Materializes the event stream into a vector. */
+/**
+ * Materializes the event stream into one contiguous buffer.
+ *
+ * The buffer is raw storage grown geometrically with std::realloc,
+ * not a std::vector. A vector regrows by copying every event into a
+ * doubled block whose fresh pages the kernel must fault in and zero
+ * first; realloc lets glibc move a large (mmap'd) block with mremap,
+ * remapping its pages instead of copying them. Small traces
+ * (explorer executions, tests) stay ordinary malloc-heap blocks.
+ * Copies are deep; a moved-from trace is empty and usable.
+ */
 class InMemoryTrace : public TraceSink
 {
   public:
+    InMemoryTrace() = default;
+    InMemoryTrace(const InMemoryTrace &other);
+    InMemoryTrace(InMemoryTrace &&other) noexcept;
+    InMemoryTrace &operator=(const InMemoryTrace &other);
+    InMemoryTrace &operator=(InMemoryTrace &&other) noexcept;
+    ~InMemoryTrace() override;
+
     void onEvent(const TraceEvent &event) override;
     void onBatch(const TraceEvent *events, std::size_t count) override;
 
-    const std::vector<TraceEvent> &events() const { return events_; }
-    std::vector<TraceEvent> &events() { return events_; }
-    std::size_t size() const { return events_.size(); }
-    bool empty() const { return events_.empty(); }
+    /** Make room for at least @p count events without regrowing. */
+    void reserve(std::size_t count);
+
+    std::span<const TraceEvent> events() const { return {data_, size_}; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /** Number of distinct threads seen (max thread id + 1). */
     ThreadId threadCount() const { return thread_count_; }
@@ -79,7 +99,12 @@ class InMemoryTrace : public TraceSink
     void replay(TraceSink &sink) const;
 
   private:
-    std::vector<TraceEvent> events_;
+    /** Reallocate to at least @p count events (geometric growth). */
+    void grow(std::size_t count);
+
+    TraceEvent *data_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
     ThreadId thread_count_ = 0;
 };
 

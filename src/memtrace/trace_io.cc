@@ -141,6 +141,9 @@ TraceFileWriter::onBatch(const TraceEvent *events, std::size_t count)
 {
     PERSIM_REQUIRE(file_ != nullptr && !finished_,
                    "write to a finished trace file: " << path_);
+    // An empty trace has no storage: never hand fwrite a null buffer.
+    if (count == 0)
+        return;
     // stdio's buffer batches the write(2)s.
     PERSIM_REQUIRE(std::fwrite(events, record_size, count, file_) == count,
                    "short write to trace file: " << path_);
@@ -209,7 +212,7 @@ readTraceFile(const std::string &path)
             << record_size << "-byte records): " << path);
 
     InMemoryTrace trace;
-    trace.events().reserve(static_cast<std::size_t>(records));
+    trace.reserve(static_cast<std::size_t>(records));
     std::vector<TraceEvent> burst(static_cast<std::size_t>(
         std::min<std::uint64_t>(records, read_batch_records)));
     for (std::uint64_t done = 0; done < records;) {

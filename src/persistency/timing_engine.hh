@@ -158,7 +158,7 @@ struct TimingConfig
      * plugins must outlive the engine. An empty list costs one
      * untaken branch per hook site.
      */
-    std::vector<AnalysisPlugin *> plugins;
+    std::vector<AnalysisPlugin *> plugins = {};
 };
 
 /** Aggregate results of one timing analysis. */

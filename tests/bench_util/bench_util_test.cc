@@ -87,6 +87,33 @@ TEST(BenchReport, SamplesCarryRssFieldsAndRoundTrip)
     EXPECT_GE(b.peak_rss_kb, a.peak_rss_kb + (30u << 10));
     EXPECT_GE(b.rss_delta_kb, 30u << 10);
     EXPECT_EQ(b.rss_delta_kb, b.peak_rss_kb - a.peak_rss_kb);
+    // The ballast's first touches are minor faults counted against
+    // sample b (huge pages may make them few, never none).
+    EXPECT_GT(b.minor_faults, 0u);
+}
+
+TEST(BenchReport, ReadsFilesWrittenWithoutMinorFaults)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "persim_bench_legacy.json";
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fputs("{\n  \"replay/old\": {\n    \"events\": 10,\n"
+               "    \"wall_seconds\": 2,\n"
+               "    \"events_per_sec\": 5,\n"
+               "    \"peak_rss_kb\": 300,\n"
+               "    \"rss_delta_kb\": 7\n  }\n}\n",
+               file);
+    std::fclose(file);
+    const auto samples = readBenchJson(path);
+    std::remove(path.c_str());
+
+    ASSERT_EQ(samples.size(), 1u);
+    const BenchSample &old = samples.at("replay/old");
+    EXPECT_EQ(old.events, 10u);
+    EXPECT_EQ(old.peak_rss_kb, 300u);
+    EXPECT_EQ(old.rss_delta_kb, 7u);
+    EXPECT_EQ(old.minor_faults, 0u);
 }
 
 TEST(BenchReport, RejectsDuplicateAndUnescapableKeys)

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,9 @@ syntheticEvents()
 std::vector<TraceEvent>
 loadGolden(const std::string &name)
 {
-    return readTraceFile(goldenDir() + "/" + name + ".trc").events();
+    const InMemoryTrace trace =
+        readTraceFile(goldenDir() + "/" + name + ".trc");
+    return {trace.events().begin(), trace.events().end()};
 }
 
 /** Scratch path inside gtest's per-run temp directory. */
@@ -307,7 +310,7 @@ TEST(CompiledReplayBitIdentity, SyntheticFastModels)
     SyntheticTraceConfig synth;
     synth.events = syntheticEvents();
     const InMemoryTrace trace = buildSyntheticTrace(synth);
-    const std::vector<TraceEvent> &events = trace.events();
+    const std::span<const TraceEvent> events = trace.events();
     for (const ModelConfig &model :
          {ModelConfig::strict(), ModelConfig::epoch(),
           ModelConfig::strand()}) {

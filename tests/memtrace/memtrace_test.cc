@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "memtrace/event.hh"
@@ -164,6 +165,186 @@ TEST(Sink, ReplayFeedsAnotherSink)
     InMemoryTrace copy;
     builder.trace().replay(copy);
     EXPECT_EQ(copy.size(), 3u);
+}
+
+/** An event whose every field is a distinct function of @p i. */
+TraceEvent
+numbered(std::uint64_t i)
+{
+    TraceEvent event;
+    event.seq = i;
+    event.addr = 0x1000 + 8 * i;
+    event.value = i * 0x9e3779b97f4a7c15ULL;
+    event.thread = static_cast<ThreadId>(i % 7);
+    event.kind = static_cast<EventKind>(i % (kMaxEventKind + 1));
+    event.size = static_cast<std::uint8_t>(1 + i % 8);
+    event.marker = static_cast<std::uint16_t>(i % 65521);
+    return event;
+}
+
+/** Field-by-field comparison of @p trace against @p expect. */
+void
+expectSameEvents(const InMemoryTrace &trace,
+                 const std::vector<TraceEvent> &expect)
+{
+    ASSERT_EQ(trace.size(), expect.size());
+    ASSERT_EQ(trace.events().size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        const TraceEvent &a = trace.events()[i];
+        const TraceEvent &b = expect[i];
+        ASSERT_TRUE(a.seq == b.seq && a.addr == b.addr &&
+                    a.value == b.value && a.thread == b.thread &&
+                    a.kind == b.kind && a.size == b.size &&
+                    a.marker == b.marker)
+            << "event " << i;
+    }
+}
+
+std::vector<TraceEvent>
+numberedRange(std::uint64_t first, std::uint64_t count)
+{
+    std::vector<TraceEvent> events;
+    for (std::uint64_t i = first; i < first + count; ++i)
+        events.push_back(numbered(i));
+    return events;
+}
+
+TEST(InMemoryTrace, MixedAppendsMatchAVectorAcrossGrowth)
+{
+    InMemoryTrace trace;
+    std::vector<TraceEvent> expect;
+    std::uint64_t next = 0;
+    // Interleave single events and batches of varying size through
+    // well over ten doublings, past the size where malloc maps blocks.
+    for (int round = 0; expect.size() < 150'000; ++round) {
+        if (round % 3 == 0) {
+            trace.onEvent(numbered(next));
+            expect.push_back(numbered(next++));
+            continue;
+        }
+        const auto batch =
+            numberedRange(next, 1 + static_cast<std::uint64_t>(round) % 997);
+        trace.onBatch(batch.data(), batch.size());
+        expect.insert(expect.end(), batch.begin(), batch.end());
+        next += batch.size();
+    }
+    // One batch larger than twice everything so far: more than the
+    // whole current capacity in a single append.
+    const auto big = numberedRange(next, 2 * expect.size() + 1);
+    trace.onBatch(big.data(), big.size());
+    expect.insert(expect.end(), big.begin(), big.end());
+    trace.onEvent(numbered(next + big.size()));
+    expect.push_back(numbered(next + big.size()));
+
+    expectSameEvents(trace, expect);
+    EXPECT_EQ(trace.threadCount(), 7u);
+    EXPECT_EQ(trace.events().front().seq, 0u);
+    EXPECT_EQ(trace.events().back().seq, expect.back().seq);
+}
+
+TEST(InMemoryTrace, CopyIsDeepAndIndependent)
+{
+    InMemoryTrace original;
+    const auto events = numberedRange(0, 3000);
+    original.onBatch(events.data(), events.size());
+
+    InMemoryTrace copy(original);
+    expectSameEvents(copy, events);
+    EXPECT_EQ(copy.threadCount(), original.threadCount());
+    EXPECT_NE(copy.events().data(), original.events().data());
+
+    // Copy-assign over a trace that is smaller, then one that is
+    // larger, than the source.
+    InMemoryTrace small;
+    small.onEvent(numbered(99));
+    small = original;
+    expectSameEvents(small, events);
+    InMemoryTrace large;
+    const auto more = numberedRange(10'000, 5000);
+    large.onBatch(more.data(), more.size());
+    large = original;
+    expectSameEvents(large, events);
+
+    // Appending to one side leaves the others untouched.
+    original.onEvent(numbered(3000));
+    copy.onEvent(numbered(7));
+    expectSameEvents(small, events);
+    expectSameEvents(large, events);
+    EXPECT_EQ(original.size(), 3001u);
+    EXPECT_EQ(original.events().back().seq, 3000u);
+    EXPECT_EQ(copy.size(), 3001u);
+    EXPECT_EQ(copy.events().back().seq, 7u);
+    EXPECT_EQ(copy.events()[2999].seq, 2999u);
+}
+
+TEST(InMemoryTrace, MovedFromTraceIsEmptyAndUsable)
+{
+    const auto events = numberedRange(0, 1000);
+    InMemoryTrace source;
+    source.onBatch(events.data(), events.size());
+
+    InMemoryTrace moved(std::move(source));
+    expectSameEvents(moved, events);
+    EXPECT_TRUE(source.empty());
+    EXPECT_TRUE(source.events().empty());
+    EXPECT_EQ(source.threadCount(), 0u);
+    source.onEvent(numbered(5));
+    expectSameEvents(source, {numbered(5)});
+    EXPECT_EQ(source.threadCount(), 6u);
+
+    InMemoryTrace assigned;
+    assigned.onEvent(numbered(42));
+    assigned = std::move(moved);
+    expectSameEvents(assigned, events);
+    EXPECT_TRUE(moved.empty());
+    EXPECT_EQ(moved.threadCount(), 0u);
+    const auto again = numberedRange(500, 300);
+    moved.onBatch(again.data(), again.size());
+    expectSameEvents(moved, again);
+}
+
+TEST(InMemoryTrace, EmptyTraceYieldsEmptySpan)
+{
+    InMemoryTrace trace;
+    EXPECT_TRUE(trace.empty());
+    EXPECT_EQ(trace.size(), 0u);
+    EXPECT_TRUE(trace.events().empty());
+    EXPECT_EQ(trace.threadCount(), 0u);
+
+    // Replaying and copying an empty trace stay empty.
+    InMemoryTrace sink;
+    trace.replay(sink);
+    EXPECT_TRUE(sink.events().empty());
+    const InMemoryTrace copy(trace);
+    EXPECT_TRUE(copy.events().empty());
+}
+
+TEST(InMemoryTrace, ReserveThenBatchKeepsContents)
+{
+    // As readTraceFile does: reserve the whole trace up front, then
+    // append it in batches without the buffer ever moving.
+    InMemoryTrace trace;
+    trace.reserve(50'000);
+    const TraceEvent *reserved = trace.events().data();
+    std::vector<TraceEvent> expect = numberedRange(0, 100);
+    trace.onBatch(expect.data(), expect.size());
+    const auto tail = numberedRange(100, 49'900);
+    trace.onBatch(tail.data(), tail.size());
+    expect.insert(expect.end(), tail.begin(), tail.end());
+    EXPECT_EQ(trace.events().data(), reserved);
+    expectSameEvents(trace, expect);
+
+    // Reserving more on a filled trace keeps what it holds.
+    trace.reserve(120'000);
+    expectSameEvents(trace, expect);
+    const auto more = numberedRange(50'000, 70'000);
+    trace.onBatch(more.data(), more.size());
+    expect.insert(expect.end(), more.begin(), more.end());
+    expectSameEvents(trace, expect);
+
+    // Reserving less than the size is a no-op.
+    trace.reserve(10);
+    expectSameEvents(trace, expect);
 }
 
 TEST(TraceIo, RoundTripPreservesEvents)
