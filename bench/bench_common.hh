@@ -169,11 +169,10 @@ effectiveJobs(std::uint32_t jobs)
 }
 
 /**
- * Replay @p trace under @p config through replayTrace: the compiled
- * fast path for strict/epoch/strand, the engine for everything else
- * (bit-identical either way). Each replay is serial; @p options and
- * @p pool are accepted so every bench calls it the same way, and are
- * not used.
+ * replayTrace(@p trace, @p config); @p options and @p pool are not
+ * used. Benches call replayTrace directly; this wrapper stays only
+ * because perfbench/driver.cc calls it, and retiring it there is a
+ * change to the benchmark.
  */
 inline TimingResult
 replayForOptions(const InMemoryTrace &trace, const TimingConfig &config,

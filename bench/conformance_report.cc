@@ -50,7 +50,7 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    ConformanceOptions options;
+    std::uint32_t jobs = 1;
     std::size_t generated = 20;
     bool handwritten_only = false;
     std::string out_path;
@@ -58,9 +58,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--jobs=", 0) == 0)
-            options.jobs =
-                bench::parseFlagNumber<std::uint32_t>("--jobs",
-                                                      arg.substr(7));
+            jobs = bench::parseFlagNumber<std::uint32_t>("--jobs",
+                                                         arg.substr(7));
         else if (arg.rfind("--generated=", 0) == 0)
             generated = bench::parseFlagNumber<std::size_t>(
                 "--generated", arg.substr(12));
@@ -80,7 +79,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<LitmusResult> results =
-        runConformanceSuite(tests, options);
+        runConformanceSuite(tests, jobs);
     const std::string report = formatDivergenceReport(results);
 
     if (out_path.empty()) {

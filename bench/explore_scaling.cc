@@ -1,8 +1,12 @@
 /**
  * @file
  * Explore-scaling bench: how much larger a program constraint-guided
- * crash-state pruning (ExploreConfig::prune_cuts, DESIGN.md §14) lets
- * the explorer finish, under one fixed cut budget.
+ * crash-state pruning (DESIGN.md §14) lets the explorer finish, under
+ * one fixed cut budget. Pruning is a property of the program: the
+ * explorer projects onto the cells a program declares observed. The
+ * "pruned" rows run the program as written; the "exhaustive" rows run
+ * the same factory through withoutObserved (explore/programs.hh),
+ * which drops the declaration, so every cut is enumerated.
  *
  * The program family is a single-thread worst case for blind cut
  * enumeration: K independent scratch persists (one epoch, mutually
@@ -33,6 +37,7 @@
 #include "bench_util/table.hh"
 #include "common/error.hh"
 #include "explore/explore.hh"
+#include "explore/programs.hh"
 
 using namespace persim;
 using namespace persim::bench;
@@ -152,8 +157,10 @@ main(int argc, char **argv)
                 ExploreConfig config;
                 config.model = ModelConfig::epoch();
                 config.max_cuts = cut_budget;
-                config.prune_cuts = prune;
-                Explorer explorer(scalingProgram(cells), config);
+                Explorer explorer(prune ? scalingProgram(cells)
+                                        : withoutObserved(
+                                              scalingProgram(cells)),
+                                  config);
                 Stopwatch watch;
                 const ExploreResult result = explorer.run();
                 const double wall = watch.seconds();

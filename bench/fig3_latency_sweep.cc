@@ -10,12 +10,10 @@
  * the microsecond range — after which throughput decays as 1/latency.
  */
 
-#include <algorithm>
-#include <cmath>
-
 #include "bench/bench_common.hh"
 #include "bench_util/table.hh"
 #include "bench_util/throughput.hh"
+#include "persistency/sweep.hh"
 #include "queue/native_queue.hh"
 
 using namespace persim;
@@ -72,8 +70,7 @@ main(int argc, char **argv)
     // throughput rather than simulate+analyze.
     Stopwatch analysis_watch;
     TaskPool pool(options.jobs);
-    pool.parallelFor(series.size(), [&series, &options,
-                                     &pool](std::size_t i) {
+    pool.parallelFor(series.size(), [&series](std::size_t i) {
         auto &entry = series[i];
         QueueWorkloadConfig config;
         config.kind = QueueKind::CopyWhileLocked;
@@ -86,8 +83,7 @@ main(int argc, char **argv)
         if (entry.window != 0)
             timing.coalesce_window = entry.window;
         Stopwatch watch;
-        const TimingResult result =
-            replayForOptions(trace, timing, options, pool);
+        const TimingResult result = replayTrace(trace, timing);
         entry.wall_seconds = watch.seconds();
         entry.critical_path = result.critical_path;
         entry.ops = workload.inserts;
@@ -103,8 +99,7 @@ main(int argc, char **argv)
         header.push_back(entry.name + "(M/s)");
     table.header(header);
     // Log sweep, 10 ns .. 100 us, four points per decade.
-    for (double exponent = 1.0; exponent <= 5.01; exponent += 0.25) {
-        const double latency_ns = std::pow(10.0, exponent);
+    for (const double latency_ns : logLatencyGrid(10.0, 1e5, 4)) {
         std::vector<std::string> row{formatDouble(latency_ns, 1)};
         for (const auto &entry : series) {
             const auto throughput = makeThroughput(
@@ -119,8 +114,8 @@ main(int argc, char **argv)
     std::cout << "\nbreak-even persist latency (instruction rate == "
               << "persist-bound rate):\n";
     for (const auto &entry : series) {
-        const double breakeven_ns = static_cast<double>(entry.ops) * 1e9 /
-            (entry.critical_path * native_rate);
+        const double breakeven_ns = breakEvenLatencyNs(
+            entry.ops, entry.critical_path, native_rate);
         std::cout << "  " << entry.name << ": "
                   << formatDouble(breakeven_ns, 1) << " ns"
                   << "  (critical path/insert = "

@@ -9,8 +9,9 @@
  * converge by 256 bytes. Strict persistency is insensitive (its
  * persists are already serialized).
  *
- * The 12 analyses run through granularitySweep: serial single-pass by
- * default, one engine replay per task with --jobs=N.
+ * The 12 analyses run through granularitySweep, one replayTrace call
+ * per config (compiled where the config allows it, the engine
+ * otherwise): in turn by default, one config per task with --jobs=N.
  */
 
 #include "bench/bench_common.hh"

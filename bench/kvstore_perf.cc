@@ -324,7 +324,6 @@ main(int argc, char **argv)
     const DriverOptions options = parseDriver(argc, argv);
     const std::uint32_t jobs = effectiveJobs(options.jobs);
     TaskPool pool(jobs);
-    const BenchOptions replay_options{};
     banner("KV-store service under heavy traffic",
            "a persistency model is only as useful as the service on "
            "top of it: this driver measures what each model costs the "
@@ -406,8 +405,7 @@ main(int argc, char **argv)
             std::vector<TimingResult> results(options.clients);
             Stopwatch replay_watch;
             pool.parallelFor(options.clients, [&](std::size_t shard) {
-                results[shard] = replayForOptions(
-                    traces[shard], timing, replay_options, pool);
+                results[shard] = replayTrace(traces[shard], timing);
             });
             const double replay_wall = replay_watch.seconds();
             double critical_path = 0.0;
@@ -529,8 +527,7 @@ main(int argc, char **argv)
             const TimingConfig timing = levels(model.model);
             Stopwatch txn_replay_watch;
             const TimingResult result =
-                replayForOptions(txn_run.trace, timing, replay_options,
-                                 pool);
+                replayTrace(txn_run.trace, timing);
             const double txn_replay_wall = txn_replay_watch.seconds();
             txn_replay.row({strategy.name, model.name,
                             std::to_string(txn_run.trace.size()),

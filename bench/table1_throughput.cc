@@ -43,8 +43,7 @@ struct Cell
 };
 
 void
-analyzeCell(Cell &cell, const AnalysisVariant &variant,
-            const BenchOptions &options, TaskPool &pool)
+analyzeCell(Cell &cell, const AnalysisVariant &variant)
 {
     QueueWorkloadConfig config;
     config.kind = cell.kind;
@@ -58,7 +57,7 @@ analyzeCell(Cell &cell, const AnalysisVariant &variant,
     const auto workload = runQueueWorkload(config, {&trace});
     Stopwatch watch;
     const TimingResult result =
-        replayForOptions(trace, levels(variant.model), options, pool);
+        replayTrace(trace, levels(variant.model));
     cell.wall_seconds = watch.seconds();
 
     const auto throughput = makeThroughput(
@@ -117,9 +116,8 @@ main(int argc, char **argv)
 
     Stopwatch analysis_watch;
     TaskPool pool(options.jobs);
-    pool.parallelFor(cells.size(), [&cells, &variants, &options,
-                                    &pool](std::size_t i) {
-        analyzeCell(cells[i], variants[cells[i].variant], options, pool);
+    pool.parallelFor(cells.size(), [&cells, &variants](std::size_t i) {
+        analyzeCell(cells[i], variants[cells[i].variant]);
     });
     const double analysis_wall = analysis_watch.seconds();
 

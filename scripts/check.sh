@@ -45,11 +45,12 @@ rm -f "$CONF_OUT"
 # Analysis stage: the PersistRace detector plugin and constraint-
 # guided crash-state pruning (checkObservedCuts, which the explorer
 # and the conformance harness reach through their one shared
-# crash-state check) by label, then the explore-scaling acceptance
-# gate — pruning must complete a program >=5x larger than blind cut
-# enumeration under one cut budget. The JSON goes to a scratch path;
-# the committed BENCH_explore.json baseline is refreshed deliberately,
-# like BENCH_replay.json.
+# crash-state check for programs that declare observed cells) by
+# label, then the explore-scaling acceptance gate — pruning must
+# complete a program >=5x larger than blind cut enumeration (the same
+# program without its observed cells) under one cut budget. The JSON
+# goes to a scratch path; the committed BENCH_explore.json baseline is
+# refreshed deliberately, like BENCH_replay.json.
 ctest --test-dir build -L analysis --output-on-failure
 EXPLORE_JSON=$(mktemp)
 ./build/bench/explore_scaling --check --json="$EXPLORE_JSON"
@@ -164,8 +165,10 @@ cmake --build build-asan -j \
 # detector indexes raw addresses into flat maps and the engine's
 # dep-set pool on the hook hot path: run both instrumented. The one
 # crash-state check (checkCrashStates) replays with record_deps and
-# enumerates cuts for the explorer and the conformance harness alike:
-# run the pruned and exhaustive paths of both instrumented too.
+# enumerates cuts for the explorer and the conformance harness alike,
+# projected onto a program's observed cells when it declares them:
+# both suites run each program with and without its observed cells,
+# so the projected and the full enumeration run instrumented.
 ./build-asan/tests/common_test
 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/persist_race_test

@@ -15,6 +15,12 @@ namespace persim {
 
 namespace {
 
+/** Random-frontier schedules per test, on top of round-robin. */
+constexpr std::uint32_t random_schedules = 4;
+
+/** Consistent-cut budget per (trace, model) check. */
+constexpr std::uint64_t max_cuts = 1ULL << 20;
+
 /** Working set of a hand-written litmus: named cells + a volatile
     flag, filled during setup. */
 struct LitmusCells
@@ -359,8 +365,7 @@ conformanceModels()
 namespace {
 
 LitmusResult
-runOneTest(const LitmusTest &test, const ConformanceOptions &options,
-           const std::vector<ModelConfig> &models)
+runOneTest(const LitmusTest &test, const std::vector<ModelConfig> &models)
 {
     LitmusResult out;
     out.name = test.name;
@@ -380,7 +385,7 @@ runOneTest(const LitmusTest &test, const ConformanceOptions &options,
             executions.push_back(std::move(execution));
     };
     consider(FrontierKind::RoundRobin, 1);
-    for (std::uint32_t s = 1; s <= options.random_schedules; ++s)
+    for (std::uint32_t s = 1; s <= random_schedules; ++s)
         consider(FrontierKind::Random, s);
     out.schedules = executions.size();
 
@@ -392,12 +397,10 @@ runOneTest(const LitmusTest &test, const ConformanceOptions &options,
             TimingConfig timing;
             timing.model = model;
             PersistRaceDetector detector;
-            if (options.detect_persist_races)
-                timing.plugins.push_back(&detector);
+            timing.plugins.push_back(&detector);
             std::vector<AddrRange> ranges;
-            if (options.prune_cuts)
-                for (const ObservedCell &cell : execution.observed)
-                    ranges.push_back(AddrRange{cell.addr, cell.size});
+            for (const ObservedCell &cell : execution.observed)
+                ranges.push_back(AddrRange{cell.addr, cell.size});
 
             const RecoveryInvariant fingerprint =
                 [&states, &execution](
@@ -415,8 +418,7 @@ runOneTest(const LitmusTest &test, const ConformanceOptions &options,
                 return "";
             };
             const CrashStateCheck check = checkCrashStates(
-                execution.trace, timing, fingerprint, ranges,
-                options.max_cuts);
+                execution.trace, timing, fingerprint, ranges, max_cuts);
             entry.persist_races += detector.total();
             entry.budget_exhausted |= check.cuts.budget_exhausted;
         }
@@ -443,17 +445,17 @@ renderStates(std::ostringstream &oss,
 
 std::vector<LitmusResult>
 runConformanceSuite(const std::vector<LitmusTest> &tests,
-                    const ConformanceOptions &options)
+                    std::uint32_t jobs)
 {
     const std::vector<ModelConfig> models = conformanceModels();
     std::vector<LitmusResult> results(tests.size());
     const auto run_one = [&](std::size_t i) {
-        results[i] = runOneTest(tests[i], options, models);
+        results[i] = runOneTest(tests[i], models);
     };
-    if (options.jobs > 1 && tests.size() > 1) {
+    if (jobs > 1 && tests.size() > 1) {
         // Results land in pre-sized slots indexed by test id, so the
         // report is identical for every jobs value.
-        TaskPool pool(options.jobs);
+        TaskPool pool(jobs);
         pool.parallelFor(tests.size(), run_one);
     } else {
         for (std::size_t i = 0; i < tests.size(); ++i)

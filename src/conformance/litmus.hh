@@ -9,9 +9,10 @@
  * explorer's executor (Explorer::execute). Every resulting trace goes
  * through the explorer's crash-state check (checkCrashStates in
  * src/recovery/cuts.hh) under each persistency model, which
- * enumerates every consistent cut, and each crash state is
- * fingerprinted over the test's observed cells. The per-model sets of
- * reachable post-crash states are then compared pairwise and
+ * enumerates every crash state that can differ on the test's observed
+ * cells, and each one is fingerprinted over those cells (the same
+ * state set as enumerating every consistent cut). The per-model sets
+ * of reachable post-crash states are then compared pairwise and
  * rendered as a divergence report (DESIGN.md Section 13.4) whose
  * committed golden copy documents, among others:
  *
@@ -47,8 +48,8 @@ struct LitmusTest
     /** One-line intent note rendered into the report. */
     std::string note;
     /**
-     * Builds the program; its `observed` cells (filled during setup)
-     * are what each crash state is fingerprinted over.
+     * Builds the program; its `observed` cells (filled during setup,
+     * required) are what each crash state is fingerprinted over.
      */
     ProgramFactory make;
 };
@@ -67,31 +68,6 @@ std::vector<LitmusTest> generatedLitmusTests(std::size_t count = 20,
 /** Hand-written followed by generated tests. */
 std::vector<LitmusTest> allLitmusTests();
 
-/** Conformance run parameters. */
-struct ConformanceOptions
-{
-    /** Worker threads across tests (results are jobs-invariant). */
-    std::uint32_t jobs = 1;
-
-    /** Random-frontier schedules per test, on top of round-robin. */
-    std::uint32_t random_schedules = 4;
-
-    /** Consistent-cut budget per (trace, model) replay. */
-    std::uint64_t max_cuts = 1ULL << 20;
-
-    /**
-     * Enumerate crash states with checkObservedCuts over the test's
-     * observed cells instead of checkAllCuts. State sets are
-     * guaranteed identical (pinned by tests/conformance); the option
-     * exists for that cross-check and for large generated programs.
-     */
-    bool prune_cuts = false;
-
-    /** Attach the PersistRace detector to every model replay and sum
-        race counts into ModelStates::persist_races. */
-    bool detect_persist_races = true;
-};
-
 /** Reachable crash states of one test under one model. */
 struct ModelStates
 {
@@ -100,11 +76,10 @@ struct ModelStates
     /** Sorted canonical states ("cell=value cell=value ..."). */
     std::vector<std::string> states;
 
-    /** Some replay hit max_cuts (the set may be incomplete). */
+    /** Some check hit the cut budget (the set may be incomplete). */
     bool budget_exhausted = false;
 
-    /** PersistRace reports summed over the schedule set (0 when
-        ConformanceOptions::detect_persist_races is off). */
+    /** PersistRace reports summed over the schedule set. */
     std::uint64_t persist_races = 0;
 };
 
@@ -128,10 +103,13 @@ struct LitmusResult
  */
 std::vector<ModelConfig> conformanceModels();
 
-/** Run @p tests; result i corresponds to tests[i]. */
+/**
+ * Run @p tests on @p jobs worker threads (results are jobs-invariant);
+ * result i corresponds to tests[i].
+ */
 std::vector<LitmusResult>
 runConformanceSuite(const std::vector<LitmusTest> &tests,
-                    const ConformanceOptions &options = {});
+                    std::uint32_t jobs = 1);
 
 /**
  * Render the canonical divergence report: per test, the reachable

@@ -12,6 +12,10 @@ namespace persim {
 
 namespace {
 
+/** Safety net per execution (livelocked schedules abort), unless the
+    program's EngineConfig sets its own max_events. */
+constexpr std::uint64_t max_events_per_execution = 1ULL << 20;
+
 /** Untried alternatives at branch points in [from, min(size, depth)). */
 std::uint64_t
 countBranchAlternatives(const std::vector<BranchPoint> &decisions,
@@ -119,7 +123,7 @@ Explorer::execute(const std::vector<std::uint32_t> &prefix,
     ReplayPolicy policy(prefix, frontier, seed);
     EngineConfig engine_config = program.engine;
     if (engine_config.max_events == 0)
-        engine_config.max_events = config_.max_events_per_run;
+        engine_config.max_events = max_events_per_execution;
     ExecutionEngine engine(engine_config, &out.trace, &policy);
     if (program.setup)
         engine.runSetup(program.setup);
@@ -166,13 +170,13 @@ Explorer::minimizeDecisions(const std::vector<std::uint32_t> &full,
 void
 Explorer::analyze(Shared &shared, const Execution &execution)
 {
-    const bool prune = config_.prune_cuts && !execution.observed.empty();
+    // A program that declares the cells its invariant reads is checked
+    // over the crash states that can differ on them; one that does
+    // not, over every consistent cut.
     std::vector<AddrRange> ranges;
-    if (prune) {
-        ranges.reserve(execution.observed.size());
-        for (const ObservedCell &cell : execution.observed)
-            ranges.push_back(AddrRange{cell.addr, cell.size});
-    }
+    ranges.reserve(execution.observed.size());
+    for (const ObservedCell &cell : execution.observed)
+        ranges.push_back(AddrRange{cell.addr, cell.size});
 
     RecoveryInvariant invariant = execution.invariant;
     if (!invariant)
@@ -191,7 +195,7 @@ Explorer::analyze(Shared &shared, const Execution &execution)
         shared.result.cuts_checked += cuts.cuts;
         shared.result.violations += cuts.violations;
         shared.result.cut_budget_exhausted |= cuts.budget_exhausted;
-        if (prune)
+        if (!ranges.empty())
             ++shared.result.pruned_analyses;
         if (check.short_circuited)
             ++shared.result.pruned_short_circuits;

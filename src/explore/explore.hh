@@ -13,7 +13,9 @@
  *   with execution-fingerprint pruning of equivalent interleavings
  *   and a seeded-sampling fallback beyond the budget)
  *     x every consistent cut of each execution's persist partial
- *       order (src/recovery/cuts.hh),
+ *       order (src/recovery/cuts.hh) — or, for a program that
+ *       declares the cells its invariant reads, every cut that can
+ *       differ on them,
  *
  * and runs a recovery invariant against each crash state. A failure
  * yields a minimized counterexample — decision string plus crash cut
@@ -86,9 +88,11 @@ struct ExploreProgram
      * Cells the invariant reads, filled during setup (addresses exist
      * only once the simulated allocator has run; the allocator is
      * deterministic, so every execution observes the same layout).
-     * Optional — but required for ExploreConfig::prune_cuts, which
-     * restricts crash-state enumeration to cuts that can differ on
-     * these byte ranges.
+     * Optional. When set, the invariant must read only these bytes:
+     * the explorer then enumerates only the crash states that can
+     * differ on them (checkObservedCuts, DESIGN.md §14), and a read
+     * outside them may miss a state. When unset, every consistent cut
+     * is checked.
      */
     std::shared_ptr<std::vector<ObservedCell>> observed;
 };
@@ -122,25 +126,11 @@ struct ExploreConfig
      */
     std::uint64_t samples = 0;
 
-    /** Safety net per execution (livelocked schedules abort). */
-    std::uint64_t max_events_per_run = 1ULL << 20;
-
     /** Worker threads sharding the decision-prefix work queue. */
     std::uint32_t shards = 1;
 
     /** Seed for the sampling fallback. */
     std::uint64_t seed = 1;
-
-    /**
-     * Constraint-guided crash-state pruning (DESIGN.md §14): when the
-     * program declares observed cells, enumerate only consistent cuts
-     * that can read a distinct value on them (checkObservedCuts),
-     * instead of every order ideal of the full persist DAG. Verdicts
-     * are identical; the cut count collapses from exponential in the
-     * whole trace's antichain width to exponential in the *observed*
-     * groups only. Ignored for programs without observed cells.
-     */
-    bool prune_cuts = false;
 };
 
 /** A concrete, replayable recovery-correctness failure, minimized:
@@ -183,7 +173,8 @@ struct ExploreResult
     std::uint64_t cuts_checked = 0;       //!< Crash states examined.
     std::uint64_t violations = 0;         //!< Crash states that failed.
 
-    /** Analyses that used the observed-projection enumeration. */
+    /** Analyses that used the observed-projection enumeration (one
+        per distinct execution of a program with observed cells). */
     std::uint64_t pruned_analyses = 0;
 
     /** Pruned analyses with zero observed persists: one invariant

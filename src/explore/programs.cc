@@ -65,6 +65,16 @@ publishLitmusProgram(bool consumer_barrier)
 }
 
 ProgramFactory
+withoutObserved(ProgramFactory factory)
+{
+    return [factory = std::move(factory)]() {
+        ExploreProgram program = factory();
+        program.observed.reset();
+        return program;
+    };
+}
+
+ProgramFactory
 queueProgram(const QueueExploreOptions &options)
 {
     PERSIM_REQUIRE(options.threads >= 1, "need at least one thread");

@@ -36,6 +36,14 @@ namespace persim {
  */
 ProgramFactory publishLitmusProgram(bool consumer_barrier);
 
+/**
+ * @p factory with its `observed` declaration dropped, so the explorer
+ * checks every consistent cut of each execution instead of the cuts
+ * that differ on the observed cells. Verdicts are the same; this is
+ * the reference the projected enumeration is compared against.
+ */
+ProgramFactory withoutObserved(ProgramFactory factory);
+
 /** Parameters for queueProgram. */
 struct QueueExploreOptions
 {

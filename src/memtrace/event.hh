@@ -75,8 +75,8 @@ enum class EventKind : std::uint8_t {
 
 /**
  * Highest valid EventKind value. The single source of truth for the
- * trace reader's kind-byte check (readTraceFile) and the segment
- * compiler's static_assert: keep it on the last enumerator above when
+ * trace reader's kind-byte check (readTraceFile) and the static_assert
+ * in compiled_replay.cc: keep it on the last enumerator above when
  * extending the enum — eventKindName's exhaustive switch (-Wswitch)
  * is the compile-time reminder.
  */

@@ -29,8 +29,7 @@
  *
  * The detector keeps its own per-line state keyed by address (it
  * never sees engine slot numbers), so it works identically under
- * unified and non-unified granularities and under serial or segment
- * (--jobs) replay.
+ * unified and non-unified granularities.
  */
 
 #ifndef PERSIM_PERSISTENCY_PERSIST_RACE_HH

@@ -101,30 +101,6 @@ granularitySweep(const InMemoryTrace &trace,
     return collectSeries(results, models, granularities, wall_seconds);
 }
 
-std::vector<LatencyPoint>
-latencyCurve(std::uint64_t ops, double critical_path,
-             double instruction_rate,
-             const std::vector<double> &latencies_ns)
-{
-    PERSIM_REQUIRE(instruction_rate > 0.0,
-                   "instruction rate must be positive");
-    std::vector<LatencyPoint> curve;
-    curve.reserve(latencies_ns.size());
-    for (const double latency : latencies_ns) {
-        PERSIM_REQUIRE(latency > 0.0, "latency must be positive");
-        LatencyPoint point;
-        point.latency_ns = latency;
-        const double persist_rate = critical_path > 0.0
-            ? static_cast<double>(ops) * 1e9 / (critical_path * latency)
-            : instruction_rate;
-        point.persist_bound = persist_rate < instruction_rate;
-        point.achievable_rate =
-            point.persist_bound ? persist_rate : instruction_rate;
-        curve.push_back(point);
-    }
-    return curve;
-}
-
 std::vector<double>
 logLatencyGrid(double lo_ns, double hi_ns, unsigned points_per_decade)
 {

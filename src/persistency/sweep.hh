@@ -77,24 +77,6 @@ granularitySweep(const InMemoryTrace &trace,
                  GranularityKnob knob,
                  const SweepOptions &options = {});
 
-/** One latency sample: latency and the achievable ops/s. */
-struct LatencyPoint
-{
-    double latency_ns = 0.0;
-    double achievable_rate = 0.0; //!< min(instruction, persist-bound).
-    bool persist_bound = false;
-};
-
-/**
- * Achievable-rate curve for a fixed critical path (Figure 3): the
- * analysis is latency-independent, so this is pure arithmetic over
- * the given latency grid.
- */
-std::vector<LatencyPoint>
-latencyCurve(std::uint64_t ops, double critical_path,
-             double instruction_rate,
-             const std::vector<double> &latencies_ns);
-
 /** Log-spaced latency grid (points_per_decade >= 1). */
 std::vector<double> logLatencyGrid(double lo_ns, double hi_ns,
                                    unsigned points_per_decade);

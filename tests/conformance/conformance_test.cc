@@ -216,14 +216,10 @@ TEST(Conformance, SynchronizedRowsAreRaceFree)
 TEST(Conformance, ReportIsJobsDeterministic)
 {
     const std::vector<LitmusTest> tests = allLitmusTests();
-    ConformanceOptions serial;
-    serial.jobs = 1;
-    ConformanceOptions parallel;
-    parallel.jobs = 4;
     const std::string a =
-        formatDivergenceReport(runConformanceSuite(tests, serial));
+        formatDivergenceReport(runConformanceSuite(tests, 1));
     const std::string b =
-        formatDivergenceReport(runConformanceSuite(tests, parallel));
+        formatDivergenceReport(runConformanceSuite(tests, 4));
     EXPECT_EQ(a, b);
 }
 

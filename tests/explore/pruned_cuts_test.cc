@@ -2,8 +2,9 @@
  * @file
  * Constraint-guided crash-state pruning tests: checkObservedCuts /
  * observedGroupMask / downwardClosure unit semantics (recovery/
- * cuts.hh) and the Explorer integration (ExploreConfig::prune_cuts
- * through checkCrashStates). The load-bearing property everywhere:
+ * cuts.hh) and the Explorer integration (a program's observed cells
+ * reach checkCrashStates; withoutObserved drops them for the
+ * exhaustive reference). The load-bearing property everywhere:
  * pruned enumeration reaches exactly the observable states of
  * exhaustive enumeration — both directions — while examining far
  * fewer cuts.
@@ -247,11 +248,10 @@ TEST(ObservedCuts, BudgetStopsEnumeration)
 }
 
 ExploreConfig
-publishConfig(bool prune)
+publishConfig()
 {
     ExploreConfig config;
     config.model = ModelConfig::epoch();
-    config.prune_cuts = prune;
     return config;
 }
 
@@ -313,9 +313,10 @@ buggyPublishWithScratch()
 
 TEST(ExplorerPruning, SameVerdictFewerCutsOnBuggyPublish)
 {
-    Explorer exhaustive(buggyPublishWithScratch(), publishConfig(false));
+    Explorer exhaustive(withoutObserved(buggyPublishWithScratch()),
+                        publishConfig());
     const ExploreResult base = exhaustive.run();
-    Explorer guided(buggyPublishWithScratch(), publishConfig(true));
+    Explorer guided(buggyPublishWithScratch(), publishConfig());
     const ExploreResult pruned = guided.run();
 
     // Same exploration, same verdict...
@@ -330,12 +331,28 @@ TEST(ExplorerPruning, SameVerdictFewerCutsOnBuggyPublish)
     // drop out of the lattice).
     EXPECT_LT(pruned.cuts_checked, base.cuts_checked);
     EXPECT_EQ(pruned.pruned_analyses, pruned.distinct_executions);
+    EXPECT_EQ(base.pruned_analyses, 0u);
     EXPECT_TRUE(pruned.exhaustive()) << pruned.summary();
+}
+
+TEST(ExplorerPruning, DefaultConfigProjectsDeclaredCells)
+{
+    // No option picks the enumeration: a program that declares its
+    // observed cells is projected onto them under a default config.
+    Explorer guided(buggyPublishWithScratch(), ExploreConfig{});
+    const ExploreResult pruned = guided.run();
+    Explorer blind(withoutObserved(buggyPublishWithScratch()),
+                   ExploreConfig{});
+    const ExploreResult base = blind.run();
+
+    EXPECT_GT(pruned.distinct_executions, 0u);
+    EXPECT_EQ(pruned.pruned_analyses, pruned.distinct_executions);
+    EXPECT_LT(pruned.cuts_checked, base.cuts_checked);
 }
 
 TEST(ExplorerPruning, CorrectPublishStaysProvenUnderPruning)
 {
-    Explorer guided(publishLitmusProgram(true), publishConfig(true));
+    Explorer guided(publishLitmusProgram(true), publishConfig());
     const ExploreResult pruned = guided.run();
     EXPECT_TRUE(pruned.exhaustive()) << pruned.summary();
     EXPECT_EQ(pruned.violations, 0u) << pruned.summary();
@@ -347,13 +364,13 @@ TEST(ExplorerPruning, CorrectPublishStaysProvenUnderPruning)
 
 TEST(ExplorerPruning, PrunedCounterexampleReplays)
 {
-    Explorer guided(publishLitmusProgram(false), publishConfig(true));
+    Explorer guided(publishLitmusProgram(false), publishConfig());
     const ExploreResult result = guided.run();
     ASSERT_TRUE(result.counterexample.has_value());
     const Counterexample &ce = *result.counterexample;
     EXPECT_FALSE(ce.cut_groups.empty());
 
-    Explorer replayer(publishLitmusProgram(false), publishConfig(true));
+    Explorer replayer(publishLitmusProgram(false), publishConfig());
     EXPECT_EQ(replayer.execute(ce.decisions).fingerprint,
               ce.fingerprint);
 }
@@ -386,7 +403,7 @@ TEST(ExplorerPruning, ShortCircuitWhenObservedNeverPersists)
         };
         return program;
     };
-    Explorer guided(factory, publishConfig(true));
+    Explorer guided(factory, publishConfig());
     const ExploreResult result = guided.run();
     EXPECT_TRUE(result.exhaustive()) << result.summary();
     EXPECT_EQ(result.violations, 0u) << result.summary();
@@ -424,7 +441,7 @@ TEST(ExplorerPruning, ShortCircuitedViolationYieldsACounterexample)
         };
         return program;
     };
-    Explorer guided(factory, publishConfig(true));
+    Explorer guided(factory, publishConfig());
     const ExploreResult result = guided.run();
     EXPECT_EQ(result.pruned_short_circuits, result.distinct_executions);
     EXPECT_EQ(result.violations, result.distinct_executions);
@@ -476,7 +493,7 @@ TEST(ExplorerAnswers, QueueExploreAtSeedSevenIsPinned)
 
 TEST(ExplorerAnswers, PrunedBuggyPublishIsPinned)
 {
-    Explorer explorer(buggyPublishWithScratch(), publishConfig(true));
+    Explorer explorer(buggyPublishWithScratch(), publishConfig());
     const ExploreResult result = explorer.run();
     EXPECT_EQ(answers(result),
               (std::vector<std::uint64_t>{358, 0, 358, 0, 0, 357, 956,

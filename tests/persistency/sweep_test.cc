@@ -178,21 +178,6 @@ TEST(Sweep, EmptyInputsAreFatal)
                  FatalError);
 }
 
-TEST(Sweep, LatencyCurveShape)
-{
-    // 1000 ops, critical path 2000 persists, 10 M ops/s instruction
-    // rate: break-even at 50 ns.
-    const auto curve =
-        latencyCurve(1000, 2000.0, 1e7, {10.0, 50.0, 100.0, 500.0});
-    ASSERT_EQ(curve.size(), 4u);
-    EXPECT_FALSE(curve[0].persist_bound);
-    EXPECT_DOUBLE_EQ(curve[0].achievable_rate, 1e7);
-    EXPECT_DOUBLE_EQ(curve[1].achievable_rate, 1e7); // Exactly even.
-    EXPECT_TRUE(curve[2].persist_bound);
-    EXPECT_DOUBLE_EQ(curve[2].achievable_rate, 5e6);
-    EXPECT_DOUBLE_EQ(curve[3].achievable_rate, 1e6);
-}
-
 TEST(Sweep, BreakEvenLatency)
 {
     EXPECT_DOUBLE_EQ(breakEvenLatencyNs(1000, 2000.0, 1e7), 50.0);
@@ -229,14 +214,6 @@ TEST(Sweep, LogGridNeverDropsTheFinalPoint)
     EXPECT_NEAR(grid.front(), 10.0, 1e-9);
     EXPECT_LE(grid.back(), 550.0 * (1.0 + 1e-9));
     ASSERT_EQ(grid.size(), 7u); // floor(log10(55) * 4) + 1.
-}
-
-TEST(Sweep, ZeroCriticalPathIsComputeBound)
-{
-    const auto curve = latencyCurve(100, 0.0, 1e6, {100.0});
-    ASSERT_EQ(curve.size(), 1u);
-    EXPECT_FALSE(curve[0].persist_bound);
-    EXPECT_DOUBLE_EQ(curve[0].achievable_rate, 1e6);
 }
 
 } // namespace
