@@ -13,7 +13,7 @@
  *    fig3/fig4/fig5 sweeps analyze.
  *
  * Besides the interpreted engine rows ("replay/<trace>/<model>"),
- * each model the compiled fast path runs (strict/epoch/strand) is
+ * each model the compiled fast path runs (all four presets) is
  * also executed through it ("replay/<trace>/<model>/compiled": the
  * trace is compiled outside the timer, the row measures pure column
  * execution), so the committed baseline records the compiled speedup

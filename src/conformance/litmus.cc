@@ -472,8 +472,8 @@ formatDivergenceReport(const std::vector<LitmusResult> &results)
     oss << "#\n";
     oss << "# Reachable post-crash states per litmus test and "
            "persistency model\n";
-    oss << "# (exhaustive consistent-cut enumeration per schedule; "
-           "state sets are\n";
+    oss << "# (states enumerated on the projection onto each test's "
+           "observed cells; state sets are\n";
     oss << "# unions over the deterministic schedule set). The "
            "px86-vs-epoch line\n";
     oss << "# lists states reachable under only one of the two: "

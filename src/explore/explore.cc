@@ -75,8 +75,8 @@ ExploreResult::summary() const
         << sampled_executions << " sampled, " << truncated_executions
         << " truncated), " << cuts_checked << " crash states checked, "
         << violations << " violations";
-    if (pruned_analyses > 0)
-        oss << "; " << pruned_analyses << " pruned analyses ("
+    if (projected)
+        oss << "; checks projected onto observed cells ("
             << pruned_short_circuits << " short-circuited)";
     if (schedule_budget_exhausted)
         oss << "; schedule budget exhausted";
@@ -196,7 +196,7 @@ Explorer::analyze(Shared &shared, const Execution &execution)
         shared.result.violations += cuts.violations;
         shared.result.cut_budget_exhausted |= cuts.budget_exhausted;
         if (!ranges.empty())
-            ++shared.result.pruned_analyses;
+            shared.result.projected = true;
         if (check.short_circuited)
             ++shared.result.pruned_short_circuits;
         if (cuts.violations > 0 && !shared.counterexample_claimed) {

@@ -173,11 +173,12 @@ struct ExploreResult
     std::uint64_t cuts_checked = 0;       //!< Crash states examined.
     std::uint64_t violations = 0;         //!< Crash states that failed.
 
-    /** Analyses that used the observed-projection enumeration (one
-        per distinct execution of a program with observed cells). */
-    std::uint64_t pruned_analyses = 0;
+    /** Crash states were enumerated on the projection onto the
+        program's observed cells (ExploreProgram::observed is set);
+        otherwise every consistent cut was checked. */
+    bool projected = false;
 
-    /** Pruned analyses with zero observed persists: one invariant
+    /** Projected analyses with zero observed persists: one invariant
         check replaced the whole enumeration (no DAG built). */
     std::uint64_t pruned_short_circuits = 0;
 

@@ -8,7 +8,8 @@ CompiledTrace::view() const
     CompiledTraceView v;
     v.micro_ops = flags.size();
     v.events = events;
-    v.track_slots = track_keys.size();
+    v.track_slots = track_slots;
+    v.lines = lines;
     v.runs = run_len.size();
     v.thread_count = thread_count;
     v.spec_fp = spec_fp;
@@ -17,7 +18,7 @@ CompiledTrace::view() const
     v.tslot = tslot.data();
     v.run_len = run_len.data();
     v.run_kind = run_kind.data();
-    v.track_keys = track_keys.data();
+    v.line = line.empty() ? nullptr : line.data();
     return v;
 }
 

@@ -3,23 +3,30 @@
  * Compiled trace container (DESIGN.md Section 17).
  *
  * A compiled trace holds what the fast compiled executor reads of a
- * trace — the cache-line-split, slot-interned micro-op program a
- * replay would otherwise rebuild from the raw event stream — as
- * in-memory struct-of-arrays columns, 9 bytes per micro-op:
+ * trace — the 8-byte-split, slot-interned micro-op program a replay
+ * would otherwise rebuild from the raw event stream — as in-memory
+ * struct-of-arrays columns, 9 bytes per micro-op:
  *
  *   flags u8[n] | thread u32[n] | tslot u32[n]
- *   | run_len u32[r] | run_kind u8[r] | track_keys u64[t]
+ *   | run_len u32[r] | run_kind u8[r]
+ *   | line u32[t]   (only when tracking and atomic granularity differ)
  *
- * flags bit 0 is the micro-op's is_write, bit 1 is "address is
- * persistent" (precomputed so the hot loop never recomputes range
- * membership). tslot is the piece's tracking slot in first-touch
- * order, and track_keys[tslot] its block key; the executor runs only
- * unified-granularity configs, where that key is also the persist
- * block, so no address column is kept. The run index partitions
- * [0, micro_ops) into maximal same-kind runs (CompiledOp) so the
- * executor dispatches per run, not per op. spec_fp records the
- * granularity the program was built under, so replaying it under a
- * different one is caught.
+ * For a piece, flags bit 0 is is_write, bit 1 "address is persistent"
+ * (precomputed so the hot loop never recomputes range membership), and
+ * bits 2-7 the piece's shape: its byte offset in its 8-byte word and
+ * its size - 1. tslot is the piece's tracking slot in first-touch
+ * order. A flush carries the slot of the line it flushes in tslot and
+ * its clflush bit in flags bit 0. The run index partitions
+ * [0, micro_ops) into maximal same-kind runs (CompiledOp), so the
+ * executor dispatches per run, not per op.
+ *
+ * No block key is kept: a persist block is identified by its dense
+ * slot. When the atomic granularity equals the tracking granularity
+ * the tracking slot is the atomic block; otherwise line[tslot] is the
+ * piece's atomic block (its line), numbered in first-touch order
+ * with the flushed lines. spec_fp records the granularities the
+ * program was built under, so replaying it under different ones is
+ * caught.
  */
 
 #ifndef PERSIM_MEMTRACE_COMPILED_TRACE_HH
@@ -30,19 +37,23 @@
 
 namespace persim {
 
-/** tslot sentinel: the op is not an access piece. */
+/** tslot sentinel: the op is not an access piece or a flush. */
 constexpr std::uint32_t compiled_no_slot = ~0u;
 
-/** flags bit 0: the micro-op is a write. */
+/** flags bit 0 of a piece: the micro-op is a write. */
 constexpr std::uint8_t compiled_flag_write = 1u;
-/** flags bit 1: the micro-op's address is persistent. */
+/** flags bit 1 of a piece: the micro-op's address is persistent. */
 constexpr std::uint8_t compiled_flag_persistent = 2u;
+/** flags bit 0 of a flush: clflush (ordered like a store). */
+constexpr std::uint8_t compiled_flag_clflush = 1u;
+/** flags bits 2-7 of a piece: (size - 1) << 3 | offset in its word. */
+constexpr unsigned compiled_shape_shift = 2;
 
 /** Micro-op kinds, one per run in the run index. */
 enum class CompiledOp : std::uint8_t {
     Piece,   //!< One <=8-byte access piece.
     Barrier, //!< PersistBarrier / PersistSync.
-    Flush,   //!< clflush / clflushopt / clwb (counted only).
+    Flush,   //!< clflush / clflushopt / clwb.
     Fence,   //!< sfence / mfence.
     Strand,  //!< NewStrand.
     OpEnd,   //!< Marker OpEnd.
@@ -57,6 +68,8 @@ struct CompiledTraceView
     std::uint64_t micro_ops = 0;
     std::uint64_t events = 0;
     std::uint64_t track_slots = 0;
+    /** Atomic blocks: track_slots unless a line column is kept. */
+    std::uint64_t lines = 0;
     std::uint64_t runs = 0;
     std::uint32_t thread_count = 0;
     std::uint64_t spec_fp = 0;
@@ -66,13 +79,16 @@ struct CompiledTraceView
     const std::uint32_t *tslot = nullptr;
     const std::uint32_t *run_len = nullptr;
     const std::uint8_t *run_kind = nullptr;
-    const std::uint64_t *track_keys = nullptr;
+    /** Line of each tracking slot; null when they coincide. */
+    const std::uint32_t *line = nullptr;
 };
 
 /** Owning compiled trace: the columns as growable vectors. */
 struct CompiledTrace
 {
     std::uint64_t events = 0;
+    std::uint64_t track_slots = 0;
+    std::uint64_t lines = 0;
     std::uint32_t thread_count = 0;
     std::uint64_t spec_fp = 0;
 
@@ -81,7 +97,7 @@ struct CompiledTrace
     std::vector<std::uint32_t> tslot;
     std::vector<std::uint32_t> run_len;
     std::vector<std::uint8_t> run_kind;
-    std::vector<std::uint64_t> track_keys;
+    std::vector<std::uint32_t> line;
 
     /**
      * Append one micro-op, extending the current run or opening a new

@@ -19,8 +19,6 @@ static_assert(kMaxEventKind ==
 const char *
 ineligibility(const TimingConfig &config)
 {
-    if (config.model.kind == ModelKind::Px86)
-        return "px86 has no fast path";
     if (config.clock != ClockMode::Levels)
         return "the stochastic clock needs the engine";
     if (config.mutant != EngineMutant::None)
@@ -36,6 +34,15 @@ ineligibility(const TimingConfig &config)
     if (config.model.conflict_scope != ConflictScope::AllAddresses)
         return "a persistent-only conflict scope (bpfs) needs the "
                "engine";
+    if (config.model.kind == ModelKind::Px86) {
+        if (config.model.detect_load_before_store)
+            return "px86 with load-before-store tracking needs the "
+                   "engine";
+        if (config.model.tracking_granularity != 8)
+            return "px86 needs 8-byte tracking, so that a dirty piece "
+                   "is one word";
+        return nullptr;
+    }
     if (!config.model.detect_load_before_store)
         return "untracked loads (bpfs) need the engine";
     if (config.model.tracking_granularity !=
@@ -58,25 +65,27 @@ requireEligible(const TimingConfig &config, const char *who)
 
 /**
  * Dependence summary for the fast path: Tag with the persist-id
- * witness and dep-set handle elided. In the eligible configurations
- * nothing observable reads Tag::src (no logs, no deps, no races, no
- * plugins, no window), so tag validity degenerates to t > 0 and the
- * tag fits 24 bytes — 40% less bank traffic than the engine's Tag.
+ * witness and dep-set handle elided, in 12 bytes. In the eligible
+ * configurations nothing observable reads Tag::src (no logs, no deps,
+ * no races, no plugins, no window), so tag validity degenerates to
+ * t > 0. Levels are integers no larger than the micro-op count, which
+ * compileTrace keeps below 2^32, and a block is its dense slot or
+ * line id.
  */
 struct FastTag
 {
-    double t = 0.0;
-    double oth = 0.0;
-    std::uint64_t block = ~0ULL;
+    std::uint32_t t = 0;
+    std::uint32_t oth = 0;
+    std::uint32_t block = compiled_no_slot;
 };
 
 /** mergeInto() minus the src/deps bookkeeping (same case analysis). */
 inline void
 fmerge(FastTag &dst, const FastTag &cand)
 {
-    if (cand.t == 0.0)
+    if (cand.t == 0)
         return;
-    if (dst.t == 0.0) {
+    if (dst.t == 0) {
         dst = cand;
         return;
     }
@@ -86,7 +95,7 @@ fmerge(FastTag &dst, const FastTag &cand)
         return;
     }
     if (cand.t > dst.t) {
-        double oth = dst.t > dst.oth ? dst.t : dst.oth;
+        std::uint32_t oth = dst.t > dst.oth ? dst.t : dst.oth;
         if (cand.oth > oth)
             oth = cand.oth;
         dst.t = cand.t;
@@ -94,19 +103,45 @@ fmerge(FastTag &dst, const FastTag &cand)
         dst.block = cand.block;
         return;
     }
-    double oth = cand.t > cand.oth ? cand.t : cand.oth;
+    std::uint32_t oth = cand.t > cand.oth ? cand.t : cand.oth;
     if (dst.oth > oth)
         oth = dst.oth;
     dst.oth = oth;
 }
 
+/** strict / epoch / strand per-slot state: both conflict tags. */
+struct SlotTags
+{
+    FastTag store;
+    FastTag load;
+};
+
 /**
- * The fast executor: strict / epoch / strand on the Levels clock with
- * unified granularity, all-address scope, load tracking, and no
- * observers. STRICT folds dependences into epoch_dep immediately;
- * STRAND additionally honors NewStrand resets.
+ * px86 per-line state. The line's dirty pieces are only counted: a
+ * flush persists them all at one level (DESIGN.md Section 17.2), so
+ * only the newest piece's word and shape are kept, for the same-word
+ * overwrite rule.
+ */
+struct Px86Line
+{
+    /** Merged dependences of the dirty stores, or the last flush's
+        persist while the line is clean. */
+    FastTag ctx;
+    std::uint32_t dirty = 0;
+    std::uint32_t tail_slot = compiled_no_slot;
+    /** Thread that last queued the line on its dirty list. */
+    std::uint32_t mark = compiled_no_slot;
+    std::uint8_t tail_shape = 0;
+};
+
+/**
+ * The fast executor: strict / epoch / strand / px86 on the Levels
+ * clock with all-address scope and no observers. Strict folds
+ * dependences into epoch immediately; strand additionally honors
+ * NewStrand resets; px86 parks persistent stores on their lines until
+ * a flush or barrier persists them.
  *
- * Correctness leans on three facts proved in DESIGN.md Section 17
+ * Correctness leans on four facts proved in DESIGN.md Section 17
  * (and pinned by the bit-identity tests):
  *
  *  1. nothing observable reads Tag::src in these configurations, so
@@ -121,66 +156,160 @@ fmerge(FastTag &dst, const FastTag &cand)
  *     three unmerged sources (epoch, store tag, load tag) without
  *     materializing the merged dependence summary — the merge itself
  *     is only needed on persists, and only its (t, block) result,
- *     never a full Tag.
+ *     never a full Tag;
+ *  4. under px86 a line's context dominates its last persist, so a
+ *     flush of k dirty pieces is one persist at dep.t + 1 plus k - 1
+ *     pieces coalesced into it.
  */
-template <bool STRICT, bool STRAND>
+template <ModelKind KIND>
 TimingResult
 runFast(const CompiledTraceView &view)
 {
+    constexpr bool STRICT = KIND == ModelKind::Strict;
+    constexpr bool STRAND = KIND == ModelKind::Strand;
+    constexpr bool PX86 = KIND == ModelKind::Px86;
+
     struct FThread
     {
         FastTag epoch;
         FastTag accum;
+        FastTag strong;                   //!< px86: clflush persists
+        std::vector<std::uint32_t> dirty; //!< px86: lines to barrier
     };
 
     TimingResult res;
-    std::vector<FastTag> ts(view.track_slots);
-    std::vector<FastTag> tl(view.track_slots);
+    std::vector<SlotTags> tags(PX86 ? 0 : view.track_slots);
+    std::vector<FastTag> stores(PX86 ? view.track_slots : 0);
+    std::vector<Px86Line> lines(PX86 ? view.lines : 0);
     std::vector<FThread> threads(view.thread_count ? view.thread_count
                                                    : 1);
 
     const std::uint8_t *flags = view.flags;
     const std::uint32_t *thr = view.thread;
     const std::uint32_t *tsl = view.tslot;
-    const std::uint64_t *keys = view.track_keys;
-    double critical = 0.0;
+    const std::uint32_t *line_of = view.line;
+    std::uint32_t critical = 0;
+
+    // px86 flush of line @p li: persist its dirty pieces at one level
+    // (the first founds a group, the rest coalesce into it) and route
+    // the persist to the thread's strong or pending-fence order. A
+    // clean line still orders the flush after its last persist.
+    const auto flush = [&](FThread &thread, std::uint32_t li,
+                           bool strong) {
+        Px86Line &line = lines[li];
+        FastTag &pending = strong ? thread.strong : thread.accum;
+        if (line.dirty == 0) {
+            fmerge(pending, line.ctx);
+            return;
+        }
+        FastTag dep = thread.epoch;
+        fmerge(dep, line.ctx);
+        if (strong)
+            fmerge(dep, thread.strong);
+        const std::uint32_t time = dep.t + 1;
+        res.persists += line.dirty;
+        res.coalesced += line.dirty - 1;
+        if (time > critical)
+            critical = time;
+        const FastTag out{time, 0, li};
+        fmerge(pending, out);
+        line.ctx = out;
+        line.dirty = 0;
+        line.tail_slot = compiled_no_slot;
+        line.mark = compiled_no_slot;
+    };
+    const auto fence = [](FThread &thread) {
+        fmerge(thread.epoch, thread.accum);
+        if (PX86)
+            fmerge(thread.epoch, thread.strong);
+    };
 
     std::uint64_t i = 0;
     for (std::uint64_t r = 0; r < view.runs; ++r) {
         const std::uint64_t end = i + view.run_len[r];
         const auto rk = static_cast<CompiledOp>(view.run_kind[r]);
+        if (rk == CompiledOp::Piece && PX86) {
+            for (; i < end; ++i) {
+                const std::uint32_t tid = thr[i];
+                FThread &thread = threads[tid];
+                FastTag &epoch = thread.epoch;
+                const std::uint32_t slot = tsl[i];
+                const std::uint8_t fl = flags[i];
+                FastTag &store = stores[slot];
+                if (!(fl & compiled_flag_write)) {
+                    // Load: what the last store published is already
+                    // durable, so it orders this thread's later
+                    // persists without a fence.
+                    fmerge(epoch, store);
+                    continue;
+                }
+                FastTag dep = epoch;
+                fmerge(dep, store);
+                if (!(fl & compiled_flag_persistent)) {
+                    fmerge(epoch, dep);
+                    fmerge(store, epoch);
+                    fmerge(store, thread.strong);
+                    continue;
+                }
+                // Persistent store: dirty the line; it persists when a
+                // flush or barrier covers the line.
+                FastTag pdep = dep;
+                fmerge(pdep, thread.strong);
+                fmerge(pdep, epoch);
+                const std::uint32_t li =
+                    line_of != nullptr ? line_of[slot] : slot;
+                Px86Line &line = lines[li];
+                fmerge(line.ctx, pdep);
+                const auto shape =
+                    static_cast<std::uint8_t>(fl >> compiled_shape_shift);
+                if (line.tail_slot != slot || line.tail_shape != shape) {
+                    // Not a same-word overwrite of the newest dirty
+                    // piece: a new piece.
+                    ++line.dirty;
+                    line.tail_slot = slot;
+                    line.tail_shape = shape;
+                }
+                fmerge(store, pdep);
+                if (line.mark != tid) {
+                    line.mark = tid;
+                    thread.dirty.push_back(li);
+                }
+            }
+            continue;
+        }
         if (rk == CompiledOp::Piece) {
             for (; i < end; ++i) {
                 FThread &thread = threads[thr[i]];
                 const std::uint32_t slot = tsl[i];
+                SlotTags &cell = tags[slot];
                 FastTag &epoch = thread.epoch;
                 FastTag &sink = STRICT ? thread.epoch : thread.accum;
                 const std::uint8_t fl = flags[i];
                 if (!(fl & compiled_flag_write)) {
                     // Load: inherit the block's store order, record
                     // the load for later conflicting stores.
-                    fmerge(sink, ts[slot]);
-                    fmerge(tl[slot], epoch);
+                    fmerge(sink, cell.store);
+                    fmerge(cell.load, epoch);
                     continue;
                 }
                 if (fl & compiled_flag_persistent) {
-                    FastTag &tss = ts[slot];
-                    // Unified granularity: the tracking block key is
-                    // the persist block.
-                    const std::uint64_t block = keys[slot];
+                    FastTag &tss = cell.store;
+                    const FastTag &tll = cell.load;
+                    // Unified granularity: the tracking slot is the
+                    // persist block.
+                    const std::uint32_t block = slot;
                     ++res.persists;
-                    const double last_t = tss.t;
-                    double tmax = epoch.t > tss.t ? epoch.t : tss.t;
-                    if (tl[slot].t > tmax)
-                        tmax = tl[slot].t;
+                    const std::uint32_t last_t = tss.t;
+                    std::uint32_t tmax = epoch.t > tss.t ? epoch.t : tss.t;
+                    if (tll.t > tmax)
+                        tmax = tll.t;
                     bool coalesce = false;
-                    if (last_t != 0.0 && tmax == last_t) {
+                    if (last_t != 0 && tmax == last_t) {
                         // The pending group is the dependence argmax;
                         // coalesce unless a dependence outside that
                         // group also reaches last_t. Closed form of
                         // the three-way merge's (block, oth) result.
-                        const FastTag &tll = tl[slot];
-                        double oth =
+                        std::uint32_t oth =
                             epoch.oth > tss.oth ? epoch.oth : tss.oth;
                         if (tll.oth > oth)
                             oth = tll.oth;
@@ -198,43 +327,38 @@ runFast(const CompiledTraceView &view)
                     }
                     if (coalesce) {
                         ++res.coalesced;
-                        const FastTag out{last_t, 0.0, block};
-                        fmerge(sink, out);
+                        fmerge(sink, FastTag{last_t, 0, block});
                     } else {
-                        const double time = tmax + 1.0;
-                        const double oth_ts =
-                            tss.t > tss.oth ? tss.t : tss.oth;
+                        const std::uint32_t time = tmax + 1;
+                        tss.oth = tss.t > tss.oth ? tss.t : tss.oth;
                         tss.t = time;
-                        tss.oth = oth_ts;
                         tss.block = block;
                         if (STRICT) {
                             // epoch_dep always holds the latest
                             // persist: overwrite, don't merge.
-                            const double oth_e =
-                                sink.t > sink.oth ? sink.t : sink.oth;
+                            sink.oth = sink.t > sink.oth ? sink.t : sink.oth;
                             sink.t = time;
-                            sink.oth = oth_e;
                             sink.block = block;
                         } else {
                             // accum is NOT part of dep, so the new
                             // persist may be older than what accum
                             // already holds: full merge.
-                            fmerge(sink, FastTag{time, 0.0, block});
+                            fmerge(sink, FastTag{time, 0, block});
                         }
                         if (time > critical)
                             critical = time;
                     }
                 } else if (STRICT) {
-                    fmerge(epoch, ts[slot]);
-                    fmerge(epoch, tl[slot]);
-                    fmerge(ts[slot], epoch);
+                    fmerge(epoch, cell.store);
+                    fmerge(epoch, cell.load);
+                    fmerge(cell.store, epoch);
                 } else {
                     // Volatile store: dep = epoch + conflicts.
                     FastTag dep = epoch;
-                    fmerge(dep, ts[slot]);
-                    fmerge(dep, tl[slot]);
+                    fmerge(dep, cell.store);
+                    fmerge(dep, cell.load);
                     fmerge(sink, dep);
-                    fmerge(ts[slot], epoch);
+                    fmerge(cell.store, epoch);
                 }
             }
             continue;
@@ -244,16 +368,26 @@ runFast(const CompiledTraceView &view)
             switch (rk) {
               case CompiledOp::Barrier:
                 ++res.barriers;
+                if (PX86) {
+                    // Canonical epoch->x86 compilation: weak-flush
+                    // every line the thread dirtied, then sfence.
+                    for (const std::uint32_t li : thread.dirty)
+                        flush(thread, li, false);
+                    thread.dirty.clear();
+                }
                 if (!STRICT)
-                    fmerge(thread.epoch, thread.accum);
+                    fence(thread);
                 break;
               case CompiledOp::Flush:
                 ++res.flushes;
+                if (PX86)
+                    flush(thread, tsl[i],
+                          (flags[i] & compiled_flag_clflush) != 0);
                 break;
               case CompiledOp::Fence:
                 ++res.fences;
                 if (!STRICT)
-                    fmerge(thread.epoch, thread.accum);
+                    fence(thread);
                 break;
               case CompiledOp::Strand:
                 ++res.strands;
@@ -270,6 +404,9 @@ runFast(const CompiledTraceView &view)
             }
         }
     }
+    if (PX86)
+        for (const Px86Line &line : lines)
+            res.unflushed += line.dirty;
     res.critical_path = critical;
     res.events = view.events;
     return res;
@@ -304,16 +441,24 @@ compileTrace(const TraceEvent *events, std::size_t count,
     CompiledTrace out;
     out.events = count;
     out.spec_fp = compiledSpecFingerprint(config);
-    const unsigned shift = log2Exact(config.model.tracking_granularity);
+    const unsigned track_shift =
+        log2Exact(config.model.tracking_granularity);
+    const unsigned atomic_shift =
+        log2Exact(config.model.atomic_granularity);
+    // Only px86 runs with a line wider than its tracking block; then
+    // each tracking slot also records its line.
+    const bool lines = track_shift != atomic_shift;
     // Most events compile to one micro-op; unaligned accesses that
     // split grow the columns past this.
     out.flags.reserve(count);
     out.thread.reserve(count);
     out.tslot.reserve(count);
 
-    // The engine's own tracking index type, so both number slots in
-    // the same first-touch order.
+    // The engine's own index type, numbering slots in first-touch
+    // order as the engine does.
     PagedIndexMap index;
+    PagedIndexMap line_index;
+    bool inserted = false;
     for (std::size_t i = 0; i < count; ++i) {
         const TraceEvent &event = events[i];
         switch (event.kind) {
@@ -321,28 +466,29 @@ compileTrace(const TraceEvent *events, std::size_t count,
           case EventKind::Store:
           case EventKind::Rmw: {
             // Same 8-byte-aligned split as the engine's process(), so
-            // each piece lies within one block; slots are numbered in
-            // the engine's first-touch order.
+            // each piece lies within one word.
             const std::uint8_t write =
                 event.isWrite() ? compiled_flag_write : 0u;
             Addr addr = event.addr;
             unsigned remaining = event.size;
             while (remaining > 0) {
-                const auto room = static_cast<unsigned>(
-                    max_access_size - (addr % max_access_size));
-                const unsigned chunk = std::min(remaining, room);
-                const std::uint64_t key = addr >> shift;
-                bool inserted = false;
+                const auto offset =
+                    static_cast<unsigned>(addr % max_access_size);
+                const unsigned chunk =
+                    std::min(remaining, max_access_size - offset);
                 const std::uint32_t slot =
-                    index.findOrInsert(key, inserted);
-                if (inserted)
-                    out.track_keys.push_back(key);
+                    index.findOrInsert(addr >> track_shift, inserted);
+                if (inserted && lines)
+                    out.line.push_back(line_index.findOrInsert(
+                        addr >> atomic_shift, inserted));
+                const unsigned shape = (chunk - 1) << 3 | offset;
                 out.append(CompiledOp::Piece,
                            static_cast<std::uint8_t>(
                                write |
                                (isPersistentAddr(addr)
                                     ? compiled_flag_persistent
-                                    : 0u)),
+                                    : 0u) |
+                               shape << compiled_shape_shift),
                            event.thread, slot);
                 addr += chunk;
                 remaining -= chunk;
@@ -357,8 +503,17 @@ compileTrace(const TraceEvent *events, std::size_t count,
           case EventKind::CacheFlush:
           case EventKind::CacheFlushOpt:
           case EventKind::CacheWriteBack:
-            out.append(CompiledOp::Flush, 0, event.thread,
-                       compiled_no_slot);
+            // The line the flush covers, interned as the engine's
+            // px86 flush does.
+            out.append(CompiledOp::Flush,
+                       event.kind == EventKind::CacheFlush
+                           ? compiled_flag_clflush
+                           : 0u,
+                       event.thread,
+                       lines ? line_index.findOrInsert(
+                                   event.addr >> atomic_shift, inserted)
+                             : index.findOrInsert(
+                                   event.addr >> track_shift, inserted));
             break;
           case EventKind::StoreFence:
           case EventKind::FullFence:
@@ -382,6 +537,15 @@ compileTrace(const TraceEvent *events, std::size_t count,
             break;
         }
     }
+    // The executor's 32-bit levels count at most one per micro-op.
+    PERSIM_REQUIRE(out.flags.size() < (std::uint64_t{1} << 32),
+                   "compileTrace: " << out.flags.size()
+                                    << " micro-ops do not fit the fast "
+                                       "executor's 32-bit levels; "
+                                       "replay this trace through "
+                                       "the engine");
+    out.track_slots = index.size();
+    out.lines = lines ? line_index.size() : index.size();
     return out;
 }
 
@@ -402,12 +566,15 @@ compiledReplay(const CompiledTraceView &view, const TimingConfig &config)
     // cost ~20% of a replay.
     switch (config.model.kind) {
       case ModelKind::Strict:
-        return runFast<true, false>(view);
+        return runFast<ModelKind::Strict>(view);
+      case ModelKind::Epoch:
+        return runFast<ModelKind::Epoch>(view);
       case ModelKind::Strand:
-        return runFast<false, true>(view);
-      default:
-        return runFast<false, false>(view);
+        return runFast<ModelKind::Strand>(view);
+      case ModelKind::Px86:
+        return runFast<ModelKind::Px86>(view);
     }
+    PERSIM_FATAL("compiledReplay: unknown model kind");
 }
 
 TimingResult

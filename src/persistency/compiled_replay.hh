@@ -6,10 +6,12 @@
  * replayTrace() is how a trace is analyzed under one configuration.
  * The paper's hot configurations (strict / epoch / strand on the
  * Levels clock, unified granularity, all-address scope, load
- * tracking, no log / deps / races / plugins / window / mutant) are
- * compiled and executed by the fast executor; every other
- * configuration replays through PersistTimingEngine, which stays the
- * oracle the fast path is tested against.
+ * tracking, no log / deps / races / plugins / window / mutant) and
+ * the px86 preset (8-byte tracking, any line size, TSO conflicts
+ * only, the same observers off) are compiled and executed by the fast
+ * executor; every other configuration replays through
+ * PersistTimingEngine, which stays the oracle the fast path is tested
+ * against.
  *
  * compileTrace() is one serial pass over the events: it splits each
  * access into 8-byte-aligned pieces, interns each piece's block key
@@ -17,13 +19,16 @@
  * the engine does), and appends the run index as it goes, emitting
  * only the columns the executor reads (memtrace/compiled_trace.hh).
  *
- * The fast executor is a templated loop over 24-byte src-free tags in
- * private banks. Nothing observable in the eligible configurations
- * reads Tag::src, validity is equivalent to t > 0, and the dependence
- * summary always dominates the block's pending time, which collapses
- * the same-block serialization rule and reduces the coalescing test to
- * a closed form on the rare tmax == last_t path (the full derivation
- * is in DESIGN.md Section 17).
+ * The fast executor is one loop template, instantiated per model, over
+ * 12-byte src-free tags with 32-bit levels in private banks. Nothing
+ * observable in the eligible configurations reads Tag::src, validity
+ * is equivalent to t > 0, and the dependence summary always dominates
+ * the block's pending time, which collapses the same-block
+ * serialization rule and reduces the coalescing test to a closed form
+ * on the rare tmax == last_t path. Under px86 the same domination
+ * makes a line flush O(1): one persist plus the line's other dirty
+ * pieces coalesced into it (the derivations are in DESIGN.md Section
+ * 17.2).
  */
 
 #ifndef PERSIM_PERSISTENCY_COMPILED_REPLAY_HH
@@ -46,16 +51,19 @@ namespace persim {
 std::uint64_t compiledSpecFingerprint(const TimingConfig &config);
 
 /**
- * True when the fast compiled executor can run @p config: strict,
- * epoch or strand on the Levels clock, unified granularity,
- * all-address scope, load tracking, and no log, deps, races,
- * plugins, coalescing window or mutant.
+ * True when the fast compiled executor can run @p config: the Levels
+ * clock, all-address scope and no log, deps, races, plugins,
+ * coalescing window or mutant, and then either strict, epoch or
+ * strand with load tracking and unified granularity, or px86 without
+ * load tracking at 8-byte tracking granularity.
  */
 bool compiledFastEligible(const TimingConfig &config);
 
 /**
  * Compile @p count events into a compiled trace for @p config in one
- * serial pass. Fatals unless compiledFastEligible(@p config).
+ * serial pass. Fatals unless compiledFastEligible(@p config), and
+ * when the trace splits into 2^32 or more micro-ops (the executor's
+ * levels are 32-bit).
  */
 CompiledTrace compileTrace(const TraceEvent *events, std::size_t count,
                            const TimingConfig &config);

@@ -330,8 +330,8 @@ TEST(ExplorerPruning, SameVerdictFewerCutsOnBuggyPublish)
     // ...from a strictly smaller enumeration (the scratch persists
     // drop out of the lattice).
     EXPECT_LT(pruned.cuts_checked, base.cuts_checked);
-    EXPECT_EQ(pruned.pruned_analyses, pruned.distinct_executions);
-    EXPECT_EQ(base.pruned_analyses, 0u);
+    EXPECT_TRUE(pruned.projected);
+    EXPECT_FALSE(base.projected);
     EXPECT_TRUE(pruned.exhaustive()) << pruned.summary();
 }
 
@@ -346,7 +346,9 @@ TEST(ExplorerPruning, DefaultConfigProjectsDeclaredCells)
     const ExploreResult base = blind.run();
 
     EXPECT_GT(pruned.distinct_executions, 0u);
-    EXPECT_EQ(pruned.pruned_analyses, pruned.distinct_executions);
+    EXPECT_EQ(pruned.distinct_executions, base.distinct_executions);
+    EXPECT_TRUE(pruned.projected);
+    EXPECT_FALSE(base.projected);
     EXPECT_LT(pruned.cuts_checked, base.cuts_checked);
 }
 
@@ -357,9 +359,11 @@ TEST(ExplorerPruning, CorrectPublishStaysProvenUnderPruning)
     EXPECT_TRUE(pruned.exhaustive()) << pruned.summary();
     EXPECT_EQ(pruned.violations, 0u) << pruned.summary();
     EXPECT_FALSE(pruned.counterexample.has_value());
-    EXPECT_GT(pruned.pruned_analyses, 0u);
+    EXPECT_GT(pruned.distinct_executions, 0u);
+    EXPECT_TRUE(pruned.projected);
     const std::string summary = pruned.summary();
-    EXPECT_NE(summary.find("pruned analyses"), std::string::npos);
+    EXPECT_NE(summary.find("checks projected onto observed cells"),
+              std::string::npos);
 }
 
 TEST(ExplorerPruning, PrunedCounterexampleReplays)
@@ -499,7 +503,8 @@ TEST(ExplorerAnswers, PrunedBuggyPublishIsPinned)
               (std::vector<std::uint64_t>{358, 0, 358, 0, 0, 357, 956,
                                           120}))
         << result.summary();
-    EXPECT_EQ(result.pruned_analyses, 358u);
+    EXPECT_EQ(result.distinct_executions, 358u);
+    EXPECT_TRUE(result.projected);
     EXPECT_EQ(result.pruned_short_circuits, 0u);
     ASSERT_TRUE(result.counterexample.has_value());
     EXPECT_EQ(result.counterexample->format(),

@@ -5,7 +5,7 @@
  *  - bit-identity: compiledReplay must produce the same TimingResult
  *    as interpreted replay for every golden fixture under every
  *    fast-eligible frozen golden configuration, and for the 1M
- *    synthetic bench trace under strict/epoch/strand;
+ *    synthetic bench trace under strict/epoch/strand/px86;
  *  - dispatch: replayTrace must match a fresh PersistTimingEngine
  *    exactly on every golden fixture for strict/epoch/strand/bpfs/px86
  *    at three tracking/atomic granularity pairs, whichever path it
@@ -151,23 +151,26 @@ TEST(CompiledCache, WrongSpecFingerprintIsAHardError)
         << what;
 }
 
-// The fast executor runs strict/epoch/strand only: anything else
-// handed to it directly must fail loudly and say why, not fall back.
+// A config the fast executor cannot run, handed to it directly, must
+// fail loudly and say why, not fall back.
 TEST(CompiledCache, IneligibleConfigFailsNamingTheReason)
 {
     const std::vector<TraceEvent> events = loadGolden("cwl1");
     const CompiledTrace trace =
         compileTrace(events.data(), events.size(), epochConfig());
 
+    // px86 with load-before-store tracking stays on the engine.
     TimingConfig px86;
     px86.model = ModelConfig::px86();
     px86.model.tracking_granularity = 8; // Same granularity as trace.
     px86.model.atomic_granularity = 8;
+    px86.model.detect_load_before_store = true;
     ASSERT_EQ(compiledSpecFingerprint(px86), trace.spec_fp);
     std::string what =
         errorOf([&] { (void)compiledReplay(trace.view(), px86); });
     EXPECT_NE(what.find("px86"), std::string::npos) << what;
     EXPECT_NE(what.find("not fast-eligible"), std::string::npos) << what;
+    EXPECT_NE(what.find("load-before-store"), std::string::npos) << what;
 
     TimingConfig logged = epochConfig();
     logged.record_log = true;
@@ -271,8 +274,9 @@ expectSameResult(const TimingResult &want, const TimingResult &got,
 }
 
 // The dispatch oracle: whichever path replayTrace picks (compiled for
-// strict/epoch/strand at unified granularity, the engine otherwise),
-// its answer is a fresh engine's, field for field.
+// strict/epoch/strand at unified granularity and for px86 at 8-byte
+// tracking, the engine otherwise), its answer is a fresh engine's,
+// field for field.
 TEST(ReplayTrace, MatchesEngineOnGoldenFixtures)
 {
     const std::pair<std::uint64_t, std::uint64_t> grans[] = {
@@ -301,8 +305,9 @@ TEST(ReplayTrace, MatchesEngineOnGoldenFixtures)
             }
         }
     }
-    // strict/epoch/strand at 8/8 and 64/64 on every fixture.
-    EXPECT_EQ(fast, goldenFixtureNames().size() * 3 * 2);
+    // strict/epoch/strand at 8/8 and 64/64, px86 at 8/8 and 8/64, on
+    // every fixture.
+    EXPECT_EQ(fast, goldenFixtureNames().size() * (3 * 2 + 2));
 }
 
 TEST(CompiledReplayBitIdentity, SyntheticFastModels)
@@ -313,7 +318,7 @@ TEST(CompiledReplayBitIdentity, SyntheticFastModels)
     const std::span<const TraceEvent> events = trace.events();
     for (const ModelConfig &model :
          {ModelConfig::strict(), ModelConfig::epoch(),
-          ModelConfig::strand()}) {
+          ModelConfig::strand(), ModelConfig::px86()}) {
         TimingConfig config;
         config.model = model;
         PersistTimingEngine engine(config);

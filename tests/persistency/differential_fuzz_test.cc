@@ -24,7 +24,8 @@
  * and run the fast compiled executor under the plain Levels config,
  * asserted bit-identical to the engine on every TimingResult field,
  * so the fuzzer holds the compiled path to the engine oracle on
- * random programs, not only on fixtures.
+ * random programs, not only on fixtures. The px86 leg does the same
+ * through replayTrace on every program.
  *
  * Iteration count comes from PERSIM_FUZZ_ITERS (default 25; the
  * check.sh fuzz stage runs 500). Any failure prints a one-line repro:
@@ -326,6 +327,23 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
         const Replay px86 = replayModel(trace, ModelConfig::px86());
         const Replay strict = replayModel(trace, ModelConfig::strict());
 
+        // The fast executor's px86 instantiation, with a line column
+        // (the preset's 64-byte lines) and without one (8-byte lines),
+        // must give a fresh engine's answer field for field.
+        for (const std::uint64_t line :
+             {cache_line_bytes, std::uint64_t{8}}) {
+            TimingConfig plain;
+            plain.model = ModelConfig::px86();
+            plain.model.atomic_granularity = line;
+            EXPECT_TRUE(compiledFastEligible(plain)) << plain.model.name();
+            PersistTimingEngine engine(plain);
+            trace.replay(engine);
+            const std::string leg = "fast " + plain.model.name();
+            expectSameResult(engine.result(), replayTrace(trace, plain),
+                             leg.c_str());
+            ++stats.compiled_replays;
+        }
+
         EXPECT_EQ(verifyLogConsistency(px86.log), "");
         EXPECT_EQ(px86.result.events, strict.result.events);
         EXPECT_LE(px86.result.persists + px86.result.unflushed,
@@ -356,7 +374,8 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
               << stats.events
               << " events, " << stats.persists << " persists, "
               << unflushed << " unflushed, " << flushes
-              << " flushes, " << stats.cuts_checked
+              << " flushes, " << stats.compiled_replays
+              << " fast replays, " << stats.cuts_checked
               << " cuts checked (" << stats.cut_budget_skips
               << " enumerations hit the cut budget)\n";
 }
