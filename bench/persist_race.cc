@@ -1,8 +1,8 @@
 /**
  * @file
- * PersistRace runner: replay any trace file with the streaming
- * persistency-race detector (src/persistency/persist_race.hh,
- * DESIGN.md §14) attached and report what it found.
+ * PersistRace runner: replay any trace file through the timing
+ * engine with race detection on (TimingConfig::detect_races,
+ * DESIGN.md §14.2) and report what it found.
  *
  * Usage:
  *
@@ -11,9 +11,7 @@
  * The trace is replayed once per requested persistency model (default
  * set: epoch and px86 — the SC-shadow rule and the dirty-read rule
  * respectively). For each replay the runner prints a summary row plus
- * the detector's sample races, and cross-checks the plugin's
- * UnorderedPersist count against the engine's own detect_races ground
- * truth: a divergence is a bug in one of them and fails the run.
+ * the engine's sample races.
  *
  * Exit status: 0 when every replay is race-free, 1 when any race was
  * reported (so the binary doubles as a CI gate over recorded traces),
@@ -23,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,7 @@
 #include "bench_util/table.hh"
 #include "common/error.hh"
 #include "memtrace/trace_io.hh"
-#include "persistency/persist_race.hh"
+#include "persistency/timing_engine.hh"
 
 using namespace persim;
 using namespace persim::bench;
@@ -54,6 +53,33 @@ usage(const char *argv0)
            "(strict|epoch|strand|bpfs|px86); repeatable,\n"
         << "                default: epoch and px86\n";
     std::exit(2);
+}
+
+/** Counts and sample races of one replay. */
+std::string
+formatRaces(const PersistTimingEngine &engine)
+{
+    const TimingResult &result = engine.result();
+    std::ostringstream out;
+    out << "persist races: " << result.races + result.dirty_reads
+        << " (unordered_persist=" << result.races
+        << ", dirty_read=" << result.dirty_reads << ")\n";
+    for (const PersistTimingEngine::RaceSample &race :
+         engine.raceSamples()) {
+        const bool dirty =
+            race.kind == PersistTimingEngine::RaceKind::DirtyRead;
+        out << "  [" << (dirty ? "dirty_read" : "unordered_persist")
+            << "] seq=" << race.seq << " thread=" << race.thread;
+        if (dirty)
+            out << " line=0x" << std::hex << race.addr << std::dec
+                << " owner=" << race.owner;
+        else
+            out << " addr=0x" << std::hex << race.addr << std::dec
+                << " persist=" << race.persist
+                << " foreign=" << race.foreign;
+        out << "\n";
+    }
+    return out.str();
 }
 
 Options
@@ -96,40 +122,29 @@ main(int argc, char **argv)
         table.header({"model", "persists", "races", "unordered",
                       "dirty-reads"});
         std::uint64_t total_races = 0;
-        bool diverged = false;
         std::vector<std::string> reports;
         for (const std::string &name : options.models) {
-            PersistRaceDetector detector;
             TimingConfig config;
             config.model = modelByName(name);
             config.detect_races = true;
-            config.plugins.push_back(&detector);
 
             PersistTimingEngine engine(config);
             trace.replay(engine);
-            const TimingResult result = engine.result();
+            const TimingResult &result = engine.result();
+            const std::uint64_t races = result.races + result.dirty_reads;
 
             table.row({name, std::to_string(result.persists),
-                       std::to_string(detector.total()),
-                       std::to_string(detector.unorderedPersists()),
-                       std::to_string(detector.dirtyReads())});
-            total_races += detector.total();
-            if (detector.total() > 0)
-                reports.push_back("[" + name + "]\n" + detector.format());
-            if (detector.unorderedPersists() != result.races) {
-                diverged = true;
-                std::cerr << "INTERNAL: plugin reported "
-                          << detector.unorderedPersists()
-                          << " unordered persists under " << name
-                          << " but the engine counted " << result.races
-                          << "\n";
-            }
+                       std::to_string(races),
+                       std::to_string(result.races),
+                       std::to_string(result.dirty_reads)});
+            total_races += races;
+            if (races > 0)
+                reports.push_back("[" + name + "]\n" +
+                                  formatRaces(engine));
         }
         std::cout << table.render();
         for (const std::string &report : reports)
             std::cout << "\n" << report;
-        if (diverged)
-            return 2;
         if (total_races > 0) {
             std::cout << "\n" << total_races
                       << " persistency race(s) reported\n";

@@ -2,8 +2,9 @@
 # Tier-1 verification: configure, build, run the full test suite, then
 # smoke-test the bounded model checker with small budgets, diff the
 # px86 conformance report against its golden copy, run the analysis
-# stage (PersistRace detector + crash-state pruning tests and the
-# explore-scaling acceptance gate), run the kvstore stage (recovery
+# stage (the engine's race detector + crash-state pruning tests, the
+# persist_race CLI and the explore-scaling acceptance gate), run the
+# kvstore stage (recovery
 # ladder + corruption fuzzer + load-driver gate), run the
 # compiled-trace stage (compiled-vs-interpreted bit-identity suite,
 # instrumented), fuzz the timing engine differentially
@@ -42,16 +43,27 @@ CONF_OUT=$(mktemp)
 cmp "$CONF_OUT" tests/conformance/golden/conformance_report.txt
 rm -f "$CONF_OUT"
 
-# Analysis stage: the PersistRace detector plugin and constraint-
-# guided crash-state pruning (checkObservedCuts, which the explorer
-# and the conformance harness reach through their one shared
-# crash-state check for programs that declare observed cells) by
-# label, then the explore-scaling acceptance gate — pruning must
+# Analysis stage: the timing engine's race detector (detect_races:
+# unordered persists and px86 dirty reads, held to pinned counts and
+# to the offline reference) and constraint-guided crash-state pruning
+# (checkObservedCuts, which the explorer and the conformance harness
+# reach through their one shared crash-state check for programs that
+# declare observed cells) by label. The persist_race CLI must flag the
+# tlc2 fixture's 27 px86 dirty reads (exit 1). Then the
+# explore-scaling acceptance gate — pruning must
 # complete a program >=5x larger than blind cut enumeration (the same
 # program without its observed cells) under one cut budget. The JSON
 # goes to a scratch path; the committed BENCH_explore.json baseline is
 # refreshed deliberately, like BENCH_replay.json.
 ctest --test-dir build -L analysis --output-on-failure
+RACE_STATUS=0
+./build/bench/persist_race --trace=tests/persistency/golden/tlc2.trc \
+    --model=px86 >/dev/null || RACE_STATUS=$?
+if [ "$RACE_STATUS" -ne 1 ]; then
+    echo "check.sh: persist_race exited $RACE_STATUS on tlc2/px86," \
+         "expected 1 (27 dirty reads)" >&2
+    exit 1
+fi
 EXPLORE_JSON=$(mktemp)
 ./build/bench/explore_scaling --check --json="$EXPLORE_JSON"
 rm -f "$EXPLORE_JSON"
@@ -130,13 +142,14 @@ PERSIM_CONFORMANCE_GOLDEN=tests/conformance/golden/conformance_report.txt \
 # AddressSanitizer + UBSan pass: the fault-injection machinery does a
 # lot of raw byte slicing (torn persists, checksummed record parsing,
 # degraded queue scans) — run it and the structure tests instrumented.
+# -Werror here makes any new compiler warning fail the check.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j \
     --target faults_test fault_campaign_test recovery_test \
     log_test queue_test queue_negative_test differential_fuzz_test \
-    persist_race_test pruned_cuts_test pruned_conformance_test \
+    race_detector_test pruned_cuts_test pruned_conformance_test \
     cuts_test crash_image_test \
     kvstore_test kv_recovery_test kv_campaign_test \
     kv_txn_test kv_router_fuzz_test kv_txn_campaign_test \
@@ -162,8 +175,8 @@ cmake --build build-asan -j \
 # The paged index behind the timing engine and compileTrace indexes
 # raw page arrays unchecked on the hot path (common_test also moves
 # both index maps and uses the moved-from source), and the race
-# detector indexes raw addresses into flat maps and the engine's
-# dep-set pool on the hook hot path: run both instrumented. The one
+# detector reads the engine's px86 line bank through the atomic index
+# and grows its report mask lazily: run both instrumented. The one
 # crash-state check (checkCrashStates) replays with record_deps and
 # enumerates cuts for the explorer and the conformance harness alike,
 # projected onto a program's observed cells when it declares them:
@@ -171,7 +184,7 @@ cmake --build build-asan -j \
 # so the projected and the full enumeration run instrumented.
 ./build-asan/tests/common_test
 PERSIM_GOLDEN_DIR=tests/persistency/golden \
-    ./build-asan/tests/persist_race_test
+    ./build-asan/tests/race_detector_test
 ./build-asan/tests/pruned_cuts_test
 ./build-asan/tests/pruned_conformance_test
 # The timing engine's banks are std::vectors that free their old

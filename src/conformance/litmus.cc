@@ -8,7 +8,6 @@
 #include "common/task_pool.hh"
 #include "explore/programs.hh"
 #include "memtrace/event.hh"
-#include "persistency/persist_race.hh"
 #include "recovery/cuts.hh"
 
 namespace persim {
@@ -396,8 +395,7 @@ runOneTest(const LitmusTest &test, const std::vector<ModelConfig> &models)
         for (const Explorer::Execution &execution : executions) {
             TimingConfig timing;
             timing.model = model;
-            PersistRaceDetector detector;
-            timing.plugins.push_back(&detector);
+            timing.detect_races = true;
             std::vector<AddrRange> ranges;
             for (const ObservedCell &cell : execution.observed)
                 ranges.push_back(AddrRange{cell.addr, cell.size});
@@ -419,7 +417,8 @@ runOneTest(const LitmusTest &test, const std::vector<ModelConfig> &models)
             };
             const CrashStateCheck check = checkCrashStates(
                 execution.trace, timing, fingerprint, ranges, max_cuts);
-            entry.persist_races += detector.total();
+            entry.persist_races +=
+                check.timing.races + check.timing.dirty_reads;
             entry.budget_exhausted |= check.cuts.budget_exhausted;
         }
         entry.states.assign(states.begin(), states.end());

@@ -79,7 +79,8 @@ struct ModelStates
     /** Some check hit the cut budget (the set may be incomplete). */
     bool budget_exhausted = false;
 
-    /** PersistRace reports summed over the schedule set. */
+    /** The engine's race reports (detect_races: unordered persists
+        plus px86 dirty reads), summed over the schedule set. */
     std::uint64_t persist_races = 0;
 };
 

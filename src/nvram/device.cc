@@ -9,34 +9,10 @@
 namespace persim {
 
 NvramConfig
-NvramConfig::dramLike()
-{
-    NvramConfig config;
-    config.persist_latency_ns = 15.0;
-    return config;
-}
-
-NvramConfig
-NvramConfig::sttRam()
-{
-    NvramConfig config;
-    config.persist_latency_ns = 125.0;
-    return config;
-}
-
-NvramConfig
 NvramConfig::pcmSlc()
 {
     NvramConfig config;
     config.persist_latency_ns = 500.0;
-    return config;
-}
-
-NvramConfig
-NvramConfig::pcmMlc()
-{
-    NvramConfig config;
-    config.persist_latency_ns = 1000.0;
     return config;
 }
 

@@ -33,17 +33,8 @@ struct NvramConfig
     /** Bytes per bank interleave granule. */
     std::uint64_t bank_interleave = 256;
 
-    /** @name Technology presets (Section 2.1) */
-    ///@{
-    /** DRAM-like write latency. */
-    static NvramConfig dramLike();
-    /** Spin-transfer torque memory. */
-    static NvramConfig sttRam();
-    /** Single-level-cell phase change memory. */
+    /** Single-level-cell phase change memory (Section 2.1). */
     static NvramConfig pcmSlc();
-    /** Multi-level-cell phase change memory (iterative writes). */
-    static NvramConfig pcmMlc();
-    ///@}
 };
 
 /** Result of replaying a persist log through the device model. */

@@ -29,8 +29,6 @@ ineligibility(const TimingConfig &config)
         return "detect_races needs the engine's SC shadow";
     if (config.coalesce_window != 0)
         return "a coalescing window needs persist ids";
-    if (!config.plugins.empty())
-        return "analysis plugins need the engine's hooks";
     if (config.model.conflict_scope != ConflictScope::AllAddresses)
         return "a persistent-only conflict scope (bpfs) needs the "
                "engine";
@@ -67,10 +65,9 @@ requireEligible(const TimingConfig &config, const char *who)
  * Dependence summary for the fast path: Tag with the persist-id
  * witness and dep-set handle elided, in 12 bytes. In the eligible
  * configurations nothing observable reads Tag::src (no logs, no deps,
- * no races, no plugins, no window), so tag validity degenerates to
- * t > 0. Levels are integers no larger than the micro-op count, which
- * compileTrace keeps below 2^32, and a block is its dense slot or
- * line id.
+ * no races, no window), so tag validity degenerates to t > 0. Levels
+ * are integers no larger than the micro-op count, which compileTrace
+ * keeps below 2^32, and a block is its dense slot or line id.
  */
 struct FastTag
 {

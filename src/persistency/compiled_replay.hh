@@ -6,7 +6,7 @@
  * replayTrace() is how a trace is analyzed under one configuration.
  * The paper's hot configurations (strict / epoch / strand on the
  * Levels clock, unified granularity, all-address scope, load
- * tracking, no log / deps / races / plugins / window / mutant) and
+ * tracking, no log / deps / races / window / mutant) and
  * the px86 preset (8-byte tracking, any line size, TSO conflicts
  * only, the same observers off) are compiled and executed by the fast
  * executor; every other configuration replays through
@@ -52,10 +52,10 @@ std::uint64_t compiledSpecFingerprint(const TimingConfig &config);
 
 /**
  * True when the fast compiled executor can run @p config: the Levels
- * clock, all-address scope and no log, deps, races, plugins,
- * coalescing window or mutant, and then either strict, epoch or
- * strand with load tracking and unified granularity, or px86 without
- * load tracking at 8-byte tracking granularity.
+ * clock, all-address scope and no log, deps, races, coalescing
+ * window or mutant, and then either strict, epoch or strand with
+ * load tracking and unified granularity, or px86 without load
+ * tracking at 8-byte tracking granularity.
  */
 bool compiledFastEligible(const TimingConfig &config);
 

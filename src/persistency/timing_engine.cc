@@ -5,7 +5,6 @@
 
 #include "common/bitops.hh"
 #include "common/error.hh"
-#include "persistency/analysis_plugin.hh"
 
 namespace persim {
 
@@ -66,12 +65,8 @@ PersistTimingEngine::PersistTimingEngine(const TimingConfig &config)
     track_shift_ = log2Exact(config_.model.tracking_granularity);
     atomic_shift_ = log2Exact(config_.model.atomic_granularity);
     unified_ = track_shift_ == atomic_shift_;
-    has_plugins_ = !config_.plugins.empty();
     fold_barrier_ = !strict_ && !px86_ &&
         config_.mutant != EngineMutant::ElideEpochBarrier;
-
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onAttach(config_);
 }
 
 PersistTimingEngine::DepSetRef
@@ -124,15 +119,15 @@ PersistTimingEngine::stateBytes() const
         capacityBytes(atomic_last_) + capacityBytes(atomic_group_start_) +
         capacityBytes(atomic_group_begin_) + capacityBytes(px86_ctx_) +
         capacityBytes(px86_dirty_head_) + capacityBytes(px86_dirty_tail_) +
-        capacityBytes(px86_mark_) + capacityBytes(px86_pieces_) +
-        deps_.bytes() + track_index_.bytes() + atomic_index_.bytes();
+        capacityBytes(px86_mark_) + capacityBytes(px86_reported_) +
+        capacityBytes(px86_pieces_) + deps_.bytes() +
+        track_index_.bytes() + atomic_index_.bytes();
 }
 
 /*
  * Hot-path handler bodies, inline so process() folds them into its
- * dispatch loop. The plugin loops stay out of line behind the
- * notify*Plugins helpers, so the no-plugin path pays one
- * predicted-untaken branch.
+ * dispatch loop. Race detection stays behind detect_races_, so a
+ * replay without it pays one predicted-untaken branch per site.
  */
 
 inline std::uint32_t
@@ -197,6 +192,46 @@ PersistTimingEngine::recordScTag(std::uint32_t track_slot,
         track_sc_[track_slot] = best;
         track_sc_src_[track_slot] = tid;
     }
+}
+
+void
+PersistTimingEngine::sampleRace(const RaceSample &sample)
+{
+    if (race_samples_.size() < 16)
+        race_samples_.push_back(sample);
+}
+
+void
+PersistTimingEngine::detectDirtyRead(std::uint32_t track_slot,
+                                     SeqNum seq, ThreadId tid,
+                                     Addr addr, bool is_write)
+{
+    const std::uint32_t aslot = unified_
+        ? track_slot : atomic_index_.find(addr >> atomic_shift_);
+    if (aslot == PagedIndexMap::no_slot)
+        return; // never written, so no owner
+    if (px86_reported_.size() < px86_mark_.size())
+        px86_reported_.resize(px86_mark_.size(), 0);
+    const ThreadId owner = px86_mark_[aslot];
+    std::uint64_t &reported = px86_reported_[aslot];
+    if (owner != invalid_thread && owner != tid) {
+        const std::uint64_t bit = 1ULL << (tid & 63);
+        if ((reported & bit) == 0) {
+            reported |= bit;
+            ++result_.dirty_reads;
+            RaceSample sample;
+            sample.kind = RaceKind::DirtyRead;
+            sample.seq = seq;
+            sample.thread = tid;
+            sample.addr = (addr >> atomic_shift_) << atomic_shift_;
+            sample.owner = owner;
+            sampleRace(sample);
+        }
+    }
+    // The write makes tid the owner (px86StorePiece sets the mark):
+    // a new episode unless tid already owned the line.
+    if (is_write && owner != tid)
+        reported = 0;
 }
 
 inline void
@@ -281,14 +316,13 @@ PersistTimingEngine::persistPieceAt(SeqNum seq, ThreadId tid,
         if (thread.shadow.src != invalid_persist &&
             thread.shadow.t > race_bound) {
             ++result_.races;
-            if (race_samples_.size() < 16) {
-                RaceSample sample;
-                sample.seq = seq;
-                sample.thread = tid;
-                sample.persist = id;
-                sample.foreign = thread.shadow.src;
-                race_samples_.push_back(sample);
-            }
+            RaceSample sample;
+            sample.seq = seq;
+            sample.thread = tid;
+            sample.addr = addr;
+            sample.persist = id;
+            sample.foreign = thread.shadow.src;
+            sampleRace(sample);
         }
     }
 
@@ -336,11 +370,6 @@ PersistTimingEngine::persistPieceAt(SeqNum seq, ThreadId tid,
     }
 
     result_.critical_path = std::max(result_.critical_path, time);
-
-    if (has_plugins_)
-        notifyPersist(seq, tid, addr, size, value, time, start,
-                      race_bound, id, binding, binding_source,
-                      thread.op, coalesce, record_ref);
 
     if (config_.record_log) {
         if (stage_count_ == stage_capacity)
@@ -422,10 +451,6 @@ PersistTimingEngine::handlePieceAt(std::uint32_t track_slot,
     const bool persistent = isPersistentAddr(addr);
     const bool in_scope = all_scope_ || persistent;
 
-    if (has_plugins_)
-        notifyAccessPlugins(seq, addr, value, tid, size, is_write,
-                            persistent);
-
     if (detect_races_) {
         // Shadow SC propagation (all addresses, regardless of the
         // model's conflict scope): inherit the latest foreign persist
@@ -434,6 +459,8 @@ PersistTimingEngine::handlePieceAt(std::uint32_t track_slot,
         if (sc_src != invalid_thread && sc_src != tid &&
             track_sc_[slot].t > thread.shadow.t)
             thread.shadow = track_sc_[slot];
+        if (px86_ && persistent)
+            detectDirtyRead(slot, seq, tid, addr, is_write);
     }
 
     if (!in_scope) {
@@ -527,19 +554,6 @@ PersistTimingEngine::handleFlushAt(bool strong, SeqNum seq,
 
     std::uint32_t idx = px86_dirty_head_[aslot];
 
-    if (has_plugins_) {
-        Addr line_base = invalid_addr;
-        if (idx != no_piece)
-            // Dirty: the first dirty piece names the line (barrier
-            // legs arrive with addr 0, so the event address cannot).
-            line_base = (px86_pieces_[idx].addr >> atomic_shift_)
-                        << atomic_shift_;
-        else if (addr != 0)
-            line_base = (addr >> atomic_shift_) << atomic_shift_;
-        notifyFlushPlugins(seq, tid, strong, idx != no_piece,
-                           line_base);
-    }
-
     Tag &pending = strong ? thread.strong_dep : thread.accum_dep;
     if (idx == no_piece) {
         // Clean line: nothing to persist. But same-line flushes are
@@ -624,13 +638,10 @@ PersistTimingEngine::handleBarrierEvent(SeqNum seq, ThreadId tid,
         px86Barrier(seq, tid, thread);
     else if (fold_barrier_)
         mergeInto(thread.epoch_dep, thread.accum_dep);
-    if (has_plugins_)
-        notifyBarrierPlugins(tid);
 }
 
 inline void
-PersistTimingEngine::handleFenceEvent(bool full, ThreadId tid,
-                                      ThreadState &thread)
+PersistTimingEngine::handleFenceEvent(ThreadState &thread)
 {
     ++result_.fences;
     if (px86_)
@@ -639,8 +650,6 @@ PersistTimingEngine::handleFenceEvent(bool full, ThreadId tid,
         // Under the SC models an x86 fence acts as the persist
         // barrier of its canonical epoch counterpart.
         mergeInto(thread.epoch_dep, thread.accum_dep);
-    if (has_plugins_)
-        notifyFencePlugins(full, tid);
 }
 
 inline void
@@ -649,23 +658,20 @@ PersistTimingEngine::handleFlushEvent(bool strong, SeqNum seq,
                                       Addr addr)
 {
     // Under the SC-persistency models a flush carries no ordering
-    // (persists are implicit in stores); only Px86 acts on it, and
-    // only Px86 reports it to plugins.
+    // (persists are implicit in stores); only Px86 acts on it.
     ++result_.flushes;
     if (px86_)
         handleFlushAt(strong, seq, tid, thread, addr, no_slot_hint);
 }
 
 inline void
-PersistTimingEngine::handleStrandEvent(ThreadId tid, ThreadState &thread)
+PersistTimingEngine::handleStrandEvent(ThreadState &thread)
 {
     ++result_.strands;
     if (config_.model.kind == ModelKind::Strand) {
         thread.epoch_dep = Tag{};
         thread.accum_dep = Tag{};
     }
-    if (has_plugins_)
-        notifyStrandPlugins(tid);
 }
 
 void
@@ -726,11 +732,10 @@ PersistTimingEngine::process(const TraceEvent &event)
         break;
       case EventKind::StoreFence:
       case EventKind::FullFence:
-        handleFenceEvent(event.kind == EventKind::FullFence,
-                         event.thread, thread);
+        handleFenceEvent(thread);
         break;
       case EventKind::NewStrand:
-        handleStrandEvent(event.thread, thread);
+        handleStrandEvent(thread);
         break;
       case EventKind::Marker:
         switch (event.markerCode()) {
@@ -775,96 +780,6 @@ PersistTimingEngine::handlePiece(const TraceEvent &event,
     const std::uint32_t slot = trackSlot(addr >> track_shift_);
     handlePieceAt(slot, event.seq, event.thread, thread,
                   addr, size, value, is_write);
-}
-
-void
-PersistTimingEngine::notifyPersist(SeqNum seq, ThreadId tid, Addr addr,
-                                   unsigned size, std::uint64_t value,
-                                   double time, double start,
-                                   double race_bound, PersistId id,
-                                   PersistId binding,
-                                   DepSource binding_source,
-                                   std::uint64_t op, bool coalesced,
-                                   DepSetRef record_ref)
-{
-    PersistInfo info;
-    info.id = id;
-    info.seq = seq;
-    info.addr = addr;
-    info.value = value;
-    info.start = start;
-    info.time = time;
-    info.race_bound = race_bound;
-    info.thread = tid;
-    info.op = op;
-    info.binding = binding;
-    info.binding_source = binding_source;
-    if (record_deps_ && record_ref != 0) {
-        info.deps = deps_.data(record_ref);
-        info.dep_count = deps_.size(record_ref);
-    }
-    info.size = static_cast<std::uint8_t>(size);
-    info.coalesced = coalesced;
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onPersistIssue(info);
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onPersistComplete(info);
-}
-
-void
-PersistTimingEngine::notifyAccessPlugins(SeqNum seq, Addr addr,
-                                         std::uint64_t value,
-                                         ThreadId tid, unsigned size,
-                                         bool is_write, bool persistent)
-{
-    AccessInfo info;
-    info.seq = seq;
-    info.addr = addr;
-    info.value = value;
-    info.thread = tid;
-    info.size = static_cast<std::uint8_t>(size);
-    info.is_write = is_write;
-    info.persistent = persistent;
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onAccess(info);
-}
-
-void
-PersistTimingEngine::notifyFlushPlugins(SeqNum seq, ThreadId tid,
-                                        bool strong, bool line_dirty,
-                                        Addr line_base)
-{
-    FlushInfo info;
-    info.seq = seq;
-    info.thread = tid;
-    info.strong = strong;
-    info.line_dirty = line_dirty;
-    info.line_base = line_base;
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onFlush(info);
-}
-
-void
-PersistTimingEngine::notifyBarrierPlugins(ThreadId tid)
-{
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onFence(FenceEvent::PersistBarrier, tid);
-}
-
-void
-PersistTimingEngine::notifyFencePlugins(bool full, ThreadId tid)
-{
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onFence(full ? FenceEvent::FullFence
-                             : FenceEvent::StoreFence,
-                        tid);
-}
-
-void
-PersistTimingEngine::notifyStrandPlugins(ThreadId tid)
-{
-    for (AnalysisPlugin *plugin : config_.plugins)
-        plugin->onStrand(tid);
 }
 
 void
@@ -915,9 +830,6 @@ PersistTimingEngine::onFinish()
                 ++result_.unflushed;
     }
     flushStage();
-    if (has_plugins_)
-        for (AnalysisPlugin *plugin : config_.plugins)
-            plugin->onTraceEnd(result_);
 }
 
 } // namespace persim

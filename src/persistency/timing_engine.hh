@@ -66,11 +66,6 @@
 
 namespace persim {
 
-class AnalysisPlugin;
-struct AccessInfo;
-struct FlushInfo;
-enum class FenceEvent : std::uint8_t;
-
 /** How persist completion times advance. */
 enum class ClockMode : std::uint8_t {
     /** Discrete levels: each non-coalesced persist is +1. */
@@ -135,6 +130,12 @@ struct TimingConfig
      * the program's synchronization — a persist-epoch race. The
      * conservative barrier discipline produces none; racing-epoch
      * and strand annotations produce them intentionally.
+     *
+     * Under Px86 it also detects dirty reads: an access to a cache
+     * line holding another thread's not-yet-flushed store. TSO makes
+     * the value visible at once, but nothing orders the accessing
+     * thread's later persists after that store's durability (the
+     * recover-to-a-flag-without-data hazard).
      */
     bool detect_races = false;
 
@@ -151,14 +152,6 @@ struct TimingConfig
 
     /** Deliberate engine breakage for harness validation (tests). */
     EngineMutant mutant = EngineMutant::None;
-
-    /**
-     * Analysis plugins notified at persist/flush/fence/access and
-     * end-of-trace boundaries (analysis_plugin.hh). Non-owning: the
-     * plugins must outlive the engine. An empty list costs one
-     * untaken branch per hook site.
-     */
-    std::vector<AnalysisPlugin *> plugins = {};
 };
 
 /** Aggregate results of one timing analysis. */
@@ -179,6 +172,13 @@ struct TimingResult
     /** Persist-epoch races (persists unordered with an SC-preceding
         foreign persist); requires TimingConfig::detect_races. */
     std::uint64_t races = 0;
+
+    /** Px86 only: dirty reads, each reported once per (dirty
+        episode, accessing thread). An episode is one thread's
+        ownership of a dirty line: from its store to the line's next
+        flush or another thread's store to it. Requires
+        TimingConfig::detect_races. */
+    std::uint64_t dirty_reads = 0;
 
     /** Operations completed (OpEnd markers). */
     std::uint64_t ops = 0;
@@ -220,16 +220,32 @@ class PersistTimingEngine : public TraceSink
     const TimingConfig &config() const { return config_; }
     const TimingResult &result() const { return result_; }
 
-    /** One example persist-epoch race. */
-    struct RaceSample
-    {
-        SeqNum seq = 0;          //!< Trace position of the racy persist.
-        ThreadId thread = 0;     //!< Thread issuing it.
-        PersistId persist = invalid_persist;
-        PersistId foreign = invalid_persist; //!< The persist it races.
+    /** The two rules of detect_races. */
+    enum class RaceKind : std::uint8_t {
+        UnorderedPersist, //!< Counted in TimingResult::races.
+        DirtyRead,        //!< Counted in TimingResult::dirty_reads.
     };
 
-    /** Up to 16 example races (requires detect_races). */
+    /** One example race. */
+    struct RaceSample
+    {
+        RaceKind kind = RaceKind::UnorderedPersist;
+        SeqNum seq = 0;          //!< Trace position of the racy event.
+        ThreadId thread = 0;     //!< Thread issuing the persist/access.
+        /** UnorderedPersist: the persist's address; DirtyRead: the
+            base of the dirty line. */
+        Addr addr = 0;
+        /** UnorderedPersist: the racy persist. */
+        PersistId persist = invalid_persist;
+        /** UnorderedPersist: the SC-preceding foreign persist it is
+            unordered with. */
+        PersistId foreign = invalid_persist;
+        /** DirtyRead: the thread whose store dirtied the line. */
+        ThreadId owner = invalid_thread;
+    };
+
+    /** Up to 16 example races of either kind, in trace order
+        (requires detect_races). */
     const std::vector<RaceSample> &raceSamples() const
     {
         return race_samples_;
@@ -463,25 +479,17 @@ class PersistTimingEngine : public TraceSink
      * @name Centralized non-access event handlers
      *
      * process() dispatches barriers, fences, flushes, and strand
-     * switches through these: each keeps its counter, model fold and
-     * analysis-plugin hook together.
+     * switches through these: each keeps its counter and model fold
+     * together.
      */
     ///@{
     void handleBarrierEvent(SeqNum seq, ThreadId tid,
                             ThreadState &thread);
-    void handleFenceEvent(bool full, ThreadId tid, ThreadState &thread);
+    void handleFenceEvent(ThreadState &thread);
     void handleFlushEvent(bool strong, SeqNum seq, ThreadId tid,
                           ThreadState &thread, Addr addr);
-    void handleStrandEvent(ThreadId tid, ThreadState &thread);
+    void handleStrandEvent(ThreadState &thread);
     ///@}
-
-    /** Build a PersistInfo and fire the issue/complete hooks. */
-    void notifyPersist(SeqNum seq, ThreadId tid, Addr addr,
-                       unsigned size, std::uint64_t value, double time,
-                       double start, double race_bound, PersistId id,
-                       PersistId binding, DepSource binding_source,
-                       std::uint64_t op, bool coalesced,
-                       DepSetRef record_ref);
 
     /** Slot of a tracking block, extending the SoA banks on insert. */
     std::uint32_t trackSlot(std::uint64_t key);
@@ -509,6 +517,18 @@ class PersistTimingEngine : public TraceSink
     /** Record the shadow SC tag on a block after an access. */
     void recordScTag(std::uint32_t track_slot, ThreadState &thread,
                      ThreadId tid);
+
+    /** Keep up to 16 race samples (detect_races). */
+    void sampleRace(const RaceSample &sample);
+
+    /**
+     * Px86 dirty-read rule (detect_races only): before a persistent
+     * access piece acts, report it once per dirty episode when
+     * another thread owns the line (px86_mark_), and start a new
+     * episode's report mask when a write takes the line over.
+     */
+    void detectDirtyRead(std::uint32_t track_slot, SeqNum seq,
+                         ThreadId tid, Addr addr, bool is_write);
 
     /** Handle a persist piece (timing, coalescing, logging). */
     void persistPieceAt(SeqNum seq, ThreadId tid, ThreadState &thread,
@@ -556,24 +576,6 @@ class PersistTimingEngine : public TraceSink
 
     ///@}
 
-    /**
-     * @name Out-of-line plugin fan-out
-     *
-     * The inline handlers keep the plugin loops behind these
-     * helpers, so the no-plugin hot path pays one predicted-untaken
-     * branch.
-     */
-    ///@{
-    void notifyAccessPlugins(SeqNum seq, Addr addr, std::uint64_t value,
-                             ThreadId tid, unsigned size, bool is_write,
-                             bool persistent);
-    void notifyFlushPlugins(SeqNum seq, ThreadId tid, bool strong,
-                            bool line_dirty, Addr line_base);
-    void notifyBarrierPlugins(ThreadId tid);
-    void notifyFencePlugins(bool full, ThreadId tid);
-    void notifyStrandPlugins(ThreadId tid);
-    ///@}
-
     /** Publish staged records into log_ (const: called from log()). */
     void flushStage() const;
 
@@ -590,7 +592,6 @@ class PersistTimingEngine : public TraceSink
     bool detect_races_ = false;
     bool all_scope_ = true;     //!< ConflictScope::AllAddresses
     bool unified_ = false;      //!< tracking == atomic granularity
-    bool has_plugins_ = false;  //!< !config_.plugins.empty()
     bool fold_barrier_ = false; //!< non-strict SC fold at barriers
     /** log2 of the granularities (powers of two by validate()), so
         block indexing is a shift rather than a 64-bit division. */
@@ -626,8 +627,10 @@ class PersistTimingEngine : public TraceSink
      * dependences of its dirty stores (`px86_ctx_`), an intrusive
      * list of dirty pieces in store order (head/tail into
      * `px86_pieces_`, linked via DirtyPiece::next), and the last
-     * thread that enqueued it on a dirty_lines list (`px86_mark_`,
-     * dedup so barriers flush each line once). Flushed pieces recycle
+     * thread to write it since it was last flushed (`px86_mark_`:
+     * the thread that enqueued it on its dirty_lines list, so
+     * barriers flush each line once; the dirty-read rule's line
+     * owner). Flushed pieces recycle
      * through the `px86_free_` free list, so steady state allocates
      * nothing.
      */
@@ -647,6 +650,14 @@ class PersistTimingEngine : public TraceSink
     std::vector<std::uint32_t> px86_dirty_head_;
     std::vector<std::uint32_t> px86_dirty_tail_;
     std::vector<ThreadId> px86_mark_;
+    /**
+     * detect_races only, grown lazily to the bank's size: threads
+     * already reported against the line's current owner (bit =
+     * tid & 63; collisions only merge reports). It is read only
+     * while an owner is set, and the first write after a flush
+     * (mark cleared) resets it, so the flush path never touches it.
+     */
+    std::vector<std::uint64_t> px86_reported_;
     std::vector<DirtyPiece> px86_pieces_;
     std::uint32_t px86_free_ = no_piece;
 

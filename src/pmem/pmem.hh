@@ -3,9 +3,9 @@
  * Persistent-memory programming conveniences.
  *
  * These helpers make recoverable data structures written against the
- * traced memory API readable: typed persistent variables, bounded
- * persistent buffers, RAII epoch scopes, and a root directory so that
- * recovery code can find structures after a simulated failure.
+ * traced memory API readable: bounded persistent buffers, and a root
+ * directory so that recovery code can find structures after a
+ * simulated failure.
  */
 
 #ifndef PERSIM_PMEM_PMEM_HH
@@ -14,76 +14,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <type_traits>
 
 #include "common/error.hh"
 #include "memtrace/event.hh"
 #include "sim/engine.hh"
 
 namespace persim {
-
-/**
- * A typed word-sized variable in simulated memory (volatile or
- * persistent, depending on its address).
- */
-template <typename T>
-class PVar
-{
-    static_assert(std::is_integral_v<T> && sizeof(T) <= 8,
-                  "PVar requires an integral type of at most 8 bytes");
-
-  public:
-    PVar() : addr_(invalid_addr) {}
-    explicit PVar(Addr addr) : addr_(addr) {}
-
-    Addr addr() const { return addr_; }
-    bool valid() const { return addr_ != invalid_addr; }
-
-    /** Traced load. */
-    T
-    load(ThreadCtx &ctx) const
-    {
-        return static_cast<T>(ctx.load(addr_, sizeof(T)));
-    }
-
-    /** Traced store (a persist when the address is persistent). */
-    void
-    store(ThreadCtx &ctx, T value) const
-    {
-        ctx.store(addr_, static_cast<std::uint64_t>(value), sizeof(T));
-    }
-
-    /** Traced atomic exchange; returns the previous value. */
-    T
-    exchange(ThreadCtx &ctx, T value) const
-    {
-        return static_cast<T>(ctx.rmwExchange(
-            addr_, static_cast<std::uint64_t>(value), sizeof(T)));
-    }
-
-    /** Traced atomic fetch-add; returns the previous value. */
-    T
-    fetchAdd(ThreadCtx &ctx, T delta) const
-    {
-        return static_cast<T>(ctx.rmwFetchAdd(
-            addr_, static_cast<std::uint64_t>(delta), sizeof(T)));
-    }
-
-    /**
-     * Traced compare-and-swap.
-     * @return The previous value (== expected iff the swap happened).
-     */
-    T
-    compareExchange(ThreadCtx &ctx, T expected, T desired) const
-    {
-        return static_cast<T>(ctx.rmwCas(
-            addr_, static_cast<std::uint64_t>(expected),
-            static_cast<std::uint64_t>(desired), sizeof(T)));
-    }
-
-  private:
-    Addr addr_;
-};
 
 /** A bounds-checked byte buffer in simulated memory. */
 class PBuffer
@@ -127,27 +63,6 @@ class PBuffer
   private:
     Addr base_;
     std::uint64_t size_;
-};
-
-/**
- * RAII persist epoch: emits a persist barrier on construction and on
- * destruction, bracketing the enclosed persists into their own epoch.
- */
-class EpochScope
-{
-  public:
-    explicit EpochScope(ThreadCtx &ctx) : ctx_(ctx)
-    {
-        ctx_.persistBarrier();
-    }
-
-    ~EpochScope() { ctx_.persistBarrier(); }
-
-    EpochScope(const EpochScope &) = delete;
-    EpochScope &operator=(const EpochScope &) = delete;
-
-  private:
-    ThreadCtx &ctx_;
 };
 
 /**

@@ -261,6 +261,7 @@ checkCrashStates(const InMemoryTrace &trace, TimingConfig timing,
 
     CrashStateCheck out;
     out.log = engine.takeLog();
+    out.timing = engine.result();
     if (!observed.empty() &&
         std::none_of(out.log.begin(), out.log.end(),
                      [&](const PersistRecord &record) {

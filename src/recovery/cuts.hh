@@ -153,6 +153,9 @@ struct CrashStateCheck
     /** The replay's persist log (with dependence sets). */
     PersistLog log;
 
+    /** The replay's result (race counts with detect_races). */
+    TimingResult timing;
+
     /** Group DAG of `log`; empty when short_circuited. */
     PersistDag dag;
 
@@ -168,8 +171,8 @@ struct CrashStateCheck
 
 /**
  * The crash-state check of one execution: replay @p trace under
- * @p timing (its model and plugins; record_log and record_deps are
- * forced on), build the persist DAG and run @p invariant on every
+ * @p timing (its model and detect_races; record_log and record_deps
+ * are forced on), build the persist DAG and run @p invariant on every
  * crash state. With @p observed empty that is checkAllCuts; otherwise
  * checkObservedCuts over those byte ranges, short-circuited as
  * described on CrashStateCheck. @p max_cuts as for checkAllCuts.

@@ -55,51 +55,4 @@ McsLock::unlock(ThreadCtx &ctx, Addr qnode) const
     ctx.store(next + qnode_locked_off, 0);
 }
 
-TicketLock
-TicketLock::create(ThreadCtx &ctx)
-{
-    const Addr base = ctx.vmalloc(lock_bytes, 64);
-    ctx.store(base, 0);
-    ctx.store(base + 8, 0);
-    return TicketLock(base);
-}
-
-void
-TicketLock::lock(ThreadCtx &ctx) const
-{
-    const std::uint64_t ticket = ctx.rmwFetchAdd(base_, 1);
-    while (ctx.load(base_ + 8) != ticket) {
-    }
-}
-
-void
-TicketLock::unlock(ThreadCtx &ctx) const
-{
-    const std::uint64_t serving = ctx.load(base_ + 8);
-    ctx.store(base_ + 8, serving + 1);
-}
-
-SpinLock
-SpinLock::create(ThreadCtx &ctx)
-{
-    const Addr word = ctx.vmalloc(lock_bytes, 64);
-    ctx.store(word, 0);
-    return SpinLock(word);
-}
-
-void
-SpinLock::lock(ThreadCtx &ctx) const
-{
-    for (;;) {
-        if (ctx.load(word_) == 0 && ctx.rmwCas(word_, 0, 1) == 0)
-            return;
-    }
-}
-
-void
-SpinLock::unlock(ThreadCtx &ctx) const
-{
-    ctx.store(word_, 0);
-}
-
 } // namespace persim

@@ -2,12 +2,12 @@
  * @file
  * Locks over the traced memory API.
  *
- * The paper's queue benchmarks use MCS queue locks [20]; we provide
- * MCS plus ticket and test-and-set locks. All lock state lives in
- * simulated memory (by convention the volatile address space, as the
- * paper recommends), so lock accesses appear in the trace and
- * participate in persist-ordering conflict analysis exactly as they
- * would under hardware tracing.
+ * The paper's queue benchmarks use MCS queue locks [20], and so does
+ * every workload here. All lock state lives in simulated memory (by
+ * convention the volatile address space, as the paper recommends), so
+ * lock accesses appear in the trace and participate in
+ * persist-ordering conflict analysis exactly as they would under
+ * hardware tracing.
  */
 
 #ifndef PERSIM_SYNC_LOCKS_HH
@@ -55,49 +55,6 @@ class McsLock
 
   private:
     Addr tail_;
-};
-
-/** Ticket lock: FIFO via a fetch-add ticket and a now-serving word. */
-class TicketLock
-{
-  public:
-    /** Bytes a caller must allocate (two 8-byte words). */
-    static constexpr std::uint64_t lock_bytes = 16;
-
-    TicketLock() : base_(invalid_addr) {}
-
-    /** Adopt 16 zeroed bytes at @p base. */
-    explicit TicketLock(Addr base) : base_(base) {}
-
-    /** Allocate and zero the lock in volatile simulated memory. */
-    static TicketLock create(ThreadCtx &ctx);
-
-    void lock(ThreadCtx &ctx) const;
-    void unlock(ThreadCtx &ctx) const;
-
-  private:
-    Addr base_;
-};
-
-/** Test-and-test-and-set spin lock on a single word. */
-class SpinLock
-{
-  public:
-    static constexpr std::uint64_t lock_bytes = 8;
-
-    SpinLock() : word_(invalid_addr) {}
-
-    /** Adopt an 8-byte word at @p word (must read as 0). */
-    explicit SpinLock(Addr word) : word_(word) {}
-
-    /** Allocate and zero the lock in volatile simulated memory. */
-    static SpinLock create(ThreadCtx &ctx);
-
-    void lock(ThreadCtx &ctx) const;
-    void unlock(ThreadCtx &ctx) const;
-
-  private:
-    Addr word_;
 };
 
 /** RAII guard for McsLock. */

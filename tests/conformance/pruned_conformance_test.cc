@@ -24,7 +24,6 @@
 
 #include "common/task_pool.hh"
 #include "conformance/litmus.hh"
-#include "persistency/persist_race.hh"
 #include "recovery/cuts.hh"
 
 namespace persim {
@@ -46,8 +45,7 @@ checkExecution(const Explorer::Execution &execution,
     CheckOutcome out;
     TimingConfig timing;
     timing.model = model;
-    PersistRaceDetector detector;
-    timing.plugins.push_back(&detector);
+    timing.detect_races = true;
     const RecoveryInvariant fingerprint =
         [&out, &execution](const MemoryImage &image) -> std::string {
         std::string state;
@@ -63,7 +61,7 @@ checkExecution(const Explorer::Execution &execution,
     const CrashStateCheck check = checkCrashStates(
         execution.trace, timing, fingerprint, ranges, 1ULL << 20);
     out.budget_exhausted = check.cuts.budget_exhausted;
-    out.persist_races = detector.total();
+    out.persist_races = check.timing.races + check.timing.dirty_reads;
     return out;
 }
 

@@ -208,8 +208,9 @@ TEST(KvCampaign, ViolationsReplayFromTheirReproLines)
         const std::string verdict = replayFaultRepro(
             workload.trace, campaign, repro, invariant, &outcome);
         EXPECT_EQ(verdict, violation.verdict) << line;
-        if (!violation.fault_summary.empty())
+        if (!violation.fault_summary.empty()) {
             EXPECT_EQ(outcome.summary(), violation.fault_summary);
+        }
     }
 }
 

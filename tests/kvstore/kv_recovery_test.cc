@@ -422,8 +422,9 @@ TEST(KvRecovery, BitFlipFuzzer)
                 EXPECT_EQ(recovery.ok, recovery.faults.empty());
             else
                 EXPECT_TRUE(recovery.ok);
-            if (mode != KvRecoveryMode::Repair)
+            if (mode != KvRecoveryMode::Repair) {
                 EXPECT_EQ(recovery.repaired, 0u);
+            }
         }
         // The campaign-facing invariant agrees: no silent corruption.
         EXPECT_EQ(invariant(image), "") << "trial " << trial;

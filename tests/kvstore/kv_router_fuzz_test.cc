@@ -149,9 +149,11 @@ checkCoherence(const KvGroupRecovery &rec, const KvRouterLayout &layout,
                                       << " has no resolution";
         EXPECT_TRUE(it->second.committed);
     }
-    for (const auto &[t, res] : rec.txns)
-        if (res.committed)
+    for (const auto &[t, res] : rec.txns) {
+        if (res.committed) {
             EXPECT_EQ(rec.committed.count(t), 1u) << "txn " << t;
+        }
+    }
 
     // Served map == owner-filtered union, with every filtered entry
     // counted as a stale copy (dropped loudly, never silently).
@@ -170,10 +172,11 @@ checkCoherence(const KvGroupRecovery &rec, const KvRouterLayout &layout,
     }
 
     // Non-strict tiers degrade, never fail; Strict fails loudly.
-    if (mode != KvRecoveryMode::Strict)
+    if (mode != KvRecoveryMode::Strict) {
         EXPECT_TRUE(rec.ok);
-    else if (!rec.ok)
+    } else if (!rec.ok) {
         EXPECT_FALSE(rec.error.empty());
+    }
 }
 
 struct FuzzStats

@@ -100,8 +100,9 @@ TEST(KvTxnCampaign, TxnResolveAbsorbsEveryFaultMixOnEveryStrategy)
             const KvRouterWorkloadResult workload = runKvRouterWorkload(
                 campaignWorkload(strategy, migrate));
             ASSERT_GT(workload.txns_committed, 0u);
-            if (migrate)
+            if (migrate) {
                 ASSERT_GT(workload.migrations, 0u);
+            }
             for (int mix = 0; mix < 5; ++mix) {
                 FaultCampaignConfig campaign;
                 campaign.injection.model = ModelConfig::strand();
@@ -215,8 +216,9 @@ TEST(KvTxnCampaign, ViolationsReplayFromTheirReproLines)
         const std::string verdict = replayFaultRepro(
             workload.trace, campaign, repro, invariant, &outcome);
         EXPECT_EQ(verdict, violation.verdict) << line;
-        if (!violation.fault_summary.empty())
+        if (!violation.fault_summary.empty()) {
             EXPECT_EQ(outcome.summary(), violation.fault_summary);
+        }
     }
 }
 

@@ -357,9 +357,10 @@ TEST(KvStore, ConcurrentWritersAcrossSeeds)
                     ASSERT_EQ(store->put(ctx, t, key, v.data(),
                                          v.size()),
                               KvStatus::Ok);
-                    if (i % 5 == 0)
+                    if (i % 5 == 0) {
                         ASSERT_EQ(store->erase(ctx, t, key),
                                   KvStatus::Ok);
+                    }
                 }
                 std::vector<std::uint8_t> out;
                 EXPECT_TRUE(store->get(ctx, t * 100 + 1, out));

@@ -264,6 +264,7 @@ expectSameResult(const TimingResult &want, const TimingResult &got,
     EXPECT_EQ(want.coalesced, got.coalesced) << label;
     EXPECT_EQ(want.window_blocked, got.window_blocked) << label;
     EXPECT_EQ(want.races, got.races) << label;
+    EXPECT_EQ(want.dirty_reads, got.dirty_reads) << label;
     EXPECT_EQ(want.ops, got.ops) << label;
     EXPECT_EQ(want.events, got.events) << label;
     EXPECT_EQ(want.barriers, got.barriers) << label;

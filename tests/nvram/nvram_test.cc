@@ -24,16 +24,6 @@ logFor(TraceBuilder &builder, const ModelConfig &model)
     return builder.analyzeLog(model);
 }
 
-TEST(Device, Presets)
-{
-    EXPECT_LT(NvramConfig::dramLike().persist_latency_ns,
-              NvramConfig::sttRam().persist_latency_ns);
-    EXPECT_LT(NvramConfig::sttRam().persist_latency_ns,
-              NvramConfig::pcmSlc().persist_latency_ns);
-    EXPECT_LT(NvramConfig::pcmSlc().persist_latency_ns,
-              NvramConfig::pcmMlc().persist_latency_ns);
-}
-
 TEST(Device, InfiniteBanksMatchOrderingBound)
 {
     TraceBuilder builder;

@@ -50,11 +50,11 @@
 #include "explore/programs.hh"
 #include "memtrace/sink.hh"
 #include "persistency/compiled_replay.hh"
-#include "persistency/persist_race.hh"
 #include "persistency/timing_engine.hh"
 #include "recovery/cuts.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
+#include "tests/support/race_reference.hh"
 
 using namespace persim;
 
@@ -381,15 +381,14 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
 }
 
 /**
- * The PersistRace leg (ISSUE 7): attach the PersistRaceDetector to
- * replays of both fuzz corpora and hold it to the engine's ground
- * truth. Rule 1 (UnorderedPersist) independently re-derives the
- * engine's detect_races analysis from the plugin hook stream alone,
- * so plugin count == TimingResult::races must hold EXACTLY on every
- * (program, model) pair. The flush-enabled px86 corpus must additionally produce DirtyRead
- * reports (rule 2 has teeth on random flush programs), and the
- * combined corpus must produce unordered races at all (rule 1 is not
- * vacuous).
+ * The race leg: replay both fuzz corpora with detect_races and hold
+ * the engine's two counts (TimingResult::races and dirty_reads) to
+ * the offline reference (tests/support/race_reference.hh), which
+ * re-derives both rules from the trace and the persist log alone.
+ * They must agree EXACTLY on every (program, model) pair. The
+ * flush-enabled px86 corpus must produce dirty reads (rule 2 has
+ * teeth on random flush programs), and the combined corpus must
+ * produce unordered persists at all (rule 1 is not vacuous).
  */
 TEST(DifferentialFuzz, PersistRaceDetectorAgreesWithEngine)
 {
@@ -422,20 +421,27 @@ TEST(DifferentialFuzz, PersistRaceDetectorAgreesWithEngine)
                                            ModelConfig::epoch(),
                                            ModelConfig::strand()};
             for (const ModelConfig &model : models) {
-                PersistRaceDetector detector;
                 TimingConfig config;
                 config.model = model;
                 config.detect_races = true;
-                config.plugins.push_back(&detector);
+                config.record_log = true;
+                PersistTimingEngine engine(config);
+                trace.replay(engine);
+                const TimingResult &result = engine.result();
 
-                const TimingResult result = replayTrace(trace, config);
-                EXPECT_EQ(detector.unorderedPersists(), result.races)
-                    << "plugin diverged from engine ground truth";
-                unordered += detector.unorderedPersists();
+                const test::ReferenceRaces reference =
+                    test::referenceRaces(trace, engine.log(), model);
+                EXPECT_EQ(result.races, reference.unordered)
+                    << "engine diverged from the reference ("
+                    << model.name() << ")";
+                EXPECT_EQ(result.dirty_reads, reference.dirty_reads)
+                    << "engine diverged from the reference ("
+                    << model.name() << ")";
+                unordered += result.races;
                 if (flush_corpus)
-                    dirty_reads += detector.dirtyReads();
+                    dirty_reads += result.dirty_reads;
                 else
-                    EXPECT_EQ(detector.dirtyReads(), 0U)
+                    EXPECT_EQ(result.dirty_reads, 0U)
                         << "rule 2 must stay inert off px86";
             }
             ++programs;

@@ -5,55 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include "memtrace/trace_stats.hh"
 #include "pmem/pmem.hh"
 
 namespace persim {
 namespace {
-
-TEST(PVar, LoadStoreTyped)
-{
-    EngineConfig config;
-    ExecutionEngine engine(config, nullptr);
-    engine.run({[](ThreadCtx &ctx) {
-        PVar<std::uint32_t> var(ctx.pmalloc(4));
-        var.store(ctx, 0xdeadbeef);
-        EXPECT_EQ(var.load(ctx), 0xdeadbeefu);
-        EXPECT_TRUE(var.valid());
-        EXPECT_FALSE(PVar<std::uint32_t>().valid());
-    }});
-}
-
-TEST(PVar, AtomicsWork)
-{
-    EngineConfig config;
-    ExecutionEngine engine(config, nullptr);
-    engine.run({[](ThreadCtx &ctx) {
-        PVar<std::uint64_t> var(ctx.pmalloc(8));
-        var.store(ctx, 5);
-        EXPECT_EQ(var.exchange(ctx, 9), 5u);
-        EXPECT_EQ(var.fetchAdd(ctx, 3), 9u);
-        EXPECT_EQ(var.compareExchange(ctx, 12, 20), 12u);
-        EXPECT_EQ(var.load(ctx), 20u);
-        EXPECT_EQ(var.compareExchange(ctx, 1, 2), 20u);
-        EXPECT_EQ(var.load(ctx), 20u);
-    }});
-}
-
-TEST(PVar, StoresToPersistentSpaceArePersists)
-{
-    EngineConfig config;
-    TraceStats stats;
-    ExecutionEngine engine(config, &stats);
-    engine.run({[](ThreadCtx &ctx) {
-        PVar<std::uint64_t> pvar(ctx.pmalloc(8));
-        PVar<std::uint64_t> vvar(ctx.vmalloc(8));
-        pvar.store(ctx, 1);
-        vvar.store(ctx, 1);
-    }});
-    EXPECT_EQ(stats.persists(), 1u);
-    EXPECT_EQ(stats.stores(), 2u);
-}
 
 TEST(PBuffer, BoundsCheckedIo)
 {
@@ -71,21 +26,6 @@ TEST(PBuffer, BoundsCheckedIo)
         EXPECT_THROW(buffer.write(ctx, 60, msg, 8), FatalError);
         EXPECT_THROW(buffer.read(ctx, 60, out, 8), FatalError);
     }});
-}
-
-TEST(EpochScope, EmitsBarriersAroundScope)
-{
-    EngineConfig config;
-    TraceStats stats;
-    ExecutionEngine engine(config, &stats);
-    engine.run({[](ThreadCtx &ctx) {
-        const Addr a = ctx.pmalloc(8);
-        {
-            EpochScope epoch(ctx);
-            ctx.store(a, 1);
-        }
-    }});
-    EXPECT_EQ(stats.persistBarriers(), 2u);
 }
 
 TEST(RootDirectory, SetGetHas)

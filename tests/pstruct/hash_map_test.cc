@@ -135,8 +135,9 @@ TEST(HashMap, ConcurrentWritersAcrossSeeds)
                     const std::uint64_t key = t * 100 + i;
                     EXPECT_EQ(map->put(ctx, t, key, key * 7),
                               PutStatus::Inserted);
-                    if (i % 5 == 0)
+                    if (i % 5 == 0) {
                         EXPECT_TRUE(map->erase(ctx, t, key));
+                    }
                 }
                 std::uint64_t value = 0;
                 EXPECT_TRUE(map->get(ctx, t * 100 + 1, value));

@@ -142,8 +142,9 @@ TEST_P(QueueFunctional, MultithreadedInsertsAllRecovered)
     for (const auto &entry : report.entries) {
         const int thread = static_cast<int>(entry.op_id / 1000);
         const auto it = last_per_thread.find(thread);
-        if (it != last_per_thread.end())
+        if (it != last_per_thread.end()) {
             EXPECT_LT(it->second, entry.op_id);
+        }
         last_per_thread[thread] = entry.op_id;
         all_ops.insert(entry.op_id);
     }

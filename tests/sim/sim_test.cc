@@ -19,6 +19,7 @@
 #include "common/error.hh"
 #include "common/task_pool.hh"
 #include "memtrace/sink.hh"
+#include "memtrace/trace_stats.hh"
 #include "sim/address_allocator.hh"
 #include "sim/engine.hh"
 #include "sim/memory_image.hh"
@@ -335,6 +336,23 @@ TEST(Engine, SingleThreadBasicOps)
     EXPECT_EQ(trace.events().back().kind, EventKind::ThreadEnd);
 }
 
+TEST(ThreadCtx, StoresToPersistentSpaceArePersists)
+{
+    // pmalloc memory is persistent: a store there is a persist. A
+    // store to vmalloc memory is not.
+    EngineConfig config;
+    TraceStats stats;
+    ExecutionEngine engine(config, &stats);
+    engine.run({[](ThreadCtx &ctx) {
+        const Addr persistent = ctx.pmalloc(8);
+        const Addr volatile_word = ctx.vmalloc(8);
+        ctx.store(persistent, 1);
+        ctx.store(volatile_word, 1);
+    }});
+    EXPECT_EQ(stats.persists(), 1u);
+    EXPECT_EQ(stats.stores(), 2u);
+}
+
 TEST(Engine, SetupRunsAsThreadZero)
 {
     EngineConfig config;
@@ -457,8 +475,9 @@ TEST(Engine, TraceRespectsProgramOrder)
         EXPECT_EQ(event.seq, expected_seq++);
         if (event.kind != EventKind::Store || event.thread == 0)
             continue;
-        if (seen_any[event.thread])
+        if (seen_any[event.thread]) {
             EXPECT_EQ(event.value, last_value[event.thread] + 1);
+        }
         last_value[event.thread] = event.value;
         seen_any[event.thread] = true;
     }

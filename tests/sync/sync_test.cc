@@ -83,35 +83,6 @@ TEST(McsLock, MutualExclusionUnderRandomSchedules)
     }
 }
 
-TEST(TicketLock, MutualExclusionUnderRandomSchedules)
-{
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        checkMutualExclusion(4, 20, seed, [](ThreadCtx &ctx, int) {
-            auto lock =
-                std::make_shared<TicketLock>(TicketLock::create(ctx));
-            return std::make_pair(
-                std::function<void(ThreadCtx &, int)>(
-                    [lock](ThreadCtx &c, int) { lock->lock(c); }),
-                std::function<void(ThreadCtx &, int)>(
-                    [lock](ThreadCtx &c, int) { lock->unlock(c); }));
-        });
-    }
-}
-
-TEST(SpinLock, MutualExclusionUnderRandomSchedules)
-{
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        checkMutualExclusion(4, 20, seed, [](ThreadCtx &ctx, int) {
-            auto lock = std::make_shared<SpinLock>(SpinLock::create(ctx));
-            return std::make_pair(
-                std::function<void(ThreadCtx &, int)>(
-                    [lock](ThreadCtx &c, int) { lock->lock(c); }),
-                std::function<void(ThreadCtx &, int)>(
-                    [lock](ThreadCtx &c, int) { lock->unlock(c); }));
-        });
-    }
-}
-
 TEST(McsLock, SingleThreadLockUnlock)
 {
     EngineConfig config;
