@@ -89,7 +89,8 @@ done
 rm -f "$KV_JSON"
 
 # ThreadSanitizer pass: the task pool, the pool-driven parallel sweep
-# (compiled and engine configs side by side on pool workers),
+# (compiled and engine configs side by side on pool workers, and
+# workers building and sharing the program one trace keeps),
 # the compiled-trace path (one serial compile pass and the fast
 # executor, driven from the test's thread), and the sharded explorer
 # must be race-free.

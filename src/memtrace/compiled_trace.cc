@@ -11,7 +11,7 @@ CompiledTrace::view() const
     v.track_slots = track_slots;
     v.lines = lines;
     v.runs = run_len.size();
-    v.thread_count = thread_count;
+    v.thread_count = static_cast<std::uint32_t>(thread_count);
     v.spec_fp = spec_fp;
     v.flags = flags.data();
     v.thread = thread.data();

@@ -5,11 +5,11 @@
  * A compiled trace holds what the fast compiled executor reads of a
  * trace — the 8-byte-split, slot-interned micro-op program a replay
  * would otherwise rebuild from the raw event stream — as in-memory
- * struct-of-arrays columns, 9 bytes per micro-op:
+ * struct-of-arrays columns, 7 bytes per micro-op:
  *
- *   flags u8[n] | thread u32[n] | tslot u32[n]
+ *   flags u8[n] | thread u16[n] | tslot u32[n]
  *   | run_len u32[r] | run_kind u8[r]
- *   | line u32[t]   (only when tracking and atomic granularity differ)
+ *   | line u32[t]   (only when the line and tracking granularity differ)
  *
  * For a piece, flags bit 0 is is_write, bit 1 "address is persistent"
  * (precomputed so the hot loop never recomputes range membership), and
@@ -21,11 +21,14 @@
  * executor dispatches per run, not per op.
  *
  * No block key is kept: a persist block is identified by its dense
- * slot. When the atomic granularity equals the tracking granularity
- * the tracking slot is the atomic block; otherwise line[tslot] is the
- * piece's atomic block (its line), numbered in first-touch order
- * with the flushed lines. spec_fp records the granularities the
- * program was built under, so replaying it under different ones is
+ * slot. When the line granularity equals the tracking granularity
+ * the tracking slot is the line; otherwise line[tslot] is the piece's
+ * line, numbered in first-touch order with the flushed lines. Only
+ * px86 reads the line column (its atomic block is the line); strict,
+ * epoch and strand persist whole tracking blocks and ignore it, so
+ * one program at 8-byte tracking serves all four models. spec_fp
+ * records the tracking and line granularity the program was built
+ * under, so replaying it under a config that needs other ones is
  * caught.
  */
 
@@ -39,6 +42,9 @@ namespace persim {
 
 /** tslot sentinel: the op is not an access piece or a flush. */
 constexpr std::uint32_t compiled_no_slot = ~0u;
+
+/** Threads the u16 thread column can name (ids 0 to 65,535). */
+constexpr std::uint64_t compiled_max_threads = std::uint64_t{1} << 16;
 
 /** flags bit 0 of a piece: the micro-op is a write. */
 constexpr std::uint8_t compiled_flag_write = 1u;
@@ -68,14 +74,14 @@ struct CompiledTraceView
     std::uint64_t micro_ops = 0;
     std::uint64_t events = 0;
     std::uint64_t track_slots = 0;
-    /** Atomic blocks: track_slots unless a line column is kept. */
+    /** Lines: track_slots unless a line column is kept. */
     std::uint64_t lines = 0;
     std::uint64_t runs = 0;
     std::uint32_t thread_count = 0;
     std::uint64_t spec_fp = 0;
 
     const std::uint8_t *flags = nullptr;
-    const std::uint32_t *thread = nullptr;
+    const std::uint16_t *thread = nullptr;
     const std::uint32_t *tslot = nullptr;
     const std::uint32_t *run_len = nullptr;
     const std::uint8_t *run_kind = nullptr;
@@ -89,11 +95,13 @@ struct CompiledTrace
     std::uint64_t events = 0;
     std::uint64_t track_slots = 0;
     std::uint64_t lines = 0;
-    std::uint32_t thread_count = 0;
+    /** Highest thread id + 1; compileTrace refuses more than
+        compiled_max_threads. */
+    std::uint64_t thread_count = 0;
     std::uint64_t spec_fp = 0;
 
     std::vector<std::uint8_t> flags;
-    std::vector<std::uint32_t> thread;
+    std::vector<std::uint16_t> thread;
     std::vector<std::uint32_t> tslot;
     std::vector<std::uint32_t> run_len;
     std::vector<std::uint8_t> run_kind;
@@ -101,7 +109,9 @@ struct CompiledTrace
 
     /**
      * Append one micro-op, extending the current run or opening a new
-     * one.
+     * one. A @p tid past the u16 column is stored truncated but counted
+     * in thread_count, which compileTrace checks before the program is
+     * used.
      */
     void
     append(CompiledOp kind, std::uint8_t op_flags, std::uint32_t tid,
@@ -116,10 +126,10 @@ struct CompiledTrace
         }
         ++run_len.back();
         flags.push_back(op_flags);
-        thread.push_back(tid);
+        thread.push_back(static_cast<std::uint16_t>(tid));
         tslot.push_back(slot);
         if (tid >= thread_count)
-            thread_count = tid + 1;
+            thread_count = std::uint64_t{tid} + 1;
     }
 
     /** A view over this object's storage. */

@@ -57,7 +57,8 @@ InMemoryTrace::InMemoryTrace(InMemoryTrace &&other) noexcept
     : TraceSink(other), data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)),
       capacity_(std::exchange(other.capacity_, 0)),
-      thread_count_(std::exchange(other.thread_count_, 0))
+      thread_count_(std::exchange(other.thread_count_, 0)),
+      program_(std::move(other.program_))
 {
 }
 
@@ -79,6 +80,7 @@ InMemoryTrace::operator=(const InMemoryTrace &other)
         std::memcpy(data_, other.data_, other.size_ * sizeof(TraceEvent));
     size_ = other.size_;
     thread_count_ = other.thread_count_;
+    dropProgram();
     return *this;
 }
 
@@ -91,6 +93,7 @@ InMemoryTrace::operator=(InMemoryTrace &&other) noexcept
         size_ = std::exchange(other.size_, 0);
         capacity_ = std::exchange(other.capacity_, 0);
         thread_count_ = std::exchange(other.thread_count_, 0);
+        program_ = std::move(other.program_);
     }
     return *this;
 }
@@ -131,6 +134,7 @@ InMemoryTrace::onEvent(const TraceEvent &event)
         grow(size_ + 1);
     data_[size_++] = event;
     thread_count_ = std::max(thread_count_, event.thread + 1);
+    dropProgram();
 }
 
 void
@@ -144,6 +148,7 @@ InMemoryTrace::onBatch(const TraceEvent *events, std::size_t count)
     size_ += count;
     for (std::size_t i = 0; i < count; ++i)
         thread_count_ = std::max(thread_count_, events[i].thread + 1);
+    dropProgram();
 }
 
 void
@@ -151,6 +156,27 @@ InMemoryTrace::replay(TraceSink &sink) const
 {
     sink.onBatch(data_, size_);
     sink.onFinish();
+}
+
+std::shared_ptr<const CompiledTrace>
+InMemoryTrace::program() const
+{
+    const std::lock_guard<std::mutex> lock(program_mutex_);
+    return program_;
+}
+
+std::shared_ptr<const CompiledTrace>
+InMemoryTrace::program(
+    const std::function<bool(const CompiledTrace &)> &fits,
+    const std::function<CompiledTrace()> &compile) const
+{
+    const std::lock_guard<std::mutex> lock(program_mutex_);
+    if (!program_ || !fits(*program_)) {
+        // Free the old program before building its replacement.
+        program_.reset();
+        program_ = std::make_shared<const CompiledTrace>(compile());
+    }
+    return program_;
 }
 
 } // namespace persim

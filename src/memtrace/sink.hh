@@ -12,9 +12,13 @@
 #define PERSIM_MEMTRACE_SINK_HH
 
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
+#include "memtrace/compiled_trace.hh"
 #include "memtrace/event.hh"
 
 namespace persim {
@@ -71,6 +75,12 @@ class FanoutSink : public TraceSink
  * remapping its pages instead of copying them. Small traces
  * (explorer executions, tests) stay ordinary malloc-heap blocks.
  * Copies are deep; a moved-from trace is empty and usable.
+ *
+ * A trace also keeps at most one compiled program of its events
+ * (DESIGN.md Section 17.6), so the models a trace is analyzed under
+ * share one compile. The program is dropped when events are appended
+ * or another trace is copied in, moves with the trace, and dies with
+ * it; a copy starts without one.
  */
 class InMemoryTrace : public TraceSink
 {
@@ -98,14 +108,39 @@ class InMemoryTrace : public TraceSink
     /** Replay all stored events into @p sink, then finish it. */
     void replay(TraceSink &sink) const;
 
+    /** The compiled program kept with this trace, or null. */
+    std::shared_ptr<const CompiledTrace> program() const;
+
+    /**
+     * The kept program if @p fits accepts it; otherwise the result of
+     * @p compile, which replaces it. Both run under the trace's lock,
+     * so concurrent callers that need one program compile it once.
+     */
+    std::shared_ptr<const CompiledTrace>
+    program(const std::function<bool(const CompiledTrace &)> &fits,
+            const std::function<CompiledTrace()> &compile) const;
+
   private:
     /** Reallocate to at least @p count events (geometric growth). */
     void grow(std::size_t count);
+
+    /** Forget the kept program: the events it compiled changed. */
+    void
+    dropProgram()
+    {
+        if (program_) [[unlikely]]
+            program_.reset();
+    }
 
     TraceEvent *data_ = nullptr;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
     ThreadId thread_count_ = 0;
+
+    /** Guards program_ between concurrent readers of one trace; each
+        trace has its own, copied or moved traces included. */
+    mutable std::mutex program_mutex_;
+    mutable std::shared_ptr<const CompiledTrace> program_;
 };
 
 } // namespace persim

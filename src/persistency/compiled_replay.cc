@@ -1,6 +1,7 @@
 #include "persistency/compiled_replay.hh"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -182,7 +183,7 @@ runFast(const CompiledTraceView &view)
                                                    : 1);
 
     const std::uint8_t *flags = view.flags;
-    const std::uint32_t *thr = view.thread;
+    const std::uint16_t *thr = view.thread;
     const std::uint32_t *tsl = view.tslot;
     const std::uint32_t *line_of = view.line;
     std::uint32_t critical = 0;
@@ -409,6 +410,32 @@ runFast(const CompiledTraceView &view)
     return res;
 }
 
+/**
+ * Line granularity shift of the program compiled for @p config: px86's
+ * own line, and for the SC models the px86 preset's 64-byte line at
+ * 8-byte tracking (no line column otherwise), so that px86 reuses it.
+ */
+unsigned
+lineShift(const TimingConfig &config)
+{
+    if (config.model.kind == ModelKind::Px86)
+        return log2Exact(config.model.atomic_granularity);
+    if (config.model.tracking_granularity == 8)
+        return log2Exact(cache_line_bytes);
+    return log2Exact(config.model.tracking_granularity);
+}
+
+/** True when the program stamped @p spec_fp can replay @p config. */
+bool
+programFits(std::uint64_t spec_fp, const TimingConfig &config)
+{
+    const std::uint64_t want = compiledSpecFingerprint(config);
+    constexpr std::uint64_t track_byte = 0xff;
+    if (config.model.kind == ModelKind::Px86)
+        return spec_fp == want;
+    return (spec_fp & track_byte) == (want & track_byte);
+}
+
 } // namespace
 
 std::uint64_t
@@ -418,7 +445,7 @@ compiledSpecFingerprint(const TimingConfig &config)
     // equal granularities: no hash, no collisions.
     config.model.validate();
     return std::uint64_t{log2Exact(config.model.tracking_granularity)} |
-        std::uint64_t{log2Exact(config.model.atomic_granularity)} << 8;
+        std::uint64_t{lineShift(config)} << 8;
 }
 
 bool
@@ -440,11 +467,11 @@ compileTrace(const TraceEvent *events, std::size_t count,
     out.spec_fp = compiledSpecFingerprint(config);
     const unsigned track_shift =
         log2Exact(config.model.tracking_granularity);
-    const unsigned atomic_shift =
-        log2Exact(config.model.atomic_granularity);
-    // Only px86 runs with a line wider than its tracking block; then
-    // each tracking slot also records its line.
-    const bool lines = track_shift != atomic_shift;
+    const unsigned line_shift = lineShift(config);
+    // With a line wider than the tracking block (every compile at
+    // 8-byte tracking but px86's 8-byte-line variant) each tracking
+    // slot also records its line, and flushes are numbered by line.
+    const bool lines = track_shift != line_shift;
     // Most events compile to one micro-op; unaligned accesses that
     // split grow the columns past this.
     out.flags.reserve(count);
@@ -477,7 +504,7 @@ compileTrace(const TraceEvent *events, std::size_t count,
                     index.findOrInsert(addr >> track_shift, inserted);
                 if (inserted && lines)
                     out.line.push_back(line_index.findOrInsert(
-                        addr >> atomic_shift, inserted));
+                        addr >> line_shift, inserted));
                 const unsigned shape = (chunk - 1) << 3 | offset;
                 out.append(CompiledOp::Piece,
                            static_cast<std::uint8_t>(
@@ -508,7 +535,7 @@ compileTrace(const TraceEvent *events, std::size_t count,
                            : 0u,
                        event.thread,
                        lines ? line_index.findOrInsert(
-                                   event.addr >> atomic_shift, inserted)
+                                   event.addr >> line_shift, inserted)
                              : index.findOrInsert(
                                    event.addr >> track_shift, inserted));
             break;
@@ -541,6 +568,13 @@ compileTrace(const TraceEvent *events, std::size_t count,
                                        "executor's 32-bit levels; "
                                        "replay this trace through "
                                        "the engine");
+    PERSIM_REQUIRE(out.thread_count <= compiled_max_threads,
+                   "compileTrace: thread id " << out.thread_count - 1
+                                              << " does not fit the "
+                                                 "compiled trace's "
+                                                 "16-bit thread column; "
+                                                 "replay this trace "
+                                                 "through the engine");
     out.track_slots = index.size();
     out.lines = lines ? line_index.size() : index.size();
     return out;
@@ -550,13 +584,14 @@ TimingResult
 compiledReplay(const CompiledTraceView &view, const TimingConfig &config)
 {
     requireEligible(config, "compiledReplay");
-    const std::uint64_t want_fp = compiledSpecFingerprint(config);
-    PERSIM_REQUIRE(view.spec_fp == want_fp,
+    PERSIM_REQUIRE(programFits(view.spec_fp, config),
                    "compiled trace was built under a different "
                    "granularity (trace 0x"
                        << std::hex << view.spec_fp << ", config 0x"
-                       << want_fp
-                       << "): recompile it for this configuration");
+                       << compiledSpecFingerprint(config)
+                       << "; the tracking byte must match, and for "
+                          "px86 the line byte too): recompile it for "
+                          "this configuration");
 
     // Per-op invariants (piece slots, thread bounds) hold by
     // construction in compileTrace's output; an O(n) check here would
@@ -578,9 +613,15 @@ TimingResult
 replayTrace(const InMemoryTrace &trace, const TimingConfig &config)
 {
     if (compiledFastEligible(config)) {
-        const CompiledTrace compiled =
-            compileTrace(trace.events().data(), trace.size(), config);
-        return compiledReplay(compiled.view(), config);
+        const std::shared_ptr<const CompiledTrace> program = trace.program(
+            [&](const CompiledTrace &kept) {
+                return programFits(kept.spec_fp, config);
+            },
+            [&] {
+                return compileTrace(trace.events().data(), trace.size(),
+                                    config);
+            });
+        return compiledReplay(program->view(), config);
     }
     PersistTimingEngine engine(config);
     trace.replay(engine);

@@ -44,9 +44,14 @@
 namespace persim {
 
 /**
- * Fingerprint of the compile-relevant slice of @p config: the
- * tracking and atomic granularity shifts, one byte each. A trace
- * compiled under one fingerprint must not replay under another.
+ * Fingerprint of the program compileTrace builds for @p config: its
+ * tracking and line granularity shifts, one byte each. The line is
+ * px86's atomic block; strict, epoch and strand at 8-byte tracking
+ * carry the 64-byte line column too, so one program serves all four
+ * models' presets. A program replays under a config when its tracking
+ * granularity is the config's and, for px86 only, its line
+ * granularity is the config's atomic granularity: the SC models never
+ * read the line column.
  */
 std::uint64_t compiledSpecFingerprint(const TimingConfig &config);
 
@@ -61,9 +66,10 @@ bool compiledFastEligible(const TimingConfig &config);
 
 /**
  * Compile @p count events into a compiled trace for @p config in one
- * serial pass. Fatals unless compiledFastEligible(@p config), and
- * when the trace splits into 2^32 or more micro-ops (the executor's
- * levels are 32-bit).
+ * serial pass. Fatals unless compiledFastEligible(@p config), when
+ * the trace splits into 2^32 or more micro-ops (the executor's levels
+ * are 32-bit), and when an event's thread id is 65,536 or more (the
+ * thread column is 16-bit).
  */
 CompiledTrace compileTrace(const TraceEvent *events, std::size_t count,
                            const TimingConfig &config);
@@ -71,7 +77,8 @@ CompiledTrace compileTrace(const TraceEvent *events, std::size_t count,
 /**
  * Execute @p view under @p config on the fast executor. Fatals,
  * naming the reason, unless compiledFastEligible(@p config), and
- * fatals if the view was compiled under a different granularity.
+ * fatals if the view was compiled under a tracking granularity, or
+ * for px86 a line granularity, other than the config's.
  * Bit-identical to interpreted replay of the source trace.
  *
  * @p view must come from compileTrace(): its per-op invariants (piece
@@ -82,9 +89,12 @@ TimingResult compiledReplay(const CompiledTraceView &view,
                             const TimingConfig &config);
 
 /**
- * Analyze @p trace under @p config: compile + fast executor when
+ * Analyze @p trace under @p config: the fast executor when
  * compiledFastEligible(@p config), a PersistTimingEngine replay
- * otherwise. Bit-identical either way.
+ * otherwise. Bit-identical either way. The fast path runs the
+ * program @p trace keeps (InMemoryTrace::program), compiling it on
+ * the first replay it does not fit, so the four models' presets
+ * compile a trace once.
  */
 TimingResult replayTrace(const InMemoryTrace &trace,
                          const TimingConfig &config);

@@ -12,8 +12,9 @@
  *
  * SweepOptions::jobs picks where the configs run: one after another
  * on the caller's thread (jobs == 1, the default), or fanned out on a
- * TaskPool. Replays share nothing but the read-only trace, so the
- * results are bit-identical either way — asserted by
+ * TaskPool. Replays share nothing but the read-only trace and the
+ * compiled program it keeps, which is built under the trace's lock,
+ * so the results are bit-identical either way — asserted by
  * tests/persistency/sweep_test.cc.
  *
  * Sweeps run over an in-memory trace; a trace on disk is loaded with

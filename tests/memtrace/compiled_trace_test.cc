@@ -11,8 +11,12 @@
  *    at three tracking/atomic granularity pairs, whichever path it
  *    takes;
  *  - the guards: a trace compiled under one granularity must not
- *    replay under another, and a config the fast executor cannot run
- *    must fail loudly, naming why.
+ *    replay under another, a config the fast executor cannot run
+ *    must fail loudly, naming why, and so must a thread id past the
+ *    16-bit thread column;
+ *  - the program a trace keeps: one compile serves strict, epoch,
+ *    strand and px86 bit-identically to fresh engines, and appending,
+ *    copying into and moving a trace drop or carry it as documented.
  *
  * The trace reader's truncation diagnostics (byte-offset reporting)
  * are covered here too: a .trc file is the input compileTrace
@@ -37,6 +41,7 @@
 #include "memtrace/trace_io.hh"
 #include "persistency/compiled_replay.hh"
 #include "tests/persistency/golden_support.hh"
+#include "tests/support/trace_builder.hh"
 
 namespace persim::test {
 namespace {
@@ -159,11 +164,11 @@ TEST(CompiledCache, IneligibleConfigFailsNamingTheReason)
     const CompiledTrace trace =
         compileTrace(events.data(), events.size(), epochConfig());
 
-    // px86 with load-before-store tracking stays on the engine.
+    // px86 with load-before-store tracking stays on the engine. The
+    // preset's t8/a64 is the program's tracking and line granularity
+    // (an epoch compile at 8 bytes carries the 64-byte line column).
     TimingConfig px86;
     px86.model = ModelConfig::px86();
-    px86.model.tracking_granularity = 8; // Same granularity as trace.
-    px86.model.atomic_granularity = 8;
     px86.model.detect_load_before_store = true;
     ASSERT_EQ(compiledSpecFingerprint(px86), trace.spec_fp);
     std::string what =
@@ -330,6 +335,205 @@ TEST(CompiledReplayBitIdentity, SyntheticFastModels)
         expectSameResult(engine.result(),
                          compiledReplay(compiled.view(), config),
                          model.name());
+    }
+}
+
+// ---------------------------------------------------------------
+// The program a trace keeps (InMemoryTrace::program).
+// ---------------------------------------------------------------
+
+TimingConfig
+presetConfig(const ModelConfig &model)
+{
+    TimingConfig config;
+    config.model = model;
+    return config;
+}
+
+TimingResult
+engineResult(const InMemoryTrace &trace, const TimingConfig &config)
+{
+    PersistTimingEngine engine(config);
+    trace.replay(engine);
+    return engine.result();
+}
+
+// One trace replayed strict -> px86 -> strict -> epoch -> strand: each
+// answer is a fresh engine's, field for field, and the five replays
+// share the one program the first compiled.
+TEST(TraceProgram, ModelSequenceMatchesFreshEnginesOnOneCompile)
+{
+    const ModelConfig sequence[] = {
+        ModelConfig::strict(), ModelConfig::px86(),
+        ModelConfig::strict(), ModelConfig::epoch(),
+        ModelConfig::strand()};
+    for (const std::string &name : goldenFixtureNames()) {
+        const InMemoryTrace trace =
+            readTraceFile(goldenDir() + "/" + name + ".trc");
+        ASSERT_EQ(trace.program(), nullptr) << name;
+        std::shared_ptr<const CompiledTrace> first;
+        for (const ModelConfig &model : sequence) {
+            const TimingConfig config = presetConfig(model);
+            expectSameResult(engineResult(trace, config),
+                             replayTrace(trace, config),
+                             name + "/" + model.name());
+            if (!first)
+                first = trace.program();
+            EXPECT_EQ(trace.program(), first) << name << "/"
+                                              << model.name();
+        }
+        ASSERT_NE(first, nullptr);
+        EXPECT_EQ(first->spec_fp,
+                  compiledSpecFingerprint(presetConfig(ModelConfig::px86())));
+        EXPECT_EQ(first->events, trace.size());
+    }
+}
+
+TEST(TraceProgram, AppendingDropsTheProgram)
+{
+    InMemoryTrace trace = readTraceFile(goldenDir() + "/mixed.trc");
+    const std::vector<TraceEvent> tail(trace.events().begin(),
+                                       trace.events().begin() + 16);
+    const TimingConfig epoch = presetConfig(ModelConfig::epoch());
+    (void)replayTrace(trace, epoch);
+    ASSERT_NE(trace.program(), nullptr);
+
+    trace.onEvent(tail[0]);
+    EXPECT_EQ(trace.program(), nullptr);
+    expectSameResult(engineResult(trace, epoch), replayTrace(trace, epoch),
+                     "after onEvent");
+    ASSERT_NE(trace.program(), nullptr);
+    EXPECT_EQ(trace.program()->events, trace.size());
+
+    trace.onBatch(tail.data() + 1, tail.size() - 1);
+    EXPECT_EQ(trace.program(), nullptr);
+    const TimingConfig px86 = presetConfig(ModelConfig::px86());
+    expectSameResult(engineResult(trace, px86), replayTrace(trace, px86),
+                     "after onBatch");
+    EXPECT_EQ(trace.program()->events, trace.size());
+
+    // Reserving room appends nothing, so the program stays.
+    const auto kept = trace.program();
+    trace.reserve(trace.size() * 2);
+    EXPECT_EQ(trace.program(), kept);
+}
+
+TEST(TraceProgram, CopyAssignDropsItAndMoveKeepsIt)
+{
+    const InMemoryTrace source = readTraceFile(goldenDir() + "/tlc2.trc");
+    const TimingConfig strict = presetConfig(ModelConfig::strict());
+    InMemoryTrace a = source;
+    EXPECT_EQ(a.program(), nullptr); // A copy starts without one.
+    (void)replayTrace(a, strict);
+    const std::shared_ptr<const CompiledTrace> program = a.program();
+    ASSERT_NE(program, nullptr);
+
+    // Copy construction and copy assignment leave the program with
+    // the source; the target's own program is dropped.
+    InMemoryTrace b = a;
+    EXPECT_EQ(b.program(), nullptr);
+    EXPECT_EQ(a.program(), program);
+    (void)replayTrace(b, strict);
+    ASSERT_NE(b.program(), nullptr);
+    b = source;
+    EXPECT_EQ(b.program(), nullptr);
+
+    // A move carries it; the moved-from trace has none.
+    InMemoryTrace c = std::move(a);
+    EXPECT_EQ(c.program(), program);
+    EXPECT_EQ(a.program(), nullptr);
+    InMemoryTrace d;
+    d = std::move(c);
+    EXPECT_EQ(d.program(), program);
+    EXPECT_EQ(c.program(), nullptr);
+    expectSameResult(engineResult(source, strict), replayTrace(d, strict),
+                     "moved");
+    EXPECT_EQ(d.program(), program); // Reused, not recompiled.
+}
+
+// A flush of a line no access touches interns only a line under the
+// shared program (its line column is on), but a tracking slot under a
+// compile without a line column: the slot numbering differs, and every
+// model must still match the engine.
+TEST(TraceProgram, FlushOfAnUntouchedLineKeepsEveryModelExact)
+{
+    const Addr untouched = test::paddr(64); // Line 8: no access.
+    test::TraceBuilder builder;
+    builder.clwb(0, untouched);
+    builder.store(0, test::paddr(0), 1);
+    builder.store(1, test::paddr(1), 2);
+    builder.load(1, test::paddr(0));
+    builder.clflushopt(0, test::paddr(0));
+    builder.sfence(0);
+    builder.store(0, test::paddr(16), 3);
+    builder.barrier(0);
+    builder.clflush(1, untouched);
+    builder.store(1, test::paddr(0), 4);
+    builder.barrier(1);
+    const InMemoryTrace &trace = builder.trace();
+
+    for (const ModelConfig &model :
+         {ModelConfig::strict(), ModelConfig::epoch(),
+          ModelConfig::strand(), ModelConfig::px86()}) {
+        const TimingConfig config = presetConfig(model);
+        expectSameResult(engineResult(trace, config),
+                         replayTrace(trace, config), model.name());
+    }
+    const auto shared = trace.program();
+    ASSERT_NE(shared, nullptr);
+    EXPECT_EQ(shared->track_slots, 3u); // paddr 0, 1 and 16.
+    EXPECT_EQ(shared->lines, 3u);       // Lines 8, 0 and 2.
+
+    // px86 at 8-byte lines has no line column: its flushes take
+    // tracking slots, one more than the shared program has.
+    TimingConfig narrow = presetConfig(ModelConfig::px86());
+    narrow.model.atomic_granularity = 8;
+    const CompiledTrace own = compileTrace(trace.events().data(),
+                                           trace.size(), narrow);
+    EXPECT_EQ(own.track_slots, shared->track_slots + 1);
+    EXPECT_TRUE(own.line.empty());
+    expectSameResult(engineResult(trace, narrow), replayTrace(trace, narrow),
+                     "px86-a8");
+    // The SC models still reuse whichever 8-byte program is kept.
+    const TimingConfig strand = presetConfig(ModelConfig::strand());
+    const auto kept = trace.program();
+    expectSameResult(engineResult(trace, strand), replayTrace(trace, strand),
+                     "strand after px86-a8");
+    EXPECT_EQ(trace.program(), kept);
+}
+
+// The thread column is 16-bit: ids up to 65,535 compile and match the
+// engine; 65,536 and beyond are refused, naming the column. The ids
+// are hand-built into events; no thread is started.
+TEST(TraceProgram, ThreadIdPastTheColumnIsRefused)
+{
+    const TimingConfig epoch = presetConfig(ModelConfig::epoch());
+    {
+        test::TraceBuilder builder;
+        builder.store(0, test::paddr(0), 1);
+        builder.store(65535, test::paddr(0), 2);
+        builder.barrier(65535);
+        builder.store(65535, test::paddr(1), 3);
+        const InMemoryTrace &trace = builder.trace();
+        expectSameResult(engineResult(trace, epoch),
+                         replayTrace(trace, epoch), "tid 65535");
+        EXPECT_EQ(trace.program()->thread_count, 65536u);
+    }
+    for (const ThreadId tid : {ThreadId{65536}, ThreadId{0xffffffffu}}) {
+        test::TraceBuilder builder;
+        builder.store(0, test::paddr(0), 1);
+        builder.store(tid, test::paddr(1), 2);
+        const InMemoryTrace &trace = builder.trace();
+        const std::string what = errorOf([&] {
+            (void)compileTrace(trace.events().data(), trace.size(), epoch);
+        });
+        EXPECT_NE(what.find("thread id " + std::to_string(tid)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("16-bit thread column"), std::string::npos)
+            << what;
+        EXPECT_THROW((void)replayTrace(trace, epoch), FatalError);
+        EXPECT_EQ(trace.program(), nullptr);
     }
 }
 

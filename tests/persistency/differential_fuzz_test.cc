@@ -20,12 +20,15 @@
  *  - every consistent cut of every model's persist DAG satisfies the
  *    program's publish invariant (flag[t] <= data[t]).
  *
- * Odd seeds also compile every trace (persistency/compiled_replay.hh)
- * and run the fast compiled executor under the plain Levels config,
+ * Odd seeds also replay every trace through replayTrace
+ * (persistency/compiled_replay.hh) under the plain Levels config:
+ * strict, epoch and strand run the fast executor over the one program
+ * the trace keeps, which carries the 64-byte line column px86 reads,
  * asserted bit-identical to the engine on every TimingResult field,
  * so the fuzzer holds the compiled path to the engine oracle on
  * random programs, not only on fixtures. The px86 leg does the same
- * through replayTrace on every program.
+ * on every flush program, for px86 and then for the SC models on the
+ * program px86 compiled.
  *
  * Iteration count comes from PERSIM_FUZZ_ITERS (default 25; the
  * check.sh fuzz stage runs 500). Any failure prints a one-line repro:
@@ -115,8 +118,9 @@ expectSameResult(const TimingResult &want, const TimingResult &got,
 
 /**
  * Replay @p trace through the engine with a full persist log; when
- * @p compiled is set, ALSO compile it and assert the fast executor
- * bit-identical to the engine under the plain Levels config.
+ * @p compiled is set, ALSO replay it through replayTrace under the
+ * plain Levels config and assert the fast executor, running the
+ * program the trace keeps, bit-identical to the engine.
  */
 Replay
 replayModel(const InMemoryTrace &trace, const ModelConfig &model,
@@ -140,10 +144,14 @@ replayModel(const InMemoryTrace &trace, const ModelConfig &model,
         << "plain " << model.name() << " config left the fast executor";
     PersistTimingEngine plain_engine(plain);
     trace.replay(plain_engine);
-    const CompiledTrace program =
-        compileTrace(trace.events().data(), trace.size(), plain);
-    expectSameResult(plain_engine.result(),
-                     compiledReplay(program.view(), plain), "fast");
+    expectSameResult(plain_engine.result(), replayTrace(trace, plain),
+                     "fast");
+    // The shared 8-byte program, with px86's 64-byte line column.
+    TimingConfig px86;
+    px86.model = ModelConfig::px86();
+    const auto program = trace.program();
+    EXPECT_TRUE(program != nullptr &&
+                program->spec_fp == compiledSpecFingerprint(px86));
     return serial;
 }
 
@@ -327,11 +335,11 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
         const Replay px86 = replayModel(trace, ModelConfig::px86());
         const Replay strict = replayModel(trace, ModelConfig::strict());
 
-        // The fast executor's px86 instantiation, with a line column
-        // (the preset's 64-byte lines) and without one (8-byte lines),
-        // must give a fresh engine's answer field for field.
+        // The fast executor's px86 instantiation, without a line
+        // column (8-byte lines) and with one (the preset's 64-byte
+        // lines), must give a fresh engine's answer field for field.
         for (const std::uint64_t line :
-             {cache_line_bytes, std::uint64_t{8}}) {
+             {std::uint64_t{8}, cache_line_bytes}) {
             TimingConfig plain;
             plain.model = ModelConfig::px86();
             plain.model.atomic_granularity = line;
@@ -341,6 +349,23 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
             const std::string leg = "fast " + plain.model.name();
             expectSameResult(engine.result(), replayTrace(trace, plain),
                              leg.c_str());
+            ++stats.compiled_replays;
+        }
+        // strict, epoch and strand on a flush program reuse the
+        // program the px86 preset compiled, whose flushes are
+        // numbered by line, untouched lines included.
+        const auto shared = trace.program();
+        for (const ModelConfig &model :
+             {ModelConfig::strict(), ModelConfig::epoch(),
+              ModelConfig::strand()}) {
+            TimingConfig plain;
+            plain.model = model;
+            PersistTimingEngine engine(plain);
+            trace.replay(engine);
+            const std::string leg = "fast " + model.name() + " (flushes)";
+            expectSameResult(engine.result(), replayTrace(trace, plain),
+                             leg.c_str());
+            EXPECT_EQ(trace.program(), shared) << leg;
             ++stats.compiled_replays;
         }
 

@@ -167,6 +167,58 @@ TEST(Sweep, ParallelMatchesSerialBitForBit)
     }
 }
 
+// Four workers replaying one fresh trace race to build the program it
+// keeps: strict/epoch/strand at 8 bytes and the px86 preset share one
+// t8 program with 64-byte lines, px86 at 8-byte lines needs its own,
+// so the kept program is built and replaced under concurrent replays.
+// The answers must equal a serial sweep of an identical fresh trace
+// and a fresh engine per config. scripts/check.sh runs this under
+// ThreadSanitizer.
+TEST(Sweep, ParallelReplaysShareTheTracesProgram)
+{
+    TraceBuilder builder;
+    for (int i = 0; i < 96; ++i) {
+        const ThreadId tid = i % 4;
+        builder.opBegin(tid, i);
+        builder.store(tid, paddr(i % 24), i);
+        builder.load(tid, paddr((i * 7) % 24));
+        if (i % 3 == 0)
+            builder.clwb(tid, paddr(i % 24));
+        if (i % 5 == 0)
+            builder.barrier(tid);
+        if (i % 11 == 0)
+            builder.clflush(tid, paddr(64 + i));
+        builder.opEnd(tid, i);
+    }
+    const std::vector<ModelConfig> models{
+        ModelConfig::strict(), ModelConfig::epoch(),
+        ModelConfig::strand(), ModelConfig::px86()};
+    const std::vector<std::uint64_t> grans{8, 64};
+    const auto knob = GranularityKnob::AtomicPersist;
+
+    InMemoryTrace pooled_trace = builder.trace();
+    ASSERT_EQ(pooled_trace.program(), nullptr);
+    SweepOptions parallel;
+    parallel.jobs = 4;
+    const auto pooled =
+        granularitySweep(pooled_trace, models, grans, knob, parallel);
+    EXPECT_NE(pooled_trace.program(), nullptr);
+
+    const InMemoryTrace serial_trace = builder.trace();
+    const auto serial = granularitySweep(serial_trace, models, grans, knob);
+    expectSameResults(serial, pooled);
+    expectSameResults(engineSweep(serial_trace, models, grans, knob),
+                      pooled);
+    for (std::size_t m = 0; m < models.size(); ++m)
+        for (std::size_t p = 0; p < grans.size(); ++p) {
+            const TimingResult &x = serial[m].points[p].result;
+            const TimingResult &y = pooled[m].points[p].result;
+            EXPECT_EQ(x.flushes, y.flushes);
+            EXPECT_EQ(x.fences, y.fences);
+            EXPECT_EQ(x.unflushed, y.unflushed);
+        }
+}
+
 TEST(Sweep, EmptyInputsAreFatal)
 {
     const auto trace = contiguousTrace();
