@@ -217,8 +217,11 @@ PERSIM_GOLDEN_DIR=tests/persistency/golden \
 ./build-asan/tests/kv_txn_campaign_test
 
 # Compiled-trace stage: the fast compiled executor indexes its banks
-# by precomputed slots without bounds checks — run the full
-# compiled-vs-engine bit-identity and replayTrace dispatch suite
+# by precomputed slots without bounds checks, and compileTrace writes
+# its columns through raw pointers into storage sized from the event
+# count — run the full compiled-vs-engine bit-identity and
+# replayTrace dispatch suite, and the compile-vs-reference oracle
+# (CompileOracle.*: splitting accesses that grow the columns)
 # instrumented (shrunken synthetic trace; the identity must hold at
 # any size).
 PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
@@ -226,7 +229,8 @@ PERSIM_SYNTH_EVENTS=150000 PERSIM_GOLDEN_DIR=tests/persistency/golden \
 
 # Fuzz stage: the differential fuzzer at full depth, instrumented —
 # 500 seeded random programs (default) replayed under all three
-# models with the refinement invariants checked on every one.
+# models with the refinement invariants checked on every one, and
+# every program compiled and held to the plain reference compile.
 PERSIM_FUZZ_ITERS="$FUZZ_ITERS" ./build-asan/tests/differential_fuzz_test
 
 # Perf stage: replay-throughput regression against the committed

@@ -30,6 +30,19 @@ minorFaults()
     return static_cast<std::uint64_t>(usage.ru_minflt);
 }
 
+double
+processCpuSeconds()
+{
+    struct rusage usage = {};
+    if (getrusage(RUSAGE_SELF, &usage) != 0)
+        return 0.0;
+    const auto seconds = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) +
+            static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 void
 BenchReport::add(const std::string &key, std::uint64_t events,
                  double wall_seconds)
@@ -58,6 +71,10 @@ BenchReport::add(const std::string &key, std::uint64_t events,
     sample.minor_faults =
         faults > last_minor_faults_ ? faults - last_minor_faults_ : 0;
     last_minor_faults_ = faults;
+    const double cpu = processCpuSeconds();
+    sample.cpu_seconds =
+        cpu > last_cpu_seconds_ ? cpu - last_cpu_seconds_ : 0.0;
+    last_cpu_seconds_ = cpu;
     entries_.emplace_back(key, sample);
 }
 
@@ -79,7 +96,10 @@ BenchReport::renderJson() const
         oss << "    \"events_per_sec\": " << number << ",\n";
         oss << "    \"peak_rss_kb\": " << sample.peak_rss_kb << ",\n";
         oss << "    \"rss_delta_kb\": " << sample.rss_delta_kb << ",\n";
-        oss << "    \"minor_faults\": " << sample.minor_faults << "\n";
+        oss << "    \"minor_faults\": " << sample.minor_faults << ",\n";
+        std::snprintf(number, sizeof(number), "%.6f",
+                      sample.cpu_seconds);
+        oss << "    \"cpu_seconds\": " << number << "\n";
         oss << "  }" << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
     oss << "}\n";
@@ -213,6 +233,8 @@ readBenchJson(const std::string &path)
                 else if (field == "minor_faults")
                     sample.minor_faults =
                         static_cast<std::uint64_t>(value);
+                else if (field == "cpu_seconds")
+                    sample.cpu_seconds = value;
                 else
                     PERSIM_REQUIRE(false,
                                    "malformed bench report (unknown "

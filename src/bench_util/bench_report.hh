@@ -64,6 +64,15 @@ struct BenchSample
      * before the field existed read back as 0.
      */
     std::uint64_t minor_faults = 0;
+
+    /**
+     * CPU seconds (user + system, every thread) the process used
+     * since the previous add() on the same report (since construction
+     * for the first sample): the sample's own work when it is recorded
+     * straight after the previous one's. Files written before the
+     * field existed read back as 0.
+     */
+    double cpu_seconds = 0.0;
 };
 
 /** Current process peak resident set size in KiB (getrusage). */
@@ -72,12 +81,16 @@ std::uint64_t peakRssKb();
 /** Minor page faults the process has taken so far (getrusage). */
 std::uint64_t minorFaults();
 
+/** CPU seconds (user + system) the process has used so far. */
+double processCpuSeconds();
+
 /** Accumulates samples and renders them as BENCH_replay.json. */
 class BenchReport
 {
   public:
     BenchReport()
-        : last_peak_rss_kb_(peakRssKb()), last_minor_faults_(minorFaults())
+        : last_peak_rss_kb_(peakRssKb()), last_minor_faults_(minorFaults()),
+          last_cpu_seconds_(processCpuSeconds())
     {
     }
 
@@ -108,6 +121,9 @@ class BenchReport
 
     /** Minor faults counted at the last add() (minor_faults baseline). */
     std::uint64_t last_minor_faults_ = 0;
+
+    /** Process CPU time at the last add() (cpu_seconds baseline). */
+    double last_cpu_seconds_ = 0.0;
 };
 
 /**

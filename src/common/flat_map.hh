@@ -27,6 +27,16 @@
 
 namespace persim {
 
+/** splitmix64 finalizer: full-avalanche mix of a key. */
+inline std::uint64_t
+mixKey(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
 /** Hash map u64 key -> dense u32 slot; keys must not be ~0ULL. */
 class FlatIndexMap
 {
@@ -100,7 +110,7 @@ class FlatIndexMap
         PERSIM_REQUIRE(key != empty_key,
                        "FlatIndexMap: key ~0 is reserved as the "
                        "empty-bucket sentinel");
-        std::size_t at = static_cast<std::size_t>(mix(key)) & mask_;
+        std::size_t at = static_cast<std::size_t>(mixKey(key)) & mask_;
         while (true) {
             Bucket &bucket = buckets_[at];
             if (bucket.key == key) {
@@ -129,7 +139,7 @@ class FlatIndexMap
     std::uint32_t
     find(std::uint64_t key) const
     {
-        std::size_t at = static_cast<std::size_t>(mix(key)) & mask_;
+        std::size_t at = static_cast<std::size_t>(mixKey(key)) & mask_;
         while (true) {
             const Bucket &bucket = buckets_[at];
             if (bucket.key == key)
@@ -162,16 +172,6 @@ class FlatIndexMap
         std::uint32_t slot = no_slot;
     };
 
-    /** splitmix64 finalizer: full-avalanche mix of the key. */
-    static std::uint64_t
-    mix(std::uint64_t x)
-    {
-        x += 0x9e3779b97f4a7c15ULL;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-        return x ^ (x >> 31);
-    }
-
     void
     rehash(std::size_t buckets)
     {
@@ -182,7 +182,7 @@ class FlatIndexMap
             if (bucket.key == empty_key)
                 continue;
             std::size_t at =
-                static_cast<std::size_t>(mix(bucket.key)) & mask_;
+                static_cast<std::size_t>(mixKey(bucket.key)) & mask_;
             while (buckets_[at].key != empty_key)
                 at = (at + 1) & mask_;
             buckets_[at] = bucket;
@@ -202,16 +202,20 @@ class FlatIndexMap
  * order, the ~0 key rejected, a hard error at max_slots — but laid
  * out for the block keys the timing engine and compileTrace intern,
  * which cluster into dense runs (heap and journal addresses). A key
- * splits into a page number (key >> page_bits) and an offset; a
- * small FlatIndexMap directory maps page numbers to pages of
- * page_keys u32 slots, each initialised to no_slot. Neighbouring keys
- * share a page, so a run of nearby addresses touches one 256-byte
- * page instead of scattered hash buckets, and a one-entry last-page
- * cache skips the directory entirely on repeat hits.
+ * splits into a page number (key >> page_bits) and an offset; pages
+ * of page_keys u32 slots, each initialised to no_slot, hold the
+ * slots. Neighbouring keys share a page, so a run of nearby addresses
+ * touches one 256-byte page instead of scattered hash buckets, and a
+ * one-entry last-page cache skips the directory entirely on repeat
+ * hits. A miss probes the directory, an open-addressing table whose
+ * 16-byte bucket holds the page number and the page's address, so one
+ * probe yields the page. The directory is allocated with the first
+ * page: an empty map holds no heap memory.
  *
  * Memory: under 5 B per key when keys are dense; one page plus a
- * directory bucket (at most page_bytes + 64 B) per key in the worst
- * case of one key per page. bytes() reports the live footprint.
+ * directory bucket and a page pointer (at most page_bytes + 64 B) per
+ * key in the worst case of one key per page. bytes() reports the live
+ * footprint.
  */
 class PagedIndexMap
 {
@@ -252,6 +256,7 @@ class PagedIndexMap
     {
         directory_.swap(other.directory_);
         pages_.swap(other.pages_);
+        std::swap(live_pages_, other.live_pages_);
         std::swap(last_page_no_, other.last_page_no_);
         std::swap(last_page_, other.last_page_);
         std::swap(count_, other.count_);
@@ -266,7 +271,8 @@ class PagedIndexMap
     bytes() const
     {
         return pages_.size() * page_bytes +
-            pages_.capacity() * sizeof(pages_[0]) + directory_.bytes();
+            pages_.capacity() * sizeof(pages_[0]) +
+            directory_.capacity() * sizeof(Bucket);
     }
 
     /**
@@ -303,18 +309,21 @@ class PagedIndexMap
         const std::uint64_t page_no = key >> page_bits;
         if (page_no == last_page_no_)
             return last_page_[key & page_mask];
-        const std::uint32_t at = directory_.find(page_no);
-        return at == no_slot ? no_slot
-                             : pages_[at][key & page_mask];
+        if (directory_.empty())
+            return no_slot;
+        const Bucket &bucket = directory_[probe(page_no)];
+        return bucket.page_no == no_page ? no_slot
+                                         : bucket.page[key & page_mask];
     }
 
     /** Drop every key; keeps the page storage for reuse. */
     void
     clear()
     {
-        for (std::size_t at = 0; at < directory_.size(); ++at)
+        for (std::size_t at = 0; at < live_pages_; ++at)
             std::fill_n(pages_[at].get(), page_keys, no_slot);
-        directory_.clear();
+        std::fill(directory_.begin(), directory_.end(), Bucket{});
+        live_pages_ = 0;
         last_page_no_ = no_page;
         last_page_ = nullptr;
         count_ = 0;
@@ -324,29 +333,68 @@ class PagedIndexMap
     static constexpr std::uint64_t page_mask = page_keys - 1;
     /** Never a page number: those are at most ~0 >> page_bits. */
     static constexpr std::uint64_t no_page = ~0ULL;
+    static constexpr std::size_t initial_buckets = 64;
 
-    /** Page holding @p page_no, created on first touch; caches it. */
-    std::uint32_t *
-    pageFor(std::uint64_t page_no)
+    /** A directory entry: a page number and its page. */
+    struct Bucket
     {
-        bool created = false;
-        const std::uint32_t at =
-            directory_.findOrInsert(page_no, created);
-        if (at == pages_.size()) {
-            // Only after clear() do directory slots reuse old pages.
-            pages_.push_back(
-                std::make_unique_for_overwrite<std::uint32_t[]>(
-                    page_keys));
-            std::fill_n(pages_.back().get(), page_keys, no_slot);
-        }
-        last_page_no_ = page_no;
-        last_page_ = pages_[at].get();
-        return last_page_;
+        std::uint64_t page_no = no_page;
+        std::uint32_t *page = nullptr;
+    };
+
+    /** Bucket holding @p page_no, or the empty bucket it would take. */
+    std::size_t
+    probe(std::uint64_t page_no) const
+    {
+        const std::size_t mask = directory_.size() - 1;
+        std::size_t at = static_cast<std::size_t>(mixKey(page_no)) & mask;
+        while (directory_[at].page_no != page_no &&
+               directory_[at].page_no != no_page)
+            at = (at + 1) & mask;
+        return at;
     }
 
-    FlatIndexMap directory_;
-    /** Page storage, indexed by directory slot; never shrinks. */
+    /** Page holding @p page_no, created on first touch; caches it. */
+    [[gnu::noinline]] std::uint32_t *
+    pageFor(std::uint64_t page_no)
+    {
+        if (directory_.empty())
+            directory_.resize(initial_buckets);
+        Bucket &bucket = directory_[probe(page_no)];
+        std::uint32_t *page = bucket.page;
+        if (bucket.page_no == no_page) {
+            // Only after clear() are kept pages reused.
+            if (live_pages_ == pages_.size())
+                pages_.push_back(
+                    std::make_unique_for_overwrite<std::uint32_t[]>(
+                        page_keys));
+            page = pages_[live_pages_++].get();
+            std::fill_n(page, page_keys, no_slot);
+            bucket = Bucket{page_no, page};
+            if (live_pages_ * 10 >= directory_.size() * 7)
+                rehash();
+        }
+        last_page_no_ = page_no;
+        last_page_ = page;
+        return page;
+    }
+
+    /** Double the directory; pages stay where they are. */
+    void
+    rehash()
+    {
+        std::vector<Bucket> old(directory_.size() * 2);
+        old.swap(directory_);
+        for (const Bucket &bucket : old)
+            if (bucket.page_no != no_page)
+                directory_[probe(bucket.page_no)] = bucket;
+    }
+
+    /** Open-addressing directory, a power of two of buckets. */
+    std::vector<Bucket> directory_;
+    /** Page storage; the first live_pages_ are in use. Never shrinks. */
     std::vector<std::unique_ptr<std::uint32_t[]>> pages_;
+    std::size_t live_pages_ = 0;
     std::uint64_t last_page_no_ = no_page;
     std::uint32_t *last_page_ = nullptr;
     std::uint32_t count_ = 0;

@@ -107,31 +107,6 @@ struct CompiledTrace
     std::vector<std::uint8_t> run_kind;
     std::vector<std::uint32_t> line;
 
-    /**
-     * Append one micro-op, extending the current run or opening a new
-     * one. A @p tid past the u16 column is stored truncated but counted
-     * in thread_count, which compileTrace checks before the program is
-     * used.
-     */
-    void
-    append(CompiledOp kind, std::uint8_t op_flags, std::uint32_t tid,
-           std::uint32_t slot)
-    {
-        const auto k = static_cast<std::uint8_t>(kind);
-        // Cap runs at u32 range; maximal runs beyond that just split.
-        if (run_kind.empty() || run_kind.back() != k ||
-            run_len.back() == 0xffffffffu) {
-            run_kind.push_back(k);
-            run_len.push_back(0);
-        }
-        ++run_len.back();
-        flags.push_back(op_flags);
-        thread.push_back(static_cast<std::uint16_t>(tid));
-        tslot.push_back(slot);
-        if (tid >= thread_count)
-            thread_count = std::uint64_t{tid} + 1;
-    }
-
     /** A view over this object's storage. */
     CompiledTraceView view() const;
 };

@@ -133,7 +133,8 @@ InMemoryTrace::onEvent(const TraceEvent &event)
     if (size_ == capacity_) [[unlikely]]
         grow(size_ + 1);
     data_[size_++] = event;
-    thread_count_ = std::max(thread_count_, event.thread + 1);
+    thread_count_ =
+        std::max(thread_count_, std::uint64_t{event.thread} + 1);
     dropProgram();
 }
 
@@ -147,7 +148,8 @@ InMemoryTrace::onBatch(const TraceEvent *events, std::size_t count)
     std::memcpy(data_ + size_, events, count * sizeof(TraceEvent));
     size_ += count;
     for (std::size_t i = 0; i < count; ++i)
-        thread_count_ = std::max(thread_count_, events[i].thread + 1);
+        thread_count_ =
+            std::max(thread_count_, std::uint64_t{events[i].thread} + 1);
     dropProgram();
 }
 

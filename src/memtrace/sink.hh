@@ -102,8 +102,9 @@ class InMemoryTrace : public TraceSink
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Number of distinct threads seen (max thread id + 1). */
-    ThreadId threadCount() const { return thread_count_; }
+    /** Max thread id + 1, counted in 64 bits so that the last id
+        (0xffffffff) counts 2^32 rather than wrapping to 0. */
+    std::uint64_t threadCount() const { return thread_count_; }
 
     /** Replay all stored events into @p sink, then finish it. */
     void replay(TraceSink &sink) const;
@@ -135,7 +136,7 @@ class InMemoryTrace : public TraceSink
     TraceEvent *data_ = nullptr;
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
-    ThreadId thread_count_ = 0;
+    std::uint64_t thread_count_ = 0;
 
     /** Guards program_ between concurrent readers of one trace; each
         trace has its own, copied or moved traces included. */

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -144,12 +145,21 @@ TraceFileWriter::onBatch(const TraceEvent *events, std::size_t count)
     // An empty trace has no storage: never hand fwrite a null buffer.
     if (count == 0)
         return;
+    // The header's thread count is 32-bit: refuse the one id (the
+    // last) whose count does not fit, before any of its batch lands.
+    std::uint64_t threads = thread_count_;
+    for (std::size_t i = 0; i < count; ++i)
+        threads = std::max(threads, std::uint64_t{events[i].thread} + 1);
+    PERSIM_REQUIRE(threads <= std::numeric_limits<ThreadId>::max(),
+                   "cannot write trace file " << path_ << ": thread id "
+                       << threads - 1
+                       << " needs a thread count of " << threads
+                       << ", past the header's 32-bit field");
     // stdio's buffer batches the write(2)s.
     PERSIM_REQUIRE(std::fwrite(events, record_size, count, file_) == count,
                    "short write to trace file: " << path_);
     event_count_ += count;
-    for (std::size_t i = 0; i < count; ++i)
-        thread_count_ = std::max(thread_count_, events[i].thread + 1);
+    thread_count_ = static_cast<ThreadId>(threads);
 }
 
 void

@@ -436,6 +436,179 @@ programFits(std::uint64_t spec_fp, const TimingConfig &config)
     return (spec_fp & track_byte) == (want & track_byte);
 }
 
+/**
+ * The compile pass. @p PRESET instantiates it for 8-byte tracking
+ * with the 64-byte line column, the program every SC preset and the
+ * px86 preset share, with both shifts as constants; every other
+ * granularity runs the same body with the shifts read at run time.
+ *
+ * The micro-op columns are sized from the event count, which bounds
+ * them unless an access splits across words: only a split checks the
+ * room left and grows them, so the common op is three stores through
+ * pointers. The run being extended lives in locals and reaches the
+ * run index when it closes.
+ */
+template <bool PRESET>
+CompiledTrace
+compileEvents(const TraceEvent *events, std::size_t count,
+              const TimingConfig &config)
+{
+    const unsigned track_shift =
+        PRESET ? 3 : log2Exact(config.model.tracking_granularity);
+    const unsigned line_shift = PRESET ? 6 : lineShift(config);
+    // With a line wider than the tracking block (every compile at
+    // 8-byte tracking but px86's 8-byte-line variant) each tracking
+    // slot also records its line, and flushes are numbered by line.
+    const bool lines = track_shift != line_shift;
+
+    CompiledTrace out;
+    out.events = count;
+    out.spec_fp = compiledSpecFingerprint(config);
+
+    std::size_t room = count;
+    out.flags.resize(room);
+    out.thread.resize(room);
+    out.tslot.resize(room);
+    std::uint8_t *flags = out.flags.data();
+    std::uint16_t *thread = out.thread.data();
+    std::uint32_t *tslot = out.tslot.data();
+    std::size_t n = 0;
+    // Before event i there is room for one micro-op per event left;
+    // an access of k > 1 pieces needs k - 1 more.
+    const auto reserveSplit = [&](std::size_t i, std::size_t extra) {
+        const std::size_t need = n + (count - i) + extra;
+        if (need <= room)
+            return;
+        room = std::max(need, room + room / 8);
+        out.flags.resize(room);
+        out.thread.resize(room);
+        out.tslot.resize(room);
+        flags = out.flags.data();
+        thread = out.thread.data();
+        tslot = out.tslot.data();
+    };
+
+    auto run_kind = static_cast<std::uint8_t>(CompiledOp::Piece);
+    std::uint32_t run_len = 0;
+    std::uint64_t thread_count = 0;
+    const auto emit = [&](CompiledOp kind, unsigned op_flags,
+                          std::uint32_t tid, std::uint32_t slot) {
+        const auto k = static_cast<std::uint8_t>(kind);
+        // Cap runs at u32 range; maximal runs beyond that just split.
+        if (k != run_kind || run_len == 0xffffffffu) {
+            if (run_len != 0) {
+                out.run_kind.push_back(run_kind);
+                out.run_len.push_back(run_len);
+            }
+            run_kind = k;
+            run_len = 0;
+        }
+        ++run_len;
+        flags[n] = static_cast<std::uint8_t>(op_flags);
+        // A tid past the u16 column is stored truncated but counted,
+        // and refused by compileTrace.
+        thread[n] = static_cast<std::uint16_t>(tid);
+        tslot[n] = slot;
+        ++n;
+        if (tid >= thread_count)
+            thread_count = std::uint64_t{tid} + 1;
+    };
+
+    // The engine's own index type, numbering slots in first-touch
+    // order as the engine does.
+    PagedIndexMap index;
+    PagedIndexMap line_index;
+    bool inserted = false;
+    for (std::size_t i = 0; i < count; ++i) {
+        const TraceEvent &event = events[i];
+        CompiledOp kind;
+        unsigned op_flags = 0;
+        std::uint32_t slot = compiled_no_slot;
+        switch (event.kind) {
+          case EventKind::Load:
+          case EventKind::Store:
+          case EventKind::Rmw: {
+            // Same 8-byte-aligned split as the engine's process(), so
+            // each piece lies within one word.
+            const unsigned write =
+                event.isWrite() ? compiled_flag_write : 0u;
+            Addr addr = event.addr;
+            unsigned remaining = event.size;
+            auto offset = static_cast<unsigned>(addr % max_access_size);
+            if (offset + remaining > max_access_size)
+                reserveSplit(i, (offset + remaining - 1) / max_access_size);
+            while (remaining > 0) {
+                const unsigned chunk =
+                    std::min(remaining, max_access_size - offset);
+                const std::uint32_t piece_slot =
+                    index.findOrInsert(addr >> track_shift, inserted);
+                if (inserted && lines)
+                    out.line.push_back(line_index.findOrInsert(
+                        addr >> line_shift, inserted));
+                const unsigned shape = (chunk - 1) << 3 | offset;
+                emit(CompiledOp::Piece,
+                     write |
+                         (isPersistentAddr(addr) ? compiled_flag_persistent
+                                                 : 0u) |
+                         shape << compiled_shape_shift,
+                     event.thread, piece_slot);
+                addr += chunk;
+                remaining -= chunk;
+                offset = 0;
+            }
+            continue;
+          }
+          case EventKind::PersistBarrier:
+          case EventKind::PersistSync:
+            kind = CompiledOp::Barrier;
+            break;
+          case EventKind::CacheFlush:
+          case EventKind::CacheFlushOpt:
+          case EventKind::CacheWriteBack:
+            // The line the flush covers, interned as the engine's
+            // px86 flush does.
+            kind = CompiledOp::Flush;
+            if (event.kind == EventKind::CacheFlush)
+                op_flags = compiled_flag_clflush;
+            slot = lines ? line_index.findOrInsert(event.addr >> line_shift,
+                                                   inserted)
+                         : index.findOrInsert(event.addr >> track_shift,
+                                              inserted);
+            break;
+          case EventKind::StoreFence:
+          case EventKind::FullFence:
+            kind = CompiledOp::Fence;
+            break;
+          case EventKind::NewStrand:
+            kind = CompiledOp::Strand;
+            break;
+          case EventKind::Marker:
+            // OpBegin and the role markers only drive log and plugin
+            // metadata, which no eligible config observes.
+            if (event.markerCode() != MarkerCode::OpEnd)
+                continue;
+            kind = CompiledOp::OpEnd;
+            break;
+          default:
+            // PMalloc/PFree/ThreadStart/ThreadEnd/Fence: the engine
+            // only counts them.
+            continue;
+        }
+        emit(kind, op_flags, event.thread, slot);
+    }
+    if (run_len != 0) {
+        out.run_kind.push_back(run_kind);
+        out.run_len.push_back(run_len);
+    }
+    out.flags.resize(n);
+    out.thread.resize(n);
+    out.tslot.resize(n);
+    out.thread_count = thread_count;
+    out.track_slots = index.size();
+    out.lines = lines ? line_index.size() : index.size();
+    return out;
+}
+
 } // namespace
 
 std::uint64_t
@@ -461,106 +634,11 @@ compileTrace(const TraceEvent *events, std::size_t count,
     PERSIM_REQUIRE(events != nullptr || count == 0,
                    "compileTrace needs a valid event range");
     requireEligible(config, "compileTrace");
-
-    CompiledTrace out;
-    out.events = count;
-    out.spec_fp = compiledSpecFingerprint(config);
-    const unsigned track_shift =
-        log2Exact(config.model.tracking_granularity);
-    const unsigned line_shift = lineShift(config);
-    // With a line wider than the tracking block (every compile at
-    // 8-byte tracking but px86's 8-byte-line variant) each tracking
-    // slot also records its line, and flushes are numbered by line.
-    const bool lines = track_shift != line_shift;
-    // Most events compile to one micro-op; unaligned accesses that
-    // split grow the columns past this.
-    out.flags.reserve(count);
-    out.thread.reserve(count);
-    out.tslot.reserve(count);
-
-    // The engine's own index type, numbering slots in first-touch
-    // order as the engine does.
-    PagedIndexMap index;
-    PagedIndexMap line_index;
-    bool inserted = false;
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceEvent &event = events[i];
-        switch (event.kind) {
-          case EventKind::Load:
-          case EventKind::Store:
-          case EventKind::Rmw: {
-            // Same 8-byte-aligned split as the engine's process(), so
-            // each piece lies within one word.
-            const std::uint8_t write =
-                event.isWrite() ? compiled_flag_write : 0u;
-            Addr addr = event.addr;
-            unsigned remaining = event.size;
-            while (remaining > 0) {
-                const auto offset =
-                    static_cast<unsigned>(addr % max_access_size);
-                const unsigned chunk =
-                    std::min(remaining, max_access_size - offset);
-                const std::uint32_t slot =
-                    index.findOrInsert(addr >> track_shift, inserted);
-                if (inserted && lines)
-                    out.line.push_back(line_index.findOrInsert(
-                        addr >> line_shift, inserted));
-                const unsigned shape = (chunk - 1) << 3 | offset;
-                out.append(CompiledOp::Piece,
-                           static_cast<std::uint8_t>(
-                               write |
-                               (isPersistentAddr(addr)
-                                    ? compiled_flag_persistent
-                                    : 0u) |
-                               shape << compiled_shape_shift),
-                           event.thread, slot);
-                addr += chunk;
-                remaining -= chunk;
-            }
-            break;
-          }
-          case EventKind::PersistBarrier:
-          case EventKind::PersistSync:
-            out.append(CompiledOp::Barrier, 0, event.thread,
-                       compiled_no_slot);
-            break;
-          case EventKind::CacheFlush:
-          case EventKind::CacheFlushOpt:
-          case EventKind::CacheWriteBack:
-            // The line the flush covers, interned as the engine's
-            // px86 flush does.
-            out.append(CompiledOp::Flush,
-                       event.kind == EventKind::CacheFlush
-                           ? compiled_flag_clflush
-                           : 0u,
-                       event.thread,
-                       lines ? line_index.findOrInsert(
-                                   event.addr >> line_shift, inserted)
-                             : index.findOrInsert(
-                                   event.addr >> track_shift, inserted));
-            break;
-          case EventKind::StoreFence:
-          case EventKind::FullFence:
-            out.append(CompiledOp::Fence, 0, event.thread,
-                       compiled_no_slot);
-            break;
-          case EventKind::NewStrand:
-            out.append(CompiledOp::Strand, 0, event.thread,
-                       compiled_no_slot);
-            break;
-          case EventKind::Marker:
-            // OpBegin and the role markers only drive log and plugin
-            // metadata, which no eligible config observes.
-            if (event.markerCode() == MarkerCode::OpEnd)
-                out.append(CompiledOp::OpEnd, 0, event.thread,
-                           compiled_no_slot);
-            break;
-          default:
-            // PMalloc/PFree/ThreadStart/ThreadEnd/Fence: the engine
-            // only counts them.
-            break;
-        }
-    }
+    CompiledTrace out =
+        log2Exact(config.model.tracking_granularity) == 3 &&
+            lineShift(config) == 6
+        ? compileEvents<true>(events, count, config)
+        : compileEvents<false>(events, count, config);
     // The executor's 32-bit levels count at most one per micro-op.
     PERSIM_REQUIRE(out.flags.size() < (std::uint64_t{1} << 32),
                    "compileTrace: " << out.flags.size()
@@ -575,8 +653,6 @@ compileTrace(const TraceEvent *events, std::size_t count,
                                                  "16-bit thread column; "
                                                  "replay this trace "
                                                  "through the engine");
-    out.track_slots = index.size();
-    out.lines = lines ? line_index.size() : index.size();
     return out;
 }
 
@@ -609,20 +685,25 @@ compiledReplay(const CompiledTraceView &view, const TimingConfig &config)
     PERSIM_FATAL("compiledReplay: unknown model kind");
 }
 
+std::shared_ptr<const CompiledTrace>
+traceProgram(const InMemoryTrace &trace, const TimingConfig &config)
+{
+    requireEligible(config, "traceProgram");
+    return trace.program(
+        [&](const CompiledTrace &kept) {
+            return programFits(kept.spec_fp, config);
+        },
+        [&] {
+            return compileTrace(trace.events().data(), trace.size(),
+                                config);
+        });
+}
+
 TimingResult
 replayTrace(const InMemoryTrace &trace, const TimingConfig &config)
 {
-    if (compiledFastEligible(config)) {
-        const std::shared_ptr<const CompiledTrace> program = trace.program(
-            [&](const CompiledTrace &kept) {
-                return programFits(kept.spec_fp, config);
-            },
-            [&] {
-                return compileTrace(trace.events().data(), trace.size(),
-                                    config);
-            });
-        return compiledReplay(program->view(), config);
-    }
+    if (compiledFastEligible(config))
+        return compiledReplay(traceProgram(trace, config)->view(), config);
     PersistTimingEngine engine(config);
     trace.replay(engine);
     return engine.result();

@@ -16,8 +16,9 @@
  * compileTrace() is one serial pass over the events: it splits each
  * access into 8-byte-aligned pieces, interns each piece's block key
  * straight into a global first-touch slot (one probe per piece, as
- * the engine does), and appends the run index as it goes, emitting
- * only the columns the executor reads (memtrace/compiled_trace.hh).
+ * the engine does), and appends the run index as it goes, writing
+ * only the columns the executor reads (memtrace/compiled_trace.hh)
+ * into storage sized from the event count.
  *
  * The fast executor is one loop template, instantiated per model, over
  * 12-byte src-free tags with 32-bit levels in private banks. Nothing
@@ -36,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "memtrace/compiled_trace.hh"
 #include "memtrace/sink.hh"
@@ -87,6 +89,16 @@ CompiledTrace compileTrace(const TraceEvent *events, std::size_t count,
  */
 TimingResult compiledReplay(const CompiledTraceView &view,
                             const TimingConfig &config);
+
+/**
+ * The compiled program @p trace keeps (InMemoryTrace::program) that
+ * fits @p config, compiled first when the kept one does not fit.
+ * Fatals unless compiledFastEligible(@p config). replayTrace's fast
+ * path runs this program, so a caller that asks for it before the
+ * replays times the one compile apart from them.
+ */
+std::shared_ptr<const CompiledTrace>
+traceProgram(const InMemoryTrace &trace, const TimingConfig &config);
 
 /**
  * Analyze @p trace under @p config: the fast executor when

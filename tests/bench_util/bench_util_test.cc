@@ -61,6 +61,11 @@ TEST(BenchReport, SamplesCarryRssFieldsAndRoundTrip)
     // mark moves, so the second sample's delta is visibly attributed
     // to work done after the first add().
     std::vector<char> ballast(32 << 20, 1);
+    // Spin until the process has used measurable CPU since the first
+    // add(), so sample b's cpu_seconds has something to count.
+    const double spin_from = processCpuSeconds();
+    while (processCpuSeconds() < spin_from + 0.02) {
+    }
     report.add("replay/b", 2000, 0.25);
     ASSERT_EQ(report.size(), 2u);
     EXPECT_NE(ballast[16 << 20], 0);
@@ -90,6 +95,8 @@ TEST(BenchReport, SamplesCarryRssFieldsAndRoundTrip)
     // The ballast's first touches are minor faults counted against
     // sample b (huge pages may make them few, never none).
     EXPECT_GT(b.minor_faults, 0u);
+    // cpu_seconds is the process CPU time since the previous add().
+    EXPECT_GE(b.cpu_seconds, 0.015);
 }
 
 TEST(BenchReport, ReadsFilesWrittenWithoutMinorFaults)
@@ -114,6 +121,7 @@ TEST(BenchReport, ReadsFilesWrittenWithoutMinorFaults)
     EXPECT_EQ(old.peak_rss_kb, 300u);
     EXPECT_EQ(old.rss_delta_kb, 7u);
     EXPECT_EQ(old.minor_faults, 0u);
+    EXPECT_EQ(old.cpu_seconds, 0.0);
 }
 
 TEST(BenchReport, RejectsDuplicateAndUnescapableKeys)

@@ -431,6 +431,57 @@ TEST(PagedIndexMap, SparseAndDenseBytesPerKey)
     EXPECT_LE(dense.bytes(), n * 64 * 8);
 }
 
+TEST(PagedIndexMap, EmptyMapHoldsNoDirectory)
+{
+    // The directory comes with the first page: a map that never
+    // inserts (most of a small engine's indexes) holds no heap memory,
+    // and lookups in it find nothing.
+    PagedIndexMap map;
+    EXPECT_EQ(map.bytes(), 0u);
+    EXPECT_EQ(map.find(0), PagedIndexMap::no_slot);
+    EXPECT_EQ(map.find(PagedIndexMap::empty_key - 1),
+              PagedIndexMap::no_slot);
+    map.clear();
+    EXPECT_EQ(map.bytes(), 0u);
+    bool inserted = false;
+    EXPECT_EQ(map.findOrInsert(5, inserted), 0u);
+    EXPECT_TRUE(inserted);
+    EXPECT_GT(map.bytes(), 0u);
+}
+
+TEST(PagedIndexMap, PagesSurviveDirectoryGrowth)
+{
+    // The directory holds each page's address and doubles as pages are
+    // added. Keys straddle page boundaries (the last key of one page,
+    // the first of the next) over enough pages to grow the directory
+    // many times, and after each new page an early page is revisited
+    // through the directory, not the last-page cache: slots must stay
+    // FlatIndexMap's across every growth.
+    FlatIndexMap flat;
+    PagedIndexMap paged;
+    bool fi = false, pi = false;
+    const std::uint64_t base = persistent_base >> 3;
+    constexpr std::uint64_t pages = 3000;
+    for (std::uint64_t page = 1; page <= pages; ++page) {
+        const std::uint64_t edge = base + page * PagedIndexMap::page_keys;
+        for (const std::uint64_t key :
+             {edge - 1, edge, base + (page % 7) * PagedIndexMap::page_keys,
+              edge + 1}) {
+            ASSERT_EQ(flat.findOrInsert(key, fi),
+                      paged.findOrInsert(key, pi))
+                << "page " << page << " key " << key;
+            ASSERT_EQ(fi, pi);
+        }
+    }
+    EXPECT_EQ(flat.size(), paged.size());
+    for (std::uint64_t page = 0; page <= pages + 1; ++page)
+        for (std::uint64_t at = 0; at < PagedIndexMap::page_keys; at += 31) {
+            const std::uint64_t key =
+                base + page * PagedIndexMap::page_keys + at;
+            EXPECT_EQ(flat.find(key), paged.find(key)) << key;
+        }
+}
+
 TEST(PagedIndexMap, MovedFromMapIsEmptyAndUsable)
 {
     // The source's last-page cache must not keep pointing into the

@@ -16,7 +16,13 @@
  *    16-bit thread column;
  *  - the program a trace keeps: one compile serves strict, epoch,
  *    strand and px86 bit-identically to fresh engines, and appending,
- *    copying into and moving a trace drop or carry it as documented.
+ *    copying into and moving a trace drop or carry it as documented;
+ *  - the compile itself: every column and fact equals a plain
+ *    unordered_map + push_back compile (tests/support/
+ *    compile_reference.hh) on the golden fixtures, on splitting
+ *    accesses and on flushes of lines no access touches, at the
+ *    shared t8/a64 program, px86 at 8-byte lines and strict at
+ *    64-byte blocks.
  *
  * The trace reader's truncation diagnostics (byte-offset reporting)
  * are covered here too: a .trc file is the input compileTrace
@@ -41,6 +47,7 @@
 #include "memtrace/trace_io.hh"
 #include "persistency/compiled_replay.hh"
 #include "tests/persistency/golden_support.hh"
+#include "tests/support/compile_reference.hh"
 #include "tests/support/trace_builder.hh"
 
 namespace persim::test {
@@ -186,6 +193,88 @@ TEST(CompiledCache, IneligibleConfigFailsNamingTheReason)
     what = errorOf(
         [&] { (void)compileTrace(events.data(), events.size(), px86); });
     EXPECT_NE(what.find("px86"), std::string::npos) << what;
+}
+
+// ---------------------------------------------------------------
+// The compile against its plain reference.
+// ---------------------------------------------------------------
+
+/** The program shapes the oracle covers: the shared t8/a64 program
+    (runtime shifts 3 and 6, the specialised body), px86 at 8-byte
+    lines and strict at 64-byte blocks (no line column, general
+    body). */
+std::vector<TimingConfig>
+oracleConfigs()
+{
+    TimingConfig shared;
+    shared.model = ModelConfig::px86();
+    TimingConfig px86_a8 = shared;
+    px86_a8.model.atomic_granularity = 8;
+    TimingConfig strict_64;
+    strict_64.model = ModelConfig::strict();
+    strict_64.model.tracking_granularity = 64;
+    strict_64.model.atomic_granularity = 64;
+    return {shared, px86_a8, strict_64};
+}
+
+void
+expectCompileMatchesReference(std::span<const TraceEvent> events,
+                              const std::string &what)
+{
+    for (const TimingConfig &config : oracleConfigs())
+        expectSameProgram(
+            compileTrace(events.data(), events.size(), config),
+            referenceCompile(events.data(), events.size(), config),
+            what + "/" + config.model.name() + "/a" +
+                std::to_string(config.model.atomic_granularity));
+}
+
+TEST(CompileOracle, GoldenFixtures)
+{
+    for (const std::string &name : goldenFixtureNames()) {
+        const std::vector<TraceEvent> events = loadGolden(name);
+        expectCompileMatchesReference(events, name);
+    }
+}
+
+TEST(CompileOracle, SplitsAndFlushesOfUntouchedLines)
+{
+    // Unaligned accesses of every size that cross a word (and, at the
+    // end of a line, a line and an index page), interleaved with
+    // flushes of lines that no access touches, barriers, fences,
+    // strands and op markers on three threads.
+    test::TraceBuilder builder;
+    const Addr page_end = persistent_base + 64 * 8 - 8; // Last word of a page.
+    for (unsigned size = 1; size <= 8; ++size) {
+        const ThreadId tid = size % 3;
+        builder.opBegin(tid, size);
+        builder.store(tid, persistent_base + 8 * size + 8 - size / 2 - 1,
+                      size, size);
+        builder.load(tid, page_end + 8 - size / 2 - 1, size);
+        builder.rmw(tid, volatile_base + 61 + size, size, size);
+        builder.clwb(tid, persistent_base + 4096 * size); // Untouched.
+        builder.clflush(tid, page_end);
+        builder.store(tid, page_end + 5, size, size);
+        builder.clflushopt(tid, page_end + 8);
+        builder.sfence(tid);
+        builder.barrier(tid);
+        builder.strand(tid);
+        builder.opEnd(tid, size);
+    }
+    const InMemoryTrace &trace = builder.trace();
+    expectCompileMatchesReference(trace.events(), "splits");
+
+    // The splits really happened: more pieces than accesses.
+    const CompiledTrace program = compileTrace(
+        trace.events().data(), trace.size(), oracleConfigs()[0]);
+    std::uint64_t accesses = 0, pieces = 0;
+    for (const TraceEvent &event : trace.events())
+        accesses += event.isAccess() ? 1 : 0;
+    for (std::size_t r = 0; r < program.run_kind.size(); ++r)
+        if (program.run_kind[r] ==
+            static_cast<std::uint8_t>(CompiledOp::Piece))
+            pieces += program.run_len[r];
+    EXPECT_GT(pieces, accesses);
 }
 
 // ---------------------------------------------------------------

@@ -157,6 +157,22 @@ TEST(Sink, InMemoryTraceTracksThreadCount)
     EXPECT_FALSE(trace.empty());
 }
 
+TEST(Sink, ThreadCountDoesNotWrapAtTheLastId)
+{
+    // Thread id 0xffffffff counts 2^32 threads; in 32 bits its + 1
+    // wrapped to 0 and a trace with threads 5 and 0xffffffff read 6.
+    TraceEvent events[2];
+    events[0].thread = 5;
+    events[1].thread = 0xffffffffu;
+    InMemoryTrace one_by_one;
+    one_by_one.onEvent(events[0]);
+    one_by_one.onEvent(events[1]);
+    EXPECT_EQ(one_by_one.threadCount(), std::uint64_t{1} << 32);
+    InMemoryTrace batched;
+    batched.onBatch(events, 2);
+    EXPECT_EQ(batched.threadCount(), std::uint64_t{1} << 32);
+}
+
 TEST(Sink, ReplayFeedsAnotherSink)
 {
     test::TraceBuilder builder;
@@ -427,6 +443,41 @@ TEST(TraceIo, WriterAsSinkIsStreamable)
     }
     const InMemoryTrace loaded = readTraceFile(path);
     EXPECT_EQ(loaded.size(), 2u);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, WriterRefusesAThreadCountPastItsHeader)
+{
+    // The header's thread count is 32-bit, so thread id 0xffffffff
+    // (count 2^32) cannot be recorded: the writer fails naming the id
+    // instead of writing a wrapped count, and the file it leaves holds
+    // only the batches before.
+    const std::string path = tempPath("last_thread");
+    {
+        TraceFileWriter writer(path);
+        test::TraceBuilder builder;
+        builder.store(5, paddr(0), 1);
+        writer.onBatch(builder.trace().events().data(),
+                       builder.trace().size());
+        TraceEvent last;
+        last.kind = EventKind::Store;
+        last.thread = 0xffffffffu;
+        last.addr = paddr(1);
+        last.size = 8;
+        try {
+            writer.onEvent(last);
+            ADD_FAILURE() << "thread id 0xffffffff was written";
+        } catch (const FatalError &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("thread id 4294967295"), std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(writer.eventsWritten(), 1u);
+        writer.onFinish();
+    }
+    const InMemoryTrace loaded = readTraceFile(path);
+    EXPECT_EQ(loaded.size(), 1u);
+    EXPECT_EQ(loaded.threadCount(), 6u);
     std::remove(path.c_str());
 }
 

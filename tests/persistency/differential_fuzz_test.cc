@@ -20,6 +20,10 @@
  *  - every consistent cut of every model's persist DAG satisfies the
  *    program's publish invariant (flag[t] <= data[t]).
  *
+ * Every program of both legs is also compiled and held to a plain
+ * reference compile (tests/support/compile_reference.hh), column for
+ * column, at the three program shapes.
+ *
  * Odd seeds also replay every trace through replayTrace
  * (persistency/compiled_replay.hh) under the plain Levels config:
  * strict, epoch and strand run the fast executor over the one program
@@ -57,6 +61,7 @@
 #include "recovery/cuts.hh"
 #include "recovery/recovery.hh"
 #include "sim/engine.hh"
+#include "tests/support/compile_reference.hh"
 #include "tests/support/race_reference.hh"
 
 using namespace persim;
@@ -187,6 +192,31 @@ struct FuzzStats
     std::uint64_t cut_budget_skips = 0;
 };
 
+/**
+ * compileTrace must build exactly the plain reference's columns
+ * (tests/support/compile_reference.hh) for @p trace: the shared
+ * t8/a64 program, px86 at 8-byte lines and strict at 64-byte blocks.
+ */
+void
+expectCompileMatchesReference(const InMemoryTrace &trace)
+{
+    TimingConfig shared;
+    shared.model = ModelConfig::px86();
+    TimingConfig px86_a8 = shared;
+    px86_a8.model.atomic_granularity = 8;
+    TimingConfig strict_64;
+    strict_64.model = ModelConfig::strict();
+    strict_64.model.tracking_granularity = 64;
+    strict_64.model.atomic_granularity = 64;
+    for (const TimingConfig &config : {shared, px86_a8, strict_64})
+        test::expectSameProgram(
+            compileTrace(trace.events().data(), trace.size(), config),
+            test::referenceCompile(trace.events().data(), trace.size(),
+                                   config),
+            "compile oracle " + config.model.name() + "/a" +
+                std::to_string(config.model.atomic_granularity));
+}
+
 /** Run one seed through the whole differential harness. */
 void
 checkSeed(std::uint64_t seed, FuzzStats &stats)
@@ -202,6 +232,8 @@ checkSeed(std::uint64_t seed, FuzzStats &stats)
     ExecutionEngine sim(engine_config, &trace);
     sim.runSetup(program.setup);
     sim.run(program.workers);
+
+    expectCompileMatchesReference(trace);
 
     // Odd seeds also run the fast compiled executor (asserted
     // bit-identical to the engine inside replayModel).
@@ -334,6 +366,7 @@ TEST(DifferentialFuzz, Px86FlushPrograms)
 
         const Replay px86 = replayModel(trace, ModelConfig::px86());
         const Replay strict = replayModel(trace, ModelConfig::strict());
+        expectCompileMatchesReference(trace);
 
         // The fast executor's px86 instantiation, without a line
         // column (8-byte lines) and with one (the preset's 64-byte
