@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the full test suite, then
+# Tier-1 verification: configure, build, run the full test suite (748
+# tests; the ASan stage below reruns the crash-image, cut-checker,
+# engine, compile and trace suites instrumented), then
 # smoke-test the bounded model checker with small budgets, diff the
 # px86 conformance report against its golden copy, run the analysis
 # stage (the engine's race detector + crash-state pruning tests, the
@@ -167,7 +169,9 @@ cmake --build build-asan -j \
 ./build-asan/tests/recovery_test
 # Crash images are built through an undo log that writes back through
 # the image's cached page pointer: run the cut checker's apply/rollback
-# walk and the builder-vs-reference oracle instrumented.
+# walk (the crash plan's groups applied through applyGroup, indexed by
+# the DAG's flat predecessor lists) and the builder-vs-reference
+# oracle instrumented.
 ./build-asan/tests/cuts_test
 ./build-asan/tests/crash_image_test
 ./build-asan/tests/log_test
@@ -192,13 +196,17 @@ PERSIM_GOLDEN_DIR=tests/persistency/golden \
 # storage when they grow, so a bank reference held across a slot
 # insert is a use-after-free: run the engine suites instrumented —
 # unified and separate line banks, px86 dirty lists and flushes, the
-# frozen golden outputs, and the explorer's record_deps dep-set pool.
+# frozen golden outputs, the explorer's record_deps dep-set pool, the
+# persist log the engine appends to directly, and thread ids 65,536
+# and 0xffffffff, which the thread table must refuse without growing.
 ./build-asan/tests/timing_engine_test
 ./build-asan/tests/px86_test
 PERSIM_GOLDEN_DIR=tests/persistency/golden \
     ./build-asan/tests/golden_replay_test
 ./build-asan/tests/explore_test
-# InMemoryTrace is raw realloc'd storage: run its suite instrumented.
+# InMemoryTrace is raw realloc'd storage, and TraceStats sizes its
+# per-thread table from the ids it sees (it refuses 65,536 and
+# 0xffffffff): run their suite instrumented.
 ./build-asan/tests/memtrace_test
 # The KV recovery ladder parses checksummed buckets, journal records,
 # and deliberately bit-flipped images (the corruption fuzzer lives in

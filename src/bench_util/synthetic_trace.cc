@@ -5,6 +5,16 @@
 
 namespace persim {
 
+namespace {
+
+/** Persistent working set, in bytes from persistent_base. */
+constexpr std::uint64_t persistent_span = 1ULL << 16;
+
+/** Volatile working set, in bytes from volatile_base. */
+constexpr std::uint64_t volatile_span = 1ULL << 14;
+
+} // namespace
+
 InMemoryTrace
 buildSyntheticTrace(const SyntheticTraceConfig &config)
 {
@@ -29,37 +39,24 @@ buildSyntheticTrace(const SyntheticTraceConfig &config)
     };
 
     // Weights mirror a store-heavy workload (the regime the paper's
-    // queues live in) by default: ~45% persistent stores/RMWs, ~20%
-    // loads, ~20% volatile traffic, the rest ordering and marker
-    // events. volatile_pct reapportions the 82% access weight between
-    // the volatile and persistent blocks, keeping the intra-block
-    // store/RMW/load ratios; at the default 20 the thresholds land on
-    // the historical 40/45/62/74/82 cut points exactly, so the
-    // default stream is unchanged.
-    PERSIM_REQUIRE(config.volatile_pct <= 82,
-                   "volatile_pct must leave room for ordering events");
-    const std::uint64_t vol = config.volatile_pct;
-    const std::uint64_t per = 82 - vol;
-    const std::uint64_t p_store = per * 40 / 62;
-    const std::uint64_t p_rmw = p_store + per * 5 / 62;
-    const std::uint64_t v_store = per + vol * 12 / 20;
+    // queues live in): 40% persistent stores, 5% persistent RMWs, 17%
+    // persistent loads, 12% volatile stores, 8% volatile loads, the
+    // rest ordering and marker events.
     for (std::uint64_t i = 0; i < config.events; ++i) {
         const auto tid =
             static_cast<ThreadId>(rng.nextBounded(config.threads));
         const std::uint64_t pick = rng.nextBounded(100);
-        const Addr paddr =
-            persistent_base + rng.nextBounded(config.persistent_span);
-        const Addr vaddr =
-            volatile_base + rng.nextBounded(config.volatile_span);
+        const Addr paddr = persistent_base + rng.nextBounded(persistent_span);
+        const Addr vaddr = volatile_base + rng.nextBounded(volatile_span);
         const auto size =
             static_cast<unsigned>(1 + rng.nextBounded(max_access_size));
-        if (pick < p_store) {
+        if (pick < 40) {
             push(tid, EventKind::Store, paddr, size, rng.next());
-        } else if (pick < p_rmw) {
+        } else if (pick < 45) {
             push(tid, EventKind::Rmw, paddr, 8, rng.next());
-        } else if (pick < per) {
+        } else if (pick < 62) {
             push(tid, EventKind::Load, paddr, size, 0);
-        } else if (pick < v_store) {
+        } else if (pick < 74) {
             push(tid, EventKind::Store, vaddr, size, rng.next());
         } else if (pick < 82) {
             push(tid, EventKind::Load, vaddr, size, 0);

@@ -28,22 +28,6 @@ struct SyntheticTraceConfig
     std::uint64_t events = 1'000'000;
     std::uint32_t threads = 4;
     std::uint64_t seed = 2026;
-
-    /** Persistent working set, in bytes from persistent_base. */
-    std::uint64_t persistent_span = 1ULL << 16;
-
-    /** Volatile working set, in bytes from volatile_base. */
-    std::uint64_t volatile_span = 1ULL << 14;
-
-    /**
-     * Percentage of events that are volatile accesses (<= 82; the
-     * remaining access weight stays persistent and the 18% of
-     * ordering/marker events is fixed). The default reproduces the
-     * historical store-heavy mix bit for bit; large values model
-     * full-system traces where most traffic is volatile — the regime
-     * scope-filtered (BPFS) analyses care about.
-     */
-    std::uint64_t volatile_pct = 20;
 };
 
 /** Build the trace; deterministic given @p config. */

@@ -43,7 +43,9 @@ namespace persim {
 /** tslot sentinel: the op is not an access piece or a flush. */
 constexpr std::uint32_t compiled_no_slot = ~0u;
 
-/** Threads the u16 thread column can name (ids 0 to 65,535). */
+/** Threads the u16 thread column can name (ids 0 to 65,535): the one
+    ceiling of every per-thread table, so the engine and TraceStats
+    refuse the ids a compile refuses. */
 constexpr std::uint64_t compiled_max_threads = std::uint64_t{1} << 16;
 
 /** flags bit 0 of a piece: the micro-op is a write. */

@@ -2,14 +2,23 @@
 
 #include <sstream>
 
+#include "common/error.hh"
+#include "memtrace/compiled_trace.hh"
+
 namespace persim {
 
 void
 TraceStats::onEvent(const TraceEvent &event)
 {
+    if (event.thread >= per_thread_.size()) {
+        PERSIM_REQUIRE(event.thread < compiled_max_threads,
+                       "TraceStats: thread id "
+                           << event.thread << " is out of range; every "
+                              "replay accepts thread ids below "
+                           << compiled_max_threads);
+        per_thread_.resize(std::size_t{event.thread} + 1, 0);
+    }
     ++total_events_;
-    if (event.thread >= per_thread_.size())
-        per_thread_.resize(event.thread + 1, 0);
     ++per_thread_[event.thread];
 
     switch (event.kind) {

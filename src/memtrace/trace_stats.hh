@@ -13,7 +13,8 @@
 
 namespace persim {
 
-/** Counts events by kind, address space, and thread. */
+/** Counts events by kind, address space, and thread. A thread id of
+    compiled_max_threads or more is refused (FatalError naming it). */
 class TraceStats : public TraceSink
 {
   public:

@@ -8,36 +8,32 @@
 
 namespace persim {
 
-CoalescingGroups
-coalescingGroups(const PersistLog &log)
+CrashPlan::CrashPlan(const PersistLog &log, const FaultConfig &faults)
 {
-    CoalescingGroups out;
-    out.group_of_record.resize(log.size());
+    // Coalescing groups in founding order: a Coalesced record joins
+    // the group of the member it merged behind, any other founds one.
+    group.resize(log.size());
+    std::vector<std::uint32_t> founders;
     for (std::size_t i = 0; i < log.size(); ++i) {
         const PersistRecord &record = log[i];
         PERSIM_REQUIRE(record.id == i, "persist log ids must be dense");
         if (record.binding_source == DepSource::Coalesced) {
             PERSIM_REQUIRE(record.binding < i,
                            "coalesced record binds forward");
-            out.group_of_record[i] = out.group_of_record[record.binding];
+            group[i] = group[record.binding];
         } else {
-            out.group_of_record[i] =
-                static_cast<std::uint32_t>(out.founder.size());
-            out.founder.push_back(static_cast<std::uint32_t>(i));
+            group[i] = static_cast<std::uint32_t>(founders.size());
+            founders.push_back(static_cast<std::uint32_t>(i));
         }
     }
-    return out;
-}
 
-CrashPlan::CrashPlan(const PersistLog &log, const FaultConfig &faults)
-    : log(log)
-{
-    const CoalescingGroups groups = coalescingGroups(log);
-    const std::size_t n = groups.founder.size();
-    // Plan order: completion time, then founding record (= group id).
+    // Plan order: completion time, then founding record (= founding
+    // order). Constraint edges strictly increase completion time, so
+    // this order is also topological for the persist DAG.
+    const std::size_t n = founders.size();
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0);
-    auto done = [&](std::uint32_t g) { return log[groups.founder[g]].time; };
+    auto done = [&](std::uint32_t g) { return log[founders[g]].time; };
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                   return done(a) != done(b) ? done(a) < done(b) : a < b;
@@ -49,8 +45,10 @@ CrashPlan::CrashPlan(const PersistLog &log, const FaultConfig &faults)
         pos[order[k]] = k;
         issue[k] = done(order[k]);
     }
-    for (const std::uint32_t g : groups.group_of_record)
-        ++begin[pos[g] + 1];
+    for (std::uint32_t &g : group) {
+        g = pos[g];
+        ++begin[g + 1];
+    }
     std::partial_sum(begin.begin(), begin.end(), begin.begin());
     members.resize(log.size());
     std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
@@ -61,7 +59,7 @@ CrashPlan::CrashPlan(const PersistLog &log, const FaultConfig &faults)
     std::vector<std::uint32_t> last_writer;
     for (std::uint32_t i = 0; i < log.size(); ++i) {
         const PersistRecord &record = log[i];
-        const std::uint32_t at = pos[groups.group_of_record[i]];
+        const std::uint32_t at = group[i];
         members[fill[at]++] = i;
         for (Addr word = record.addr / 8;
              word <= (record.addr + record.size - 1) / 8; ++word) {
@@ -70,7 +68,7 @@ CrashPlan::CrashPlan(const PersistLog &log, const FaultConfig &faults)
             if (inserted)
                 last_writer.push_back(i);
             const std::uint32_t prev = last_writer[slot];
-            PERSIM_REQUIRE(pos[groups.group_of_record[prev]] <= at,
+            PERSIM_REQUIRE(group[prev] <= at,
                            "persist log order disagrees with completion "
                            "order at word 0x"
                                << std::hex << word * 8 << std::dec
@@ -113,15 +111,16 @@ CrashImageBuilder::rollback(std::size_t mark)
 void
 CrashImageBuilder::applyGroup(std::size_t k)
 {
-    const CrashPlan &p = plan();
-    for (std::uint32_t m = p.begin[k]; m < p.begin[k + 1]; ++m)
-        apply(p.log[p.members[m]]);
+    const PersistLog &records = log();
+    for (const std::uint32_t i : plan().membersOf(k))
+        apply(records[i]);
 }
 
 void
 CrashImageBuilder::advanceTo(double crash_time)
 {
     const CrashPlan &p = plan();
+    const PersistLog &records = log();
     PERSIM_REQUIRE(undo_.empty() && crash_time >= time_,
                    "crash image advanced backwards or with writes "
                    "outstanding");
@@ -130,9 +129,8 @@ CrashImageBuilder::advanceTo(double crash_time)
         std::upper_bound(p.drained.begin(), p.drained.end(), crash_time) -
         p.drained.begin());
     for (; drained_ < end; ++drained_) {
-        for (std::uint32_t m = p.begin[drained_];
-             m < p.begin[drained_ + 1]; ++m) {
-            const PersistRecord &record = p.log[p.members[m]];
+        for (const std::uint32_t i : p.membersOf(drained_)) {
+            const PersistRecord &record = records[i];
             image_.store(record.addr, record.size, record.value);
         }
     }
@@ -140,10 +138,10 @@ CrashImageBuilder::advanceTo(double crash_time)
     // In flight: started, not complete (and never again, as T grows).
     const std::size_t started = started_;
     while (started_ < p.by_start.size() &&
-           p.log[p.by_start[started_]].start <= crash_time)
+           records[p.by_start[started_]].start <= crash_time)
         in_flight_.push_back(p.by_start[started_++]);
     std::erase_if(in_flight_, [&](std::uint32_t i) {
-        return p.log[i].time <= crash_time;
+        return records[i].time <= crash_time;
     });
     if (started_ != started)
         std::sort(in_flight_.begin(), in_flight_.end());

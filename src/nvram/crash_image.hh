@@ -1,13 +1,16 @@
 /**
  * @file
  * The crash-image builder (DESIGN.md Section 10): a running
- * MemoryImage plus an undo log. The cut checker backtracks on it;
- * crash-time sampling walks a CrashPlan's crash times in ascending
- * order, growing a base image by the device writes drained in between
- * and putting each sample's faults on top, undo-logged. CrashPlan
- * fails loudly on a log whose per-word log order disagrees with its
- * (completion time, founder) order, the one order in which both agree
- * with the observer's log-order definition.
+ * MemoryImage plus an undo log, and the CrashPlan it walks. The plan
+ * is the one group table of a persist log: its coalescing groups in
+ * (completion time, founder) order, which the cut checker's persist
+ * DAG and the fault campaigns share. The cut checker backtracks on
+ * the builder; crash-time sampling walks a plan's crash times in
+ * ascending order, growing a base image by the device writes drained
+ * in between and putting each sample's faults on top, undo-logged.
+ * CrashPlan fails loudly on a log whose per-word log order disagrees
+ * with its (completion time, founder) order, the one order in which
+ * both agree with the observer's log-order definition.
  */
 
 #ifndef PERSIM_NVRAM_CRASH_IMAGE_HH
@@ -15,6 +18,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.hh"
@@ -25,34 +29,39 @@
 namespace persim {
 
 /**
- * Coalescing groups (persists merged into one atomic device write),
- * numbered in founding order: a Coalesced record joins its binding's
- * group, any other record founds one. Requires dense ids and backward
- * coalescing bindings.
+ * What crash images of one log share, whatever the crash time. Groups
+ * are the coalescing groups (persists merged into one atomic device
+ * write: a Coalesced record joins its binding's group, any other
+ * record founds one), numbered in plan order: completion time, then
+ * founding record. Requires dense ids and backward coalescing
+ * bindings. The plan keeps no reference to the log, so it may outlive
+ * or move apart from it; a builder is given both.
  */
-struct CoalescingGroups
-{
-    std::vector<std::uint32_t> group_of_record;
-    std::vector<std::uint32_t> founder; //!< Lowest record of each group.
-};
-
-CoalescingGroups coalescingGroups(const PersistLog &log);
-
-/** What crash images of one log share, whatever the crash time. The
-    log must outlive the plan. */
 struct CrashPlan
 {
+    /** A plan of no groups. */
+    CrashPlan() = default;
+
     CrashPlan(const PersistLog &log, const FaultConfig &faults);
+
+    std::size_t groupCount() const { return issue.size(); }
 
     /** Log index of the founding record of group @p k. */
     std::uint32_t founder(std::size_t k) const { return members[begin[k]]; }
 
-    const PersistLog &log;
+    /** Log indexes of the records of group @p k, in log order. */
+    std::span<const std::uint32_t>
+    membersOf(std::size_t k) const
+    {
+        return {members.data() + begin[k], members.data() + begin[k + 1]};
+    }
 
-    /** Records of group k (plan order) are members[begin[k],
-        begin[k + 1]), in log order. */
+    /** Records of group k are members[begin[k], begin[k + 1]). */
     std::vector<std::uint32_t> members;
-    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> begin{0};
+
+    /** Group of each log record. */
+    std::vector<std::uint32_t> group;
 
     /** Completion time of each group: when it enters the drain buffer. */
     std::vector<double> issue;
@@ -78,8 +87,13 @@ class CrashImageBuilder
     /** A builder for free-form writes. */
     CrashImageBuilder() = default;
 
-    /** A builder that walks @p plan's crash times in ascending order. */
-    explicit CrashImageBuilder(const CrashPlan &plan) : plan_(&plan) {}
+    /** A builder that applies @p plan's groups of @p log, the log the
+        plan was built from, and walks its crash times in ascending
+        order. Both must outlive the builder. */
+    CrashImageBuilder(const PersistLog &log, const CrashPlan &plan)
+        : log_(&log), plan_(&plan)
+    {
+    }
 
     const MemoryImage &image() const { return image_; }
 
@@ -88,6 +102,14 @@ class CrashImageBuilder
     {
         PERSIM_REQUIRE(plan_ != nullptr, "crash image builder has no plan");
         return *plan_;
+    }
+
+    /** The log of the plan's records. */
+    const PersistLog &
+    log() const
+    {
+        PERSIM_REQUIRE(log_ != nullptr, "crash image builder has no plan");
+        return *log_;
     }
 
     /** The image as it stands; the undo log is discarded. */
@@ -129,6 +151,7 @@ class CrashImageBuilder
         std::uint64_t old_value;
     };
 
+    const PersistLog *log_ = nullptr;
     const CrashPlan *plan_ = nullptr;
     MemoryImage image_;
     std::vector<UndoEntry> undo_;

@@ -168,6 +168,7 @@ FaultModel::perturb(CrashImageBuilder &builder, double crash_time,
                     std::uint64_t fault_seed, FaultOutcome *outcome) const
 {
     const CrashPlan &plan = builder.plan();
+    const PersistLog &log = builder.log();
     auto record = [outcome](const FaultInjection &injection) {
         if (outcome)
             outcome->record(injection);
@@ -187,8 +188,8 @@ FaultModel::perturb(CrashImageBuilder &builder, double crash_time,
             }
             FaultInjection injection;
             injection.kind = FaultInjection::Kind::DroppedDrain;
-            injection.persist = plan.log[plan.founder(k)].id;
-            injection.addr = plan.log[plan.founder(k)].addr;
+            injection.persist = log[plan.founder(k)].id;
+            injection.addr = log[plan.founder(k)].addr;
             record(injection);
         }
     }
@@ -197,7 +198,7 @@ FaultModel::perturb(CrashImageBuilder &builder, double crash_time,
     // atomic unit lands independently, from a per-record stream, so
     // the outcome does not depend on which other records exist.
     for (const std::uint32_t i : builder.inFlight()) {
-        const PersistRecord &piece = plan.log[i];
+        const PersistRecord &piece = log[i];
         Rng rng(mixSeed(mixSeed(fault_seed, tear_salt), piece.id));
         const std::uint64_t unit = config_.atomic_write_unit;
         const Addr end = piece.addr + piece.size;
@@ -256,7 +257,7 @@ FaultModel::crashImage(const PersistLog &log, double crash_time,
                        FaultOutcome *outcome) const
 {
     const CrashPlan plan(log, config_);
-    CrashImageBuilder builder(plan);
+    CrashImageBuilder builder(log, plan);
     builder.advanceTo(crash_time);
     perturb(builder, crash_time, fault_seed, outcome);
     return builder.take();

@@ -647,12 +647,12 @@ compileTrace(const TraceEvent *events, std::size_t count,
                                        "replay this trace through "
                                        "the engine");
     PERSIM_REQUIRE(out.thread_count <= compiled_max_threads,
-                   "compileTrace: thread id " << out.thread_count - 1
-                                              << " does not fit the "
-                                                 "compiled trace's "
-                                                 "16-bit thread column; "
-                                                 "replay this trace "
-                                                 "through the engine");
+                   "compileTrace: thread id "
+                       << out.thread_count - 1
+                       << " does not fit the compiled trace's 16-bit "
+                          "thread column; every replay accepts thread "
+                          "ids below "
+                       << compiled_max_threads);
     return out;
 }
 

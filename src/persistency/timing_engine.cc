@@ -5,6 +5,7 @@
 
 #include "common/bitops.hh"
 #include "common/error.hh"
+#include "memtrace/compiled_trace.hh"
 
 namespace persim {
 
@@ -372,22 +373,23 @@ PersistTimingEngine::persistPieceAt(SeqNum seq, ThreadId tid,
     result_.critical_path = std::max(result_.critical_path, time);
 
     if (config_.record_log) {
-        if (stage_count_ == stage_capacity)
-            flushStage();
-        StagedRecord &staged = stage_[stage_count_++];
-        staged.id = id;
-        staged.seq = seq;
-        staged.addr = addr;
-        staged.value = value;
-        staged.time = time;
-        staged.start = start;
-        staged.op = thread.op;
-        staged.binding = binding;
-        staged.thread = tid;
-        staged.deps = record_ref;
-        staged.role = thread.role;
-        staged.binding_source = binding_source;
-        staged.size = static_cast<std::uint8_t>(size);
+        PersistRecord &record = log_.emplace_back();
+        record.id = id;
+        record.seq = seq;
+        record.addr = addr;
+        record.size = static_cast<std::uint8_t>(size);
+        record.value = value;
+        record.time = time;
+        record.start = start;
+        record.thread = tid;
+        record.op = thread.op;
+        record.role = thread.role;
+        record.binding = binding;
+        record.binding_source = binding_source;
+        if (record_ref != 0)
+            record.deps.assign(deps_.data(record_ref),
+                               deps_.data(record_ref) +
+                                   deps_.size(record_ref));
     }
 }
 
@@ -783,37 +785,14 @@ PersistTimingEngine::handlePiece(const TraceEvent &event,
 }
 
 void
-PersistTimingEngine::flushStage() const
+PersistTimingEngine::addThreads(ThreadId tid)
 {
-    if (stage_count_ == 0)
-        return;
-    // Grow geometrically: reserve(size + batch) on every flush pins
-    // capacity to exactly that, reallocating the whole log every 256
-    // records — O(persists^2) record moves on big traces.
-    if (log_.capacity() < log_.size() + stage_count_)
-        log_.reserve(std::max(log_.size() + stage_count_,
-                              2 * log_.capacity()));
-    for (std::size_t i = 0; i < stage_count_; ++i) {
-        const StagedRecord &staged = stage_[i];
-        PersistRecord &record = log_.emplace_back();
-        record.id = staged.id;
-        record.seq = staged.seq;
-        record.addr = staged.addr;
-        record.size = staged.size;
-        record.value = staged.value;
-        record.time = staged.time;
-        record.start = staged.start;
-        record.thread = staged.thread;
-        record.op = staged.op;
-        record.role = staged.role;
-        record.binding = staged.binding;
-        record.binding_source = staged.binding_source;
-        if (staged.deps != 0)
-            record.deps.assign(deps_.data(staged.deps),
-                               deps_.data(staged.deps) +
-                                   deps_.size(staged.deps));
-    }
-    stage_count_ = 0;
+    PERSIM_REQUIRE(tid < compiled_max_threads,
+                   "persist timing engine: thread id "
+                       << tid << " is out of range; every replay "
+                          "accepts thread ids below "
+                       << compiled_max_threads);
+    threads_.resize(std::size_t{tid} + 1);
 }
 
 void
@@ -829,7 +808,6 @@ PersistTimingEngine::onFinish()
                  idx != no_piece; idx = px86_pieces_[idx].next)
                 ++result_.unflushed;
     }
-    flushStage();
 }
 
 } // namespace persim

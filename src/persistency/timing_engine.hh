@@ -43,9 +43,9 @@
  * index and each persist piece costs a single index lookup.
  * Dependence-id sets (record_deps only) live in a DepSetPool of
  * offset-addressed spans referenced by 32-bit handles instead of
- * shared_ptr-counted vectors. Log records are staged in a fixed POD
- * buffer and appended to the PersistLog in batches. All of this is
- * bit-identical to the original scalar formulation — asserted by
+ * shared_ptr-counted vectors, and log records are appended straight
+ * to the PersistLog. All of this is bit-identical to the original
+ * scalar formulation — asserted by
  * tests/persistency/golden_replay_test.cc against frozen
  * pre-refactor outputs.
  */
@@ -54,7 +54,6 @@
 #define PERSIM_PERSISTENCY_TIMING_ENGINE_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -252,18 +251,10 @@ class PersistTimingEngine : public TraceSink
     }
 
     /** The persist log; empty unless record_log was set. */
-    const PersistLog &log() const
-    {
-        flushStage();
-        return log_;
-    }
+    const PersistLog &log() const { return log_; }
 
     /** Move the log out (for handing to recovery analyses). */
-    PersistLog takeLog()
-    {
-        flushStage();
-        return std::move(log_);
-    }
+    PersistLog takeLog() { return std::move(log_); }
 
     /**
      * Bytes held by the per-block state: every SoA bank, the
@@ -382,26 +373,6 @@ class PersistTimingEngine : public TraceSink
         std::vector<std::uint32_t> dirty_lines;
     };
 
-    /** One staged (not yet published) persist-log record, POD. */
-    struct StagedRecord
-    {
-        PersistId id;
-        SeqNum seq;
-        Addr addr;
-        std::uint64_t value;
-        double time;
-        double start;
-        std::uint64_t op;
-        PersistId binding;
-        ThreadId thread;
-        DepSetRef deps;
-        PersistRole role;
-        DepSource binding_source;
-        std::uint8_t size;
-    };
-
-    static constexpr std::size_t stage_capacity = 256;
-
     /**
      * Merge dependence summary @p cand into @p dst in place: the
      * result's top group is the later of the two (first wins ties
@@ -468,9 +439,13 @@ class PersistTimingEngine : public TraceSink
     ThreadState &threadState(ThreadId tid)
     {
         if (tid >= threads_.size())
-            threads_.resize(tid + 1);
+            addThreads(tid);
         return threads_[tid];
     }
+
+    /** Grow the thread table to hold @p tid; fatals, naming it, past
+        compiled_max_threads. */
+    void addThreads(ThreadId tid);
 
     /** Non-virtual event dispatch shared by onEvent and onBatch. */
     void process(const TraceEvent &event);
@@ -575,9 +550,6 @@ class PersistTimingEngine : public TraceSink
     void px86Barrier(SeqNum seq, ThreadId tid, ThreadState &thread);
 
     ///@}
-
-    /** Publish staged records into log_ (const: called from log()). */
-    void flushStage() const;
 
     TimingConfig config_;
     TimingResult result_;
@@ -684,9 +656,7 @@ class PersistTimingEngine : public TraceSink
     DepSetPool deps_;
     std::vector<ThreadState> threads_;
 
-    mutable PersistLog log_;
-    mutable std::array<StagedRecord, stage_capacity> stage_;
-    mutable std::size_t stage_count_ = 0;
+    PersistLog log_;
 
     std::vector<RaceSample> race_samples_;
     PersistId next_persist_id_ = 0;

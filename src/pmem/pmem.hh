@@ -2,18 +2,15 @@
  * @file
  * Persistent-memory programming conveniences.
  *
- * These helpers make recoverable data structures written against the
- * traced memory API readable: bounded persistent buffers, and a root
- * directory so that recovery code can find structures after a
- * simulated failure.
+ * Bounded persistent buffers make recoverable data structures written
+ * against the traced memory API readable.
  */
 
 #ifndef PERSIM_PMEM_PMEM_HH
 #define PERSIM_PMEM_PMEM_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <cstddef>
 
 #include "common/error.hh"
 #include "memtrace/event.hh"
@@ -63,30 +60,6 @@ class PBuffer
   private:
     Addr base_;
     std::uint64_t size_;
-};
-
-/**
- * Maps names to the persistent addresses of long-lived structures,
- * so recovery code can locate them after a failure. Persim keeps this
- * directory out-of-band (host-side): durable naming is an orthogonal
- * OS/runtime concern the paper also leaves aside.
- */
-class RootDirectory
-{
-  public:
-    /** Register or update a named root. */
-    void set(const std::string &name, Addr addr);
-
-    /** Look up a named root; fatals when missing. */
-    Addr get(const std::string &name) const;
-
-    /** True iff a root with this name exists. */
-    bool has(const std::string &name) const;
-
-    const std::map<std::string, Addr> &all() const { return roots_; }
-
-  private:
-    std::map<std::string, Addr> roots_;
 };
 
 } // namespace persim

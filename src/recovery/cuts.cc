@@ -1,82 +1,46 @@
 #include "recovery/cuts.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "common/error.hh"
-#include "nvram/crash_image.hh"
 
 namespace persim {
 
 PersistDag
 buildPersistDag(const PersistLog &log)
 {
-    // Pass 1: group membership, shared with the crash-image planner.
-    // A record either founds a new group or (Coalesced binding) joins
-    // the group of the member it merged behind.
-    CoalescingGroups grouping = coalescingGroups(log);
     PersistDag dag;
-    dag.groups.resize(grouping.founder.size());
-    for (std::size_t g = 0; g < dag.groups.size(); ++g) {
-        const PersistRecord &founder = log[grouping.founder[g]];
+    dag.plan = CrashPlan(log, FaultConfig{});
+    const CrashPlan &plan = dag.plan;
+    // Every dependence outside a record's own group is a direct
+    // predecessor of the group.
+    for (std::uint32_t k = 0; k < dag.groupCount(); ++k) {
+        const PersistRecord &founder = log[plan.founder(k)];
         PERSIM_REQUIRE(founder.binding == invalid_persist ||
                        !founder.deps.empty(),
                        "persist log lacks dependence sets: record "
                        "the trace with TimingConfig::record_deps");
-        dag.groups[g].time = founder.time;
-    }
-    for (std::size_t i = 0; i < log.size(); ++i)
-        dag.groups[grouping.group_of_record[i]].records.push_back(i);
-    dag.group_of_record = std::move(grouping.group_of_record);
-    const std::vector<std::uint32_t> &founder_record = grouping.founder;
-
-    // Pass 2: edges. Every dependence outside the record's own group
-    // is a direct predecessor of the group.
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        const std::uint32_t g = dag.group_of_record[i];
-        for (const PersistId d : log[i].deps) {
-            PERSIM_REQUIRE(d < i, "dependence on a later persist");
-            const std::uint32_t pg = dag.group_of_record[d];
-            if (pg != g)
-                dag.groups[g].preds.push_back(pg);
+        const std::size_t first = dag.preds.size();
+        for (const std::uint32_t i : plan.membersOf(k)) {
+            for (const PersistId d : log[i].deps) {
+                PERSIM_REQUIRE(d < i, "dependence on a later persist");
+                const std::uint32_t pg = plan.group[d];
+                if (pg == k)
+                    continue;
+                PERSIM_ASSERT(pg < k,
+                              "constraint edge does not increase time");
+                dag.preds.push_back(pg);
+            }
         }
+        std::sort(dag.preds.begin() + first, dag.preds.end());
+        dag.preds.erase(
+            std::unique(dag.preds.begin() + first, dag.preds.end()),
+            dag.preds.end());
+        dag.pred_begin.push_back(
+            static_cast<std::uint32_t>(dag.preds.size()));
     }
-
-    // Pass 3: topological renumbering by (time, founder). Constraint
-    // edges strictly increase completion time, so this order is
-    // topological; ties (unordered groups) break by founding record.
-    std::vector<std::uint32_t> order(dag.groups.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  if (dag.groups[a].time != dag.groups[b].time)
-                      return dag.groups[a].time < dag.groups[b].time;
-                  return founder_record[a] < founder_record[b];
-              });
-    std::vector<std::uint32_t> new_id(dag.groups.size());
-    for (std::uint32_t pos = 0; pos < order.size(); ++pos)
-        new_id[order[pos]] = pos;
-
-    PersistDag sorted;
-    sorted.group_of_record.resize(log.size());
-    sorted.groups.resize(dag.groups.size());
-    for (std::size_t i = 0; i < log.size(); ++i)
-        sorted.group_of_record[i] = new_id[dag.group_of_record[i]];
-    for (std::uint32_t old = 0; old < dag.groups.size(); ++old) {
-        PersistDag::Group &group = sorted.groups[new_id[old]];
-        group = std::move(dag.groups[old]);
-        for (std::uint32_t &pred : group.preds) {
-            pred = new_id[pred];
-            PERSIM_ASSERT(pred < new_id[old],
-                          "constraint edge does not increase time");
-        }
-        std::sort(group.preds.begin(), group.preds.end());
-        group.preds.erase(
-            std::unique(group.preds.begin(), group.preds.end()),
-            group.preds.end());
-    }
-    return sorted;
+    return dag;
 }
 
 namespace {
@@ -115,7 +79,7 @@ enumerateCuts(const PersistLog &log, const PersistDag &dag,
     std::vector<std::uint32_t> above_begin{0};  // above[begin[g], begin[g+1]).
     for (std::uint32_t g = 0; g < n; ++g) {
         const std::size_t first = above.size();
-        for (const std::uint32_t p : dag.groups[g].preds) {
+        for (const std::uint32_t p : dag.predsOf(g)) {
             if (mask[p])
                 above.push_back(position[p]);
             else
@@ -137,7 +101,7 @@ enumerateCuts(const PersistLog &log, const PersistDag &dag,
     // respecting the order is one state. Apply on include and rollback
     // on backtrack make C states cost O(C + total writes).
     CutCheckResult result;
-    CrashImageBuilder image;
+    CrashImageBuilder image(log, dag.plan);
     std::vector<char> included(selected.size(), 0);
     std::vector<std::uint32_t> chosen;
     bool stop = false;
@@ -172,8 +136,7 @@ enumerateCuts(const PersistLog &log, const PersistDag &dag,
                                  }))
             return;
         const std::size_t mark = image.mark();
-        for (const std::size_t r : dag.groups[g].records)
-            image.apply(log[r]);
+        image.applyGroup(g);
         included[j] = 1;
         chosen.push_back(g);
         self(self, j + 1);
@@ -203,7 +166,7 @@ observedGroupMask(const PersistLog &log, const PersistDag &dag,
     std::vector<char> mask(dag.groupCount(), 0);
     for (std::size_t i = 0; i < log.size(); ++i)
         if (overlapsAny(log[i], observed))
-            mask[dag.group_of_record[i]] = 1;
+            mask[dag.plan.group[i]] = 1;
     return mask;
 }
 
@@ -222,7 +185,7 @@ downwardClosure(const PersistDag &dag,
          g-- > 0;) {
         if (!included[g])
             continue;
-        for (const std::uint32_t p : dag.groups[g].preds)
+        for (const std::uint32_t p : dag.predsOf(g))
             included[p] = 1;
     }
     std::vector<std::uint32_t> closure;
@@ -293,12 +256,12 @@ reconstructImageFromGroups(const PersistLog &log, const PersistDag &dag,
         PERSIM_REQUIRE(g < dag.groupCount(), "cut names unknown group");
         included[g] = 1;
     }
-    CrashImageBuilder image;
-    // Log order is trace order, which strong persist atomicity keeps
-    // consistent with completion-time order per word.
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        if (included[dag.group_of_record[i]])
-            image.apply(log[i]);
+    // The plan refused any log whose per-word log order disagrees with
+    // plan order, so this is the observer's log-order image.
+    CrashImageBuilder image(log, dag.plan);
+    for (std::uint32_t g = 0; g < dag.groupCount(); ++g) {
+        if (included[g])
+            image.applyGroup(g);
     }
     return image.take();
 }
@@ -320,7 +283,7 @@ minimizeViolatingCut(const PersistLog &log, const PersistDag &dag,
         for (std::uint32_t g = 0; g < dag.groupCount(); ++g) {
             if (!included[g])
                 continue;
-            for (const std::uint32_t p : dag.groups[g].preds)
+            for (const std::uint32_t p : dag.predsOf(g))
                 ++succ_count[p];
         }
     };
@@ -366,7 +329,7 @@ formatCut(const PersistLog &log, const PersistDag &dag,
         << " atomic persist groups in the crash state:\n";
     std::size_t lines = 0;
     for (const std::uint32_t g : groups) {
-        for (const std::size_t i : dag.groups[g].records) {
+        for (const std::uint32_t i : dag.plan.membersOf(g)) {
             const PersistRecord &record = log[i];
             if (++lines > 64) {
                 oss << "  ... (" << groups.size() << " groups total)\n";

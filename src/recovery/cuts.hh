@@ -27,10 +27,12 @@
 #define PERSIM_RECOVERY_CUTS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "memtrace/sink.hh"
+#include "nvram/crash_image.hh"
 #include "persistency/persist_log.hh"
 #include "persistency/timing_engine.hh"
 #include "recovery/recovery.hh"
@@ -38,36 +40,36 @@
 
 namespace persim {
 
-/** The persist partial order, quotiented by coalescing groups. */
+/**
+ * The persist partial order, quotiented by coalescing groups. The
+ * groups, their members and their (completion time, founder) order
+ * are the crash plan's (nvram/crash_image.hh), whose numbering is
+ * topological here; the DAG adds each group's direct predecessors.
+ */
 struct PersistDag
 {
-    /** One atomic unit: a coalescing group of log records. */
-    struct Group
+    CrashPlan plan;
+
+    /** Direct predecessor groups of group k, ascending and
+        deduplicated: preds[pred_begin[k], pred_begin[k + 1]). */
+    std::vector<std::uint32_t> pred_begin{0};
+    std::vector<std::uint32_t> preds;
+
+    std::size_t groupCount() const { return plan.groupCount(); }
+
+    std::span<const std::uint32_t>
+    predsOf(std::size_t k) const
     {
-        /** Member record indices, in log (trace) order. */
-        std::vector<std::size_t> records;
-
-        /** Direct predecessor groups (deduplicated). */
-        std::vector<std::uint32_t> preds;
-
-        /** Completion time shared by every member. */
-        double time = 0.0;
-    };
-
-    /** Groups indexed by id, topologically sorted (time, founder). */
-    std::vector<Group> groups;
-
-    /** Group id of each log record. */
-    std::vector<std::uint32_t> group_of_record;
-
-    std::size_t groupCount() const { return groups.size(); }
+        return {preds.data() + pred_begin[k], preds.data() + pred_begin[k + 1]};
+    }
 };
 
 /**
  * Build the group DAG of @p log. Requires the log to have been
  * recorded with TimingConfig::record_deps (fatals when a multi-record
  * log carries no dependence sets yet binds records, i.e. the flag was
- * off).
+ * off), and fatals, as CrashPlan does, naming the word, when the
+ * records writing one word are not in completion order in the log.
  */
 PersistDag buildPersistDag(const PersistLog &log);
 
@@ -156,7 +158,8 @@ struct CrashStateCheck
     /** The replay's result (race counts with detect_races). */
     TimingResult timing;
 
-    /** Group DAG of `log`; empty when short_circuited. */
+    /** Group DAG of `log`; empty when short_circuited. It holds no
+        reference into `log`, so the check moves as one value. */
     PersistDag dag;
 
     CutCheckResult cuts;
@@ -184,9 +187,9 @@ CrashStateCheck checkCrashStates(const InMemoryTrace &trace,
                                  std::uint64_t max_cuts);
 
 /**
- * Reconstruct the persistent image of one cut: apply the records of
- * every group in @p groups in log order. @p groups must be downward
- * closed for the result to be an observable crash state.
+ * Reconstruct the persistent image of one cut: apply every group in
+ * @p groups in plan order. @p groups must be downward closed for the
+ * result to be an observable crash state.
  */
 MemoryImage reconstructImageFromGroups(
     const PersistLog &log, const PersistDag &dag,

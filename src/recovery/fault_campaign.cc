@@ -47,7 +47,7 @@ runSamples(const FaultModel &model, const RecoveryInvariant &invariant,
               });
 
     const CrashPlan plan(log, model.config());
-    CrashImageBuilder builder(plan);
+    CrashImageBuilder builder(log, plan);
     RealizationResult out;
     std::vector<ViolationRecord> found(crash_times.size());
     for (const std::uint32_t c : order) {

@@ -95,7 +95,7 @@ TEST(ObservedCuts, DownwardClosureOfDiamondTop)
     // The sink depends on everything: its closure is the full set.
     std::uint32_t top = 0;
     for (std::uint32_t g = 0; g < dag.groupCount(); ++g)
-        if (log[dag.groups[g].records.front()].addr == paddr(3))
+        if (log[dag.plan.founder(g)].addr == paddr(3))
             top = g;
     const auto closure = downwardClosure(dag, {top});
     EXPECT_EQ(closure.size(), 4u);

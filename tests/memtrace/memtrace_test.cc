@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hh"
 #include "memtrace/event.hh"
 #include "memtrace/sink.hh"
 #include "memtrace/trace_io.hh"
@@ -825,6 +826,29 @@ TEST(TraceStats, PerThreadCounts)
     EXPECT_EQ(stats.threadEvents(2), 2u);
     EXPECT_EQ(stats.threadCount(), 3u);
     EXPECT_FALSE(stats.render().empty());
+}
+
+TEST(TraceStats, ThreadIdsPastTheCeilingAreRefused)
+{
+    // The per-thread table never grows past compiled_max_threads: a
+    // larger id (the last one would wrap a 32-bit size to 0) fails
+    // naming it, and the stats keep what came before.
+    for (const ThreadId tid : {ThreadId{65536}, ThreadId{0xffffffffu}}) {
+        test::TraceBuilder builder;
+        builder.store(5, paddr(0)).store(tid, paddr(1));
+        TraceStats stats;
+        try {
+            builder.trace().replay(stats);
+            FAIL() << "TraceStats accepted thread id " << tid;
+        } catch (const FatalError &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("thread id " + std::to_string(tid)),
+                      std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(stats.threadCount(), 6u);
+        EXPECT_EQ(stats.totalEvents(), 1u);
+    }
 }
 
 } // namespace

@@ -2,14 +2,16 @@
  * @file
  * Timing engine unit tests: result bookkeeping, operation and role
  * attribution, persist-log record contents, access splitting, the
- * finite coalescing window, configuration validation, and the
- * ceiling on per-block state bytes.
+ * finite coalescing window, configuration validation, the ceiling
+ * on per-block state bytes, and the one on thread ids.
  */
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "common/flat_map.hh"
 #include "persistency/timing_engine.hh"
 #include "tests/support/trace_builder.hh"
@@ -389,6 +391,31 @@ TEST(TimingEngine, StateBytesStayWithinTwiceTheLiveRows)
         const std::size_t bytes = engine.stateBytes();
         EXPECT_GE(bytes, c.live + c.index) << c.name;
         EXPECT_LE(bytes, 2 * c.live + c.index + slack) << c.name;
+    }
+}
+
+TEST(TimingEngine, ThreadIdsPastTheCeilingAreRefused)
+{
+    // The thread table stops at compiled_max_threads, the ceiling the
+    // compile enforces: a larger id (0xffffffff would wrap a 32-bit
+    // size to 0) fails naming it instead of growing the table.
+    for (const ThreadId tid : {ThreadId{65536}, ThreadId{0xffffffffu}}) {
+        TraceBuilder builder;
+        builder.store(5, paddr(0), 1).barrier(tid).store(tid, paddr(1), 2);
+        TimingConfig config;
+        config.model = ModelConfig::epoch();
+        config.record_log = true;
+        PersistTimingEngine engine(config);
+        try {
+            builder.trace().replay(engine);
+            FAIL() << "the engine accepted thread id " << tid;
+        } catch (const FatalError &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("thread id " + std::to_string(tid)),
+                      std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(engine.log().size(), 1u);
     }
 }
 

@@ -28,18 +28,5 @@ TEST(PBuffer, BoundsCheckedIo)
     }});
 }
 
-TEST(RootDirectory, SetGetHas)
-{
-    RootDirectory roots;
-    EXPECT_FALSE(roots.has("queue"));
-    roots.set("queue", 0x1000);
-    EXPECT_TRUE(roots.has("queue"));
-    EXPECT_EQ(roots.get("queue"), 0x1000u);
-    roots.set("queue", 0x2000);
-    EXPECT_EQ(roots.get("queue"), 0x2000u);
-    EXPECT_THROW(roots.get("missing"), FatalError);
-    EXPECT_EQ(roots.all().size(), 1u);
-}
-
 } // namespace
 } // namespace persim

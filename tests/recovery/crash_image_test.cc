@@ -260,7 +260,7 @@ TEST(CrashImageBuilder, MatchesFromScratchReferenceOnRandomPrograms)
                 const FaultModel model(config, trace);
                 const auto wear = wearOf(trace, config.wear_block_bytes);
                 const CrashPlan plan(log, config);
-                CrashImageBuilder builder(plan);
+                CrashImageBuilder builder(log, plan);
                 for (std::size_t c = 0; c < times.size(); ++c) {
                     const double t = times[c];
                     const std::uint64_t fault_seed = mixSeed(seed, c);

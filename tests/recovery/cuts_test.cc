@@ -6,6 +6,10 @@
  * minimization.
  */
 
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
@@ -98,7 +102,7 @@ TEST(PersistDag, CoalescedPersistsShareOneAtomicGroup)
     ASSERT_EQ(log.size(), 2u);
     const auto dag = buildPersistDag(log);
     ASSERT_EQ(dag.groupCount(), 1u);
-    EXPECT_EQ(dag.groups[0].records.size(), 2u);
+    EXPECT_EQ(dag.plan.membersOf(0).size(), 2u);
 
     // The group applies atomically: its cut shows the *last* value.
     const auto image = reconstructImageFromGroups(log, dag, {0});
@@ -137,6 +141,40 @@ TEST(PersistDag, LogWithoutDependenceSetsIsRejected)
     // second persist has a binding but an empty dependence set.
     const auto log = builder.analyzeLog(ModelConfig::epoch());
     EXPECT_THROW(buildPersistDag(log), FatalError);
+}
+
+TEST(PersistDag, RejectsLogWhoseWordOrderDisagreesWithCompletionOrder)
+{
+    // Two independent persists to one word, the later in the log
+    // completing first: group order (completion time) and the
+    // observer's log order would leave different bytes in the word,
+    // so the checker refuses the log instead of enumerating it.
+    PersistLog log(2);
+    for (PersistId i = 0; i < 2; ++i) {
+        log[i].id = i;
+        log[i].addr = paddr(0) + 4 * i;
+        log[i].size = static_cast<std::uint8_t>(8 - 4 * i);
+        log[i].value = 0x1111 * (i + 1);
+        log[i].time = 2.0 - static_cast<double>(i);
+    }
+    std::ostringstream word;
+    word << "word 0x" << std::hex << paddr(0);
+    try {
+        (void)buildPersistDag(log);
+        FAIL() << "the cut checker accepted an out-of-order word";
+    } catch (const FatalError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(word.str()), std::string::npos) << what;
+        EXPECT_NE(what.find("record 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("record 1"), std::string::npos) << what;
+    }
+
+    // The same records in completion order are two independent
+    // groups: four cuts.
+    std::swap(log[0].time, log[1].time);
+    const auto dag = buildPersistDag(log);
+    EXPECT_EQ(dag.groupCount(), 2u);
+    EXPECT_EQ(checkAllCuts(log, dag, acceptAll()).cuts, 4u);
 }
 
 TEST(PersistDag, CutBudgetTruncatesButReportsIt)
@@ -178,7 +216,7 @@ TEST(MinimizeCut, DropsGroupsIrrelevantToTheViolation)
     const auto minimal =
         minimizeViolatingCut(log, dag, invariant, {0, 1, 2});
     ASSERT_EQ(minimal.size(), 1u);
-    EXPECT_EQ(minimal[0], dag.group_of_record[0]);
+    EXPECT_EQ(minimal[0], dag.plan.group[0]);
 }
 
 TEST(MinimizeCut, KeepsPredecessorsNeededForClosure)
