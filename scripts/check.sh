@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the full test suite (748
+# Tier-1 verification: configure, build, run the full test suite (743
 # tests; the ASan stage below reruns the crash-image, cut-checker,
-# engine, compile and trace suites instrumented), then
-# smoke-test the bounded model checker with small budgets, diff the
-# px86 conformance report against its golden copy, run the analysis
+# engine, compile and trace suites instrumented), then run the
+# perfbench smoke test and check each workload's seed-7 answer
+# digest, smoke-test the bounded model checker with small budgets,
+# diff the px86 conformance report against its golden copy, run the analysis
 # stage (the engine's race detector + crash-state pruning tests, the
 # persist_race CLI and the explore-scaling acceptance gate), run the
 # kvstore stage (recovery
@@ -25,6 +26,25 @@ done
 
 cmake -B build -S . && cmake --build build -j && \
     ctest --test-dir build --output-on-failure -j
+
+# Benchmark stage: the perfbench smoke test (every workload's metrics,
+# digests and bad-flag handling at the tiny scale), then one short
+# full-scale seed-7 run per workload, whose answer digest must equal
+# the one pinned here, so a change that breaks the benchmark's build
+# or alters its answers fails before any timing is compared.
+python3 perfbench/smoke_test.py
+for pinned in kv_shards:835615b160542fe3 kv_txn:c4f8cecc38980e9d \
+              crash_explore:e383e6662380f694; do
+    workload=${pinned%%:*}
+    out=$(python3 perfbench/run.py --workload "$workload" --seed 7 \
+              --seconds 1 --trace 0 2>/dev/null) || true
+    digest=$(printf '%s\n' "$out" | sed -n 's/^digests //p')
+    if [ "$digest" != "${pinned#*:}" ]; then
+        echo "check.sh: perfbench $workload seed 7 printed digest" \
+             "'$digest', expected ${pinned#*:}" >&2
+        exit 1
+    fi
+done
 
 # Explorer smoke: the litmus must verify exhaustively with the
 # consumer barrier and produce a counterexample (exit 1) without it.
@@ -100,7 +120,10 @@ rm -f "$KV_JSON"
 # are fibers on the caller's OS thread — so sim_test and replay_test
 # run here to exercise the annotated fiber switches and abort
 # unwinding (and engines running side by side on pool workers), not
-# to look for races between simulated threads.
+# to look for races between simulated threads; sim_test's
+# MemoryImage.ConcurrentConstLoadsAgree does read one const image
+# from two OS threads, which the page table's last-page cache allows
+# because only the creating lookup writes it.
 # Separate build tree so the instrumented objects never mix with the
 # tier-1 build. The compiled-trace test's synthetic trace is shrunk to
 # 150k events because TSan's ~10x slowdown would otherwise dominate
@@ -161,7 +184,9 @@ cmake --build build-asan -j \
     memtrace_test
 # Fiber stacks are mmap'd and switched by hand: run the engine suites
 # (worker errors and max_events aborts unwind suspended fibers)
-# instrumented, with the ASan fiber-switch annotations live.
+# instrumented, with the ASan fiber-switch annotations live. sim_test
+# also grows MemoryImage's page directory over thousands of pages,
+# clones it and moves it.
 ./build-asan/tests/sim_test
 ./build-asan/tests/replay_test
 ./build-asan/tests/faults_test
@@ -179,7 +204,7 @@ cmake --build build-asan -j \
 ./build-asan/tests/queue_negative_test
 # The paged index behind the timing engine and compileTrace indexes
 # raw page arrays unchecked on the hot path (common_test also moves
-# both index maps and uses the moved-from source), and the race
+# the map and uses the moved-from source), and the race
 # detector reads the engine's px86 line bank through the atomic index
 # and grows its report mask lazily: run both instrumented. The one
 # crash-state check (checkCrashStates) replays with record_deps and

@@ -51,8 +51,6 @@ PersistTimingEngine::PersistTimingEngine(const TimingConfig &config)
     : config_(config), rng_(config.seed)
 {
     config_.model.validate();
-    PERSIM_REQUIRE(config_.mean_latency > 0.0,
-                   "mean persist latency must be positive");
     if (config_.record_deps)
         config_.record_log = true;
 

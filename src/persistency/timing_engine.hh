@@ -69,7 +69,7 @@ namespace persim {
 enum class ClockMode : std::uint8_t {
     /** Discrete levels: each non-coalesced persist is +1. */
     Levels,
-    /** Each non-coalesced persist adds Exp(mean) random latency. */
+    /** Each non-coalesced persist adds an Exp(1) draw of latency units. */
     Stochastic,
 };
 
@@ -100,9 +100,6 @@ struct TimingConfig
 
     /** Seed for the stochastic clock. */
     std::uint64_t seed = 1;
-
-    /** Mean persist latency (stochastic clock), in latency units. */
-    double mean_latency = 1.0;
 
     /** Record a PersistRecord per atomic persist piece. */
     bool record_log = false;
@@ -433,7 +430,7 @@ class PersistTimingEngine : public TraceSink
     {
         if (config_.clock == ClockMode::Levels)
             return base + 1.0;
-        return base + rng_.nextExponential(config_.mean_latency);
+        return base + rng_.nextExponential(1.0);
     }
 
     ThreadState &threadState(ThreadId tid)

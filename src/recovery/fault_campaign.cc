@@ -96,8 +96,7 @@ runRealization(const InMemoryTrace &trace,
                std::uint64_t record_cap)
 {
     const PersistLog log =
-        stochasticLog(trace, config.injection.model, realization_seed,
-                      config.injection.mean_latency);
+        stochasticLog(trace, config.injection.model, realization_seed);
     if (log.size() <= 1) {
         RealizationResult out;
         out.degenerate = true;
@@ -195,8 +194,7 @@ runFaultCampaign(const InMemoryTrace &trace,
     if (realizations == 0 || parts[0].degenerate) {
         const PersistLog log =
             stochasticLog(trace, config.injection.model,
-                          config.injection.seed,
-                          config.injection.mean_latency);
+                          config.injection.seed);
         if (log.size() <= 1) {
             // Degenerate traces have a closed-form crash-state set:
             // zero persists (including the empty trace) expose only
@@ -286,8 +284,7 @@ replayFaultRepro(const InMemoryTrace &trace,
     const FaultModel model(config.faults, trace);
     const PersistLog log =
         stochasticLog(trace, config.injection.model,
-                      repro.realization_seed,
-                      config.injection.mean_latency);
+                      repro.realization_seed);
     return invariant(model.crashImage(log, repro.crash_time,
                                       repro.fault_seed, outcome));
 }

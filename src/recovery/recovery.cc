@@ -90,13 +90,12 @@ verifyLogConsistency(const PersistLog &log)
 
 PersistLog
 stochasticLog(const InMemoryTrace &trace, const ModelConfig &model,
-              std::uint64_t seed, double mean_latency)
+              std::uint64_t seed)
 {
     TimingConfig config;
     config.model = model;
     config.clock = ClockMode::Stochastic;
     config.seed = seed;
-    config.mean_latency = mean_latency;
     config.record_log = true;
     PersistTimingEngine engine(config);
     trace.replay(engine);

@@ -116,9 +116,6 @@ struct InjectionConfig
     /** Seed for timing realizations and crash-time sampling. */
     std::uint64_t seed = 1;
 
-    /** Mean persist latency for the stochastic clock. */
-    double mean_latency = 1.0;
-
     /** Worker threads for the realization fan-out on the shared
         TaskPool: 1 = run inline, 0 = hardware concurrency. Results
         are bit-identical at any setting. */
@@ -133,8 +130,7 @@ struct InjectionConfig
  * @p model and return the persist log.
  */
 PersistLog stochasticLog(const InMemoryTrace &trace,
-                         const ModelConfig &model, std::uint64_t seed,
-                         double mean_latency = 1.0);
+                         const ModelConfig &model, std::uint64_t seed);
 
 } // namespace persim
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <utility>
 
 #include "common/error.hh"
 
@@ -12,47 +11,6 @@ namespace persim {
 // load/exchange copy values straight between a u64 and page bytes.
 static_assert(std::endian::native == std::endian::little,
               "MemoryImage stores values little-endian");
-
-MemoryImage::MemoryImage(MemoryImage &&other)
-{
-    *this = std::move(other);
-}
-
-MemoryImage &
-MemoryImage::operator=(MemoryImage &&other)
-{
-    // Swap the pages, then empty @p other: neither side keeps a
-    // cached page pointer.
-    directory_.swap(other.directory_);
-    std::swap(pages_, other.pages_);
-    other.clear();
-    last_page_no_ = no_page;
-    last_page_ = nullptr;
-    return *this;
-}
-
-MemoryImage::Page &
-MemoryImage::pageFor(std::uint64_t page_no)
-{
-    if (page_no == last_page_no_)
-        return *last_page_;
-    bool created = false;
-    const std::uint32_t at = directory_.findOrInsert(page_no, created);
-    if (created)
-        pages_.push_back(std::make_unique<Page>()); // Zero-filled.
-    last_page_no_ = page_no;
-    last_page_ = pages_[at].get();
-    return *last_page_;
-}
-
-const MemoryImage::Page *
-MemoryImage::findPage(std::uint64_t page_no) const
-{
-    if (page_no == last_page_no_)
-        return last_page_;
-    const std::uint32_t at = directory_.find(page_no);
-    return at == FlatIndexMap::no_slot ? nullptr : pages_[at].get();
-}
 
 std::uint64_t
 MemoryImage::load(Addr addr, unsigned size) const
@@ -66,8 +24,8 @@ MemoryImage::load(Addr addr, unsigned size) const
         return word;
     }
     // In-page: one 8-byte copy, masked to the access.
-    if (const Page *page = findPage(addr / page_size))
-        std::memcpy(&word, page->data() + offset, 8);
+    if (const std::uint8_t *page = pages_.find(addr / page_size))
+        std::memcpy(&word, page + offset, 8);
     return word & (~0ULL >> (64 - 8 * size));
 }
 
@@ -81,7 +39,7 @@ MemoryImage::exchange(Addr addr, unsigned size, std::uint64_t value)
         return old;
     }
     // In-page: one lookup, one 8-byte read-modify-write.
-    std::uint8_t *at = pageFor(addr / page_size).data() + offset;
+    std::uint8_t *at = pages_.get(addr / page_size) + offset;
     const std::uint64_t mask = ~0ULL >> (64 - 8 * size);
     std::uint64_t word;
     std::memcpy(&word, at, 8);
@@ -89,26 +47,6 @@ MemoryImage::exchange(Addr addr, unsigned size, std::uint64_t value)
     word = (word & ~mask) | (value & mask);
     std::memcpy(at, &word, 8);
     return old;
-}
-
-MemoryImage
-MemoryImage::clone() const
-{
-    MemoryImage copy;
-    copy.directory_ = directory_;
-    copy.pages_.reserve(pages_.size());
-    for (const auto &page : pages_)
-        copy.pages_.push_back(std::make_unique<Page>(*page));
-    return copy;
-}
-
-void
-MemoryImage::clear()
-{
-    directory_.clear();
-    pages_.clear();
-    last_page_no_ = no_page;
-    last_page_ = nullptr;
 }
 
 void
@@ -120,8 +58,8 @@ MemoryImage::readBytes(void *dst, Addr src, std::size_t n) const
         const std::uint64_t offset = src % page_size;
         const std::size_t chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(n, page_size - offset));
-        if (const Page *page = findPage(src / page_size))
-            std::memcpy(out, page->data() + offset, chunk);
+        if (const std::uint8_t *page = pages_.find(src / page_size))
+            std::memcpy(out, page + offset, chunk);
         else
             std::memset(out, 0, chunk);
         out += chunk;
@@ -138,7 +76,7 @@ MemoryImage::writeBytes(Addr dst, const void *src, std::size_t n)
         const std::uint64_t offset = dst % page_size;
         const std::size_t chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(n, page_size - offset));
-        std::memcpy(pageFor(dst / page_size).data() + offset, in, chunk);
+        std::memcpy(pages_.get(dst / page_size) + offset, in, chunk);
         in += chunk;
         dst += chunk;
         n -= chunk;

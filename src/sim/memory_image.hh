@@ -5,21 +5,18 @@
  * MemoryImage backs the simulated flat address space with 4 KiB pages
  * allocated on demand. Values are stored little-endian so that a
  * multi-byte load returns what a multi-byte store wrote, and so that
- * recovery analyses can reconstruct images byte-for-byte. A one-entry
- * last-page cache in front of the page directory is written only on
- * the mutating path, so threads may share a const image (DESIGN.md
+ * recovery analyses can reconstruct images byte-for-byte. The pages
+ * live in a PageTable, whose last-page cache is written only on the
+ * mutating path, so threads may share a const image (DESIGN.md
  * Section 10).
  */
 
 #ifndef PERSIM_SIM_MEMORY_IMAGE_HH
 #define PERSIM_SIM_MEMORY_IMAGE_HH
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "common/flat_map.hh"
+#include "common/page_table.hh"
 #include "common/types.hh"
 
 namespace persim {
@@ -33,8 +30,8 @@ class MemoryImage
     MemoryImage() = default;
 
     /** Takes @p other's pages; @p other is left empty and usable. */
-    MemoryImage(MemoryImage &&other);
-    MemoryImage &operator=(MemoryImage &&other);
+    MemoryImage(MemoryImage &&other) = default;
+    MemoryImage &operator=(MemoryImage &&other) = default;
 
     /** Read @p size (1..8) bytes at @p addr as a little-endian value. */
     std::uint64_t load(Addr addr, unsigned size) const;
@@ -56,33 +53,27 @@ class MemoryImage
     void writeBytes(Addr dst, const void *src, std::size_t n);
 
     /** Number of pages materialized so far. */
-    std::size_t pageCount() const { return pages_.size(); }
+    std::size_t pageCount() const { return pages_.pages(); }
 
     /**
      * Deep copy. MemoryImage is deliberately move-only (pages are
      * uniquely owned); copy-then-perturb analyses — fault models,
      * corruption fuzzers — clone explicitly instead.
      */
-    MemoryImage clone() const;
+    MemoryImage
+    clone() const
+    {
+        MemoryImage copy;
+        copy.pages_ = pages_.clone();
+        return copy;
+    }
 
     /** Drop all contents. */
-    void clear();
+    void clear() { pages_.clear(); }
 
   private:
-    using Page = std::array<std::uint8_t, page_size>;
-
-    static constexpr std::uint64_t no_page = ~0ULL; //!< No page has it.
-
-    /** Page @p page_no, made zero-filled if new; cached as the last. */
-    Page &pageFor(std::uint64_t page_no);
-
-    /** Page @p page_no, or nullptr if never written. */
-    const Page *findPage(std::uint64_t page_no) const;
-
-    FlatIndexMap directory_; //!< Page number -> slot in pages_.
-    std::vector<std::unique_ptr<Page>> pages_;
-    std::uint64_t last_page_no_ = no_page;
-    Page *last_page_ = nullptr;
+    /** Zero-filled pages, created on first write. */
+    PageTable<std::uint8_t, page_size> pages_;
 };
 
 } // namespace persim

@@ -33,43 +33,4 @@ NativeMcsLock::unlock(Qnode &qnode)
     next->locked.store(0, std::memory_order_release);
 }
 
-void
-NativeTicketLock::lock()
-{
-    const std::uint64_t ticket =
-        next_ticket_.fetch_add(1, std::memory_order_relaxed);
-    while (now_serving_.load(std::memory_order_acquire) != ticket)
-        std::this_thread::yield();
-}
-
-void
-NativeTicketLock::unlock()
-{
-    now_serving_.store(now_serving_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_release);
-}
-
-void
-NativeSpinLock::lock()
-{
-    for (;;) {
-        if (word_.load(std::memory_order_relaxed) != 0) {
-            std::this_thread::yield();
-            continue;
-        }
-        {
-            std::uint64_t expected = 0;
-            if (word_.compare_exchange_weak(expected, 1,
-                                            std::memory_order_acquire))
-                return;
-        }
-    }
-}
-
-void
-NativeSpinLock::unlock()
-{
-    word_.store(0, std::memory_order_release);
-}
-
 } // namespace persim

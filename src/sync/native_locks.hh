@@ -1,11 +1,11 @@
 /**
  * @file
- * Native (real-hardware) locks for instruction-rate measurement.
+ * Native (real-hardware) lock for instruction-rate measurement.
  *
  * The paper measures "instruction execution rate" by running the
  * queue benchmarks natively, optimized for volatile performance, on a
- * real machine. These locks are the native twins of the traced locks
- * in locks.hh, built on std::atomic; NativeMcsLock mirrors the MCS
+ * real machine. NativeMcsLock is the native twin of the traced MCS
+ * lock in locks.hh, built on std::atomic; it mirrors the MCS
  * algorithm [20] used in the paper's methodology.
  */
 
@@ -33,29 +33,6 @@ class NativeMcsLock
 
   private:
     std::atomic<Qnode *> tail_{nullptr};
-};
-
-/** Ticket lock over std::atomic. */
-class NativeTicketLock
-{
-  public:
-    void lock();
-    void unlock();
-
-  private:
-    alignas(64) std::atomic<std::uint64_t> next_ticket_{0};
-    alignas(64) std::atomic<std::uint64_t> now_serving_{0};
-};
-
-/** Test-and-test-and-set lock over std::atomic. */
-class NativeSpinLock
-{
-  public:
-    void lock();
-    void unlock();
-
-  private:
-    alignas(64) std::atomic<std::uint64_t> word_{0};
 };
 
 } // namespace persim

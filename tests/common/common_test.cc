@@ -1,12 +1,14 @@
 /**
  * @file
- * Unit tests for src/common: bit utilities, RNG, errors, index maps.
+ * Unit tests for src/common: bit utilities, RNG, errors, the paged
+ * index map.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/bitops.hh"
@@ -187,96 +189,45 @@ TEST(Error, AssertAndRequireMacros)
     EXPECT_THROW(PERSIM_REQUIRE(false, "no"), FatalError);
 }
 
-TEST(FlatIndexMap, AssignsDenseSlotsInInsertionOrder)
+/**
+ * Independent oracle for PagedIndexMap: a hash map handing each new
+ * key the number of keys seen before it.
+ */
+class SlotOracle
 {
-    FlatIndexMap map;
-    bool inserted = false;
-    EXPECT_EQ(map.findOrInsert(100, inserted), 0u);
-    EXPECT_TRUE(inserted);
-    EXPECT_EQ(map.findOrInsert(7, inserted), 1u);
-    EXPECT_TRUE(inserted);
-    EXPECT_EQ(map.findOrInsert(100, inserted), 0u);
-    EXPECT_FALSE(inserted);
-    EXPECT_EQ(map.find(7), 1u);
-    EXPECT_EQ(map.find(8), FlatIndexMap::no_slot);
-    EXPECT_EQ(map.size(), 2u);
-}
+  public:
+    std::uint32_t
+    findOrInsert(std::uint64_t key, bool &inserted)
+    {
+        const auto [it, fresh] = slots_.try_emplace(
+            key, static_cast<std::uint32_t>(slots_.size()));
+        inserted = fresh;
+        return it->second;
+    }
 
-TEST(FlatIndexMap, SentinelKeyIsRejectedNotAliased)
+    std::uint32_t
+    find(std::uint64_t key) const
+    {
+        const auto it = slots_.find(key);
+        return it == slots_.end() ? PagedIndexMap::no_slot : it->second;
+    }
+
+    std::uint32_t
+    size() const
+    {
+        return static_cast<std::uint32_t>(slots_.size());
+    }
+
+  private:
+    std::unordered_map<std::uint64_t, std::uint32_t> slots_;
+};
+
+TEST(PagedIndexMap, MatchesOracleSlotNumbering)
 {
-    // ~0 is the empty-bucket sentinel: probing for it would match the
-    // first empty bucket and hand back no_slot as a "real" slot
-    // (silent corruption). It must be a hard error instead.
-    FlatIndexMap map;
-    bool inserted = false;
-    EXPECT_THROW(map.findOrInsert(FlatIndexMap::empty_key, inserted),
-                 FatalError);
-    // find() on the sentinel is benign "absent".
-    EXPECT_EQ(map.find(FlatIndexMap::empty_key),
-              FlatIndexMap::no_slot);
-}
-
-TEST(FlatIndexMap, CapacityBoundIsAHardError)
-{
-    // Beyond max_slots the unchecked count_++ would eventually mint
-    // no_slot itself as a live slot; the bound turns that into a
-    // deterministic FatalError at the first over-insert.
-    FlatIndexMap map(4);
-    bool inserted = false;
-    for (std::uint64_t key = 0; key < 4; ++key)
-        map.findOrInsert(key, inserted);
-    EXPECT_EQ(map.size(), 4u);
-    // Existing keys still resolve below the bound.
-    EXPECT_EQ(map.findOrInsert(3, inserted), 3u);
-    EXPECT_FALSE(inserted);
-    EXPECT_THROW(map.findOrInsert(99, inserted), FatalError);
-    // clear() frees the budget again.
-    map.clear();
-    EXPECT_EQ(map.findOrInsert(99, inserted), 0u);
-    EXPECT_TRUE(inserted);
-}
-
-TEST(FlatIndexMap, MovedFromMapIsEmptyAndUsable)
-{
-    bool inserted = false;
-    FlatIndexMap source;
-    for (std::uint64_t key = 0; key < 100; ++key)
-        source.findOrInsert(key * 7, inserted);
-
-    // Move construction: the source is left an empty, usable map.
-    FlatIndexMap moved(std::move(source));
-    EXPECT_EQ(moved.size(), 100u);
-    EXPECT_EQ(moved.find(7 * 42), 42u);
-    EXPECT_EQ(source.size(), 0u);
-    EXPECT_EQ(source.find(7 * 42), FlatIndexMap::no_slot);
-    EXPECT_EQ(source.findOrInsert(5, inserted), 0u);
-    EXPECT_TRUE(inserted);
-
-    // Move assignment over a live map, the same way.
-    FlatIndexMap target;
-    target.findOrInsert(1, inserted);
-    target = std::move(moved);
-    EXPECT_EQ(target.size(), 100u);
-    EXPECT_EQ(target.find(7 * 99), 99u);
-    EXPECT_EQ(target.find(1), FlatIndexMap::no_slot);
-    EXPECT_EQ(moved.size(), 0u);
-    EXPECT_EQ(moved.find(7 * 99), FlatIndexMap::no_slot);
-    EXPECT_EQ(moved.findOrInsert(3, inserted), 0u);
-    EXPECT_TRUE(inserted);
-    EXPECT_EQ(target.find(3), FlatIndexMap::no_slot);
-}
-
-// The ShardedIndexMap.* tests predate the paged index; they keep
-// their names and now pin PagedIndexMap, which replaced the sharded
-// hash table in the timing engine and compileTrace.
-
-TEST(ShardedIndexMap, MatchesFlatIndexMapSlotNumbering)
-{
-    // The paged index must hand out the same dense insertion-order
-    // slots as the hashed map — the timing engine's slot numbers are
-    // part of the bit-identity surface (compiled traces bake them
-    // in).
-    FlatIndexMap flat;
+    // The paged index must hand out dense insertion-order slots — the
+    // timing engine's slot numbers are part of the bit-identity
+    // surface (compiled traces bake them in).
+    SlotOracle oracle;
     PagedIndexMap paged;
     Rng rng(7);
     std::vector<std::uint64_t> keys;
@@ -284,16 +235,16 @@ TEST(ShardedIndexMap, MatchesFlatIndexMapSlotNumbering)
         keys.push_back(rng.next() % 1024); // Dense keyspace: collisions.
     bool fi = false, si = false;
     for (const std::uint64_t key : keys) {
-        EXPECT_EQ(flat.findOrInsert(key, fi),
+        EXPECT_EQ(oracle.findOrInsert(key, fi),
                   paged.findOrInsert(key, si));
         EXPECT_EQ(fi, si);
     }
-    EXPECT_EQ(flat.size(), paged.size());
+    EXPECT_EQ(oracle.size(), paged.size());
     for (std::uint64_t key = 0; key < 1100; ++key)
-        EXPECT_EQ(flat.find(key), paged.find(key));
+        EXPECT_EQ(oracle.find(key), paged.find(key));
 }
 
-TEST(ShardedIndexMap, SentinelAndCapacityMirrorFlatMap)
+TEST(PagedIndexMap, SentinelKeyAndCapacityAreHardErrors)
 {
     PagedIndexMap map(4);
     bool inserted = false;
@@ -310,7 +261,7 @@ TEST(ShardedIndexMap, SentinelAndCapacityMirrorFlatMap)
     EXPECT_EQ(map.size(), 1u);
 }
 
-TEST(ShardedIndexMap, SurvivesPerShardRehash)
+TEST(PagedIndexMap, OneKeyPerPageSurvivesRehash)
 {
     // Far past the directory's initial bucket count: one key per
     // page, so the directory rehashes many times and every lookup
@@ -328,18 +279,18 @@ TEST(ShardedIndexMap, SurvivesPerShardRehash)
     EXPECT_EQ(map.find(3), PagedIndexMap::no_slot);
 }
 
-TEST(PagedIndexMap, MatchesFlatIndexMapAcrossPagesAndRegions)
+TEST(PagedIndexMap, MatchesOracleAcrossPagesAndRegions)
 {
     // Block keys (8-byte blocks) near the volatile and persistent
     // bases, walked in short runs that cross page boundaries and
     // jump between the two regions, plus the extreme keys 0 and
-    // ~0 - 1: slots and inserted flags must equal FlatIndexMap's.
+    // ~0 - 1: slots and inserted flags must equal the oracle's.
     const std::uint64_t bases[] = {
         0, volatile_base >> 3, persistent_base >> 3,
         (persistent_base >> 3) + (std::uint64_t{1} << 30),
         PagedIndexMap::empty_key - (std::uint64_t{1} << 14)};
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
-        FlatIndexMap flat;
+        SlotOracle oracle;
         PagedIndexMap paged;
         Rng rng(seed);
         std::vector<std::uint64_t> keys{0, PagedIndexMap::empty_key - 1};
@@ -356,14 +307,14 @@ TEST(PagedIndexMap, MatchesFlatIndexMapAcrossPagesAndRegions)
         keys.push_back(PagedIndexMap::empty_key - 1);
         bool fi = false, pi = false;
         for (const std::uint64_t key : keys) {
-            ASSERT_EQ(flat.findOrInsert(key, fi),
+            ASSERT_EQ(oracle.findOrInsert(key, fi),
                       paged.findOrInsert(key, pi))
                 << "seed " << seed << " key " << key;
             ASSERT_EQ(fi, pi);
         }
-        EXPECT_EQ(flat.size(), paged.size());
+        EXPECT_EQ(oracle.size(), paged.size());
         for (const std::uint64_t key : keys)
-            EXPECT_EQ(flat.find(key), paged.find(key));
+            EXPECT_EQ(oracle.find(key), paged.find(key));
     }
 }
 
@@ -397,12 +348,14 @@ TEST(PagedIndexMap, ClearThenReuse)
     for (std::uint64_t key = 0; key < 1000; ++key)
         map.findOrInsert(key * 3, inserted);
     const std::size_t bytes = map.bytes();
+    // clear() frees the pages and the directory.
     map.clear();
     EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.bytes(), 0u);
     for (std::uint64_t key = 0; key < 1000; ++key)
         EXPECT_EQ(map.find(key * 3), PagedIndexMap::no_slot);
-    // Fresh first-touch numbering, in a different order, on the kept
-    // pages.
+    // Fresh first-touch numbering, in a different order, on new pages
+    // that cost what the old ones did.
     for (std::uint64_t key = 1000; key-- > 0;) {
         EXPECT_EQ(map.findOrInsert(key * 3, inserted),
                   static_cast<std::uint32_t>(999 - key));
@@ -456,8 +409,8 @@ TEST(PagedIndexMap, PagesSurviveDirectoryGrowth)
     // the first of the next) over enough pages to grow the directory
     // many times, and after each new page an early page is revisited
     // through the directory, not the last-page cache: slots must stay
-    // FlatIndexMap's across every growth.
-    FlatIndexMap flat;
+    // the oracle's across every growth.
+    SlotOracle oracle;
     PagedIndexMap paged;
     bool fi = false, pi = false;
     const std::uint64_t base = persistent_base >> 3;
@@ -467,18 +420,18 @@ TEST(PagedIndexMap, PagesSurviveDirectoryGrowth)
         for (const std::uint64_t key :
              {edge - 1, edge, base + (page % 7) * PagedIndexMap::page_keys,
               edge + 1}) {
-            ASSERT_EQ(flat.findOrInsert(key, fi),
+            ASSERT_EQ(oracle.findOrInsert(key, fi),
                       paged.findOrInsert(key, pi))
                 << "page " << page << " key " << key;
             ASSERT_EQ(fi, pi);
         }
     }
-    EXPECT_EQ(flat.size(), paged.size());
+    EXPECT_EQ(oracle.size(), paged.size());
     for (std::uint64_t page = 0; page <= pages + 1; ++page)
         for (std::uint64_t at = 0; at < PagedIndexMap::page_keys; at += 31) {
             const std::uint64_t key =
                 base + page * PagedIndexMap::page_keys + at;
-            EXPECT_EQ(flat.find(key), paged.find(key)) << key;
+            EXPECT_EQ(oracle.find(key), paged.find(key)) << key;
         }
 }
 

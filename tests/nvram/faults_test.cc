@@ -67,7 +67,7 @@ TEST(FaultModel, DisabledModelMatchesReconstructImage)
            .store(1, paddr(2) + 4, 0x5555, 4)
            .store(1, paddr(3), 0x6666);
     const PersistLog log = stochasticLog(builder.trace(),
-                                         ModelConfig::epoch(), 42, 1.0);
+                                         ModelConfig::epoch(), 42);
     ASSERT_FALSE(log.empty());
 
     const FaultModel model{FaultConfig{}};

@@ -235,7 +235,7 @@ TEST(CrashImageBuilder, MatchesFromScratchReferenceOnRandomPrograms)
             const bool px86 = m == 3;
             const InMemoryTrace trace = randomTrace(seed, px86);
             const PersistLog log =
-                stochasticLog(trace, models[m], seed * 31 + m, 1.0);
+                stochasticLog(trace, models[m], seed * 31 + m);
             double span = 0.0;
             for (const PersistRecord &record : log)
                 span = std::max(span, record.time);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "common/bitops.hh"
 #include "common/error.hh"
+#include "common/rng.hh"
 #include "common/task_pool.hh"
 #include "memtrace/sink.hh"
 #include "memtrace/trace_stats.hh"
@@ -171,6 +173,93 @@ TEST(MemoryImage, CloneIsAnEqualIndependentCopy)
         EXPECT_EQ(copy.load(a, 4), image.load(a, 4)) << a;
     image.store(0, 8, 1);
     EXPECT_EQ(copy.load(0, 8), 0u);
+}
+
+TEST(MemoryImage, ScatteredPagesMatchAByteReference)
+{
+    // Thousands of pages scattered over a 2^40-page range grow the
+    // page directory many times. Every load and readBytes must match
+    // a byte-map reference (absent bytes read zero) in the image, in
+    // its clone and in the image it is moved into; pages never
+    // written read zero and are not created by reading them.
+    MemoryImage image;
+    std::map<Addr, std::uint8_t> reference;
+    std::vector<Addr> probes;
+    Rng rng(11);
+    const auto put = [&](Addr addr, const std::uint8_t *bytes,
+                         std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            reference[addr + i] = bytes[i];
+        probes.push_back(addr);
+    };
+    for (int i = 0; i < 4000; ++i) {
+        const Addr page =
+            (rng.next() % (std::uint64_t{1} << 40)) * MemoryImage::page_size;
+        // A store anywhere in the page, some straddling its end.
+        const Addr at = page + rng.next() % MemoryImage::page_size;
+        const unsigned size = 1 + static_cast<unsigned>(rng.next() % 8);
+        const std::uint64_t value = rng.next();
+        image.store(at, size, value);
+        std::uint8_t bytes[8];
+        std::memcpy(bytes, &value, 8);
+        put(at, bytes, size);
+        if (i % 4 == 0) {
+            std::vector<std::uint8_t> blob(1 + rng.next() % 200);
+            for (std::uint8_t &byte : blob)
+                byte = static_cast<std::uint8_t>(rng.next());
+            const Addr end = page + MemoryImage::page_size;
+            image.writeBytes(end - blob.size() / 2, blob.data(),
+                             blob.size());
+            put(end - blob.size() / 2, blob.data(), blob.size());
+        }
+    }
+    std::set<Addr> pages;
+    for (const auto &[addr, byte] : reference)
+        pages.insert(addr / MemoryImage::page_size);
+    ASSERT_GT(pages.size(), 4000u);
+
+    const auto byteAt = [&reference](Addr addr) -> std::uint8_t {
+        const auto it = reference.find(addr);
+        return it == reference.end() ? 0 : it->second;
+    };
+    const auto check = [&](const MemoryImage &img, const char *label) {
+        SCOPED_TRACE(label);
+        ASSERT_EQ(img.pageCount(), pages.size());
+        std::vector<std::uint8_t> window(80);
+        for (const Addr probe : probes) {
+            for (unsigned size = 1; size <= 8; ++size) {
+                std::uint64_t want = 0;
+                for (unsigned i = 0; i < size; ++i)
+                    want |= std::uint64_t{byteAt(probe + i)} << (8 * i);
+                ASSERT_EQ(img.load(probe, size), want) << probe;
+            }
+            const Addr from = probe - 32;
+            img.readBytes(window.data(), from, window.size());
+            for (std::size_t i = 0; i < window.size(); ++i)
+                ASSERT_EQ(window[i], byteAt(from + i)) << from + i;
+        }
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t page_no =
+                rng.next() % (std::uint64_t{1} << 40);
+            if (pages.count(page_no))
+                continue;
+            const Addr addr = page_no * MemoryImage::page_size +
+                rng.next() % (MemoryImage::page_size - 8);
+            ASSERT_EQ(img.load(addr, 8), 0u) << addr;
+            img.readBytes(window.data(), addr, 8);
+            ASSERT_TRUE(std::all_of(window.begin(), window.begin() + 8,
+                                    [](std::uint8_t b) { return b == 0; }));
+        }
+        ASSERT_EQ(img.pageCount(), pages.size());
+    };
+    check(image, "original");
+    const MemoryImage copy = image.clone();
+    check(copy, "clone");
+    const MemoryImage moved(std::move(image));
+    check(moved, "moved-to");
+    check(copy, "clone after the move");
+    EXPECT_EQ(image.pageCount(), 0u);
+    EXPECT_EQ(image.load(probes.front(), 8), 0u);
 }
 
 TEST(MemoryImage, ConcurrentConstLoadsAgree)

@@ -152,43 +152,5 @@ TEST(NativeMcsLock, CountsUnderRealThreads)
     EXPECT_EQ(counter, static_cast<std::uint64_t>(threads) * iterations);
 }
 
-TEST(NativeTicketLock, CountsUnderRealThreads)
-{
-    NativeTicketLock lock;
-    std::uint64_t counter = 0;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < 4; ++t) {
-        pool.emplace_back([&lock, &counter] {
-            for (int i = 0; i < 2000; ++i) {
-                lock.lock();
-                ++counter;
-                lock.unlock();
-            }
-        });
-    }
-    for (auto &thread : pool)
-        thread.join();
-    EXPECT_EQ(counter, 8000u);
-}
-
-TEST(NativeSpinLock, CountsUnderRealThreads)
-{
-    NativeSpinLock lock;
-    std::uint64_t counter = 0;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < 4; ++t) {
-        pool.emplace_back([&lock, &counter] {
-            for (int i = 0; i < 2000; ++i) {
-                lock.lock();
-                ++counter;
-                lock.unlock();
-            }
-        });
-    }
-    for (auto &thread : pool)
-        thread.join();
-    EXPECT_EQ(counter, 8000u);
-}
-
 } // namespace
 } // namespace persim
